@@ -49,11 +49,9 @@ from .graphs import (
 from .matrices import (
     Decision,
     EdgeDominationMatrix,
-    IncidenceMatrix,
     check_cc_equals_n,
     check_cc_equals_n_minus_1,
     edge_domination_matrix,
-    incidence_matrix,
 )
 from .oracle import (
     CoalitionGraph,
@@ -87,7 +85,6 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "GuardExceededError",
-    "IncidenceMatrix",
     "PARTITION_GUARD_DEFAULT",
     "PeelTrace",
     "PreconditionError",
@@ -116,7 +113,6 @@ __all__ = [
     "gamma_c",
     "generate",
     "in_family_f",
-    "incidence_matrix",
     "induced_subgraph",
     "is_cc_partition",
     "is_connected",

@@ -5,7 +5,8 @@ from standard input as '-'; graph6 is the default format (multi-line graph6
 input produces one result line per graph), and the edge-list format is
 selected by extension (.el, .edgelist) or by --format.  Exit codes: 0 for a
 computed answer, 1 for answer-no under --status-exit, 2 for usage errors,
-3 for precondition or format errors, 4 for an exceeded search guard.  The
+3 for precondition or format errors, 4 for an exceeded search guard; a reader
+that closes standard output early ends the run quietly with 0.  The
 CC_GUARD_N environment variable overrides the partition-search guard; an
 explicit --guard flag wins over it.
 """
@@ -316,7 +317,14 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output (`... | head -1`): nothing is wrong with the input.
+        # Point the descriptor at devnull so the interpreter's own final flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

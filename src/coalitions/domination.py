@@ -23,10 +23,11 @@ def _check_subset(g, s, what="vertex set"):
 
 
 def mask_is_dominating(g, mask):
-    closed = g.closed_masks
-    cover = 0
+    # reads the stored neighbor masks: g.closed_masks would build a fresh n-tuple per call
+    nbr = g.nbr_masks
+    cover = mask
     for v in iter_mask(mask):
-        cover |= closed[v]
+        cover |= nbr[v]
     return cover == g.full_mask
 
 

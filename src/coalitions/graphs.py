@@ -6,9 +6,16 @@ modules work on integer bitmasks, so the packing helpers and the induced
 connectivity test live here where every module can share them.
 """
 
+import binascii
+from math import isqrt
+
 from .errors import GraphFormatError, GuardExceededError, PreconditionError
 
-GRAPH6_MAX_N = 62
+GRAPH6_MAX_N = 258047
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
+)
+_GRAPH6_TO_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
 ENUMERATION_GUARD = 7
 ENUMERATION_GUARD_RAISED = 8
 
@@ -309,67 +316,78 @@ def _pair_order(n):
 
 
 def emit_graph6(g):
-    """Encode a graph of order <= 62 as a one-line graph6 string."""
+    """Encode a graph of order <= 258047 as a one-line graph6 string.
+
+    The header is one byte for n <= 62, and '~' plus an 18-bit big-endian
+    count for larger n.  The payload is the upper triangle in column order,
+    (0,1), (0,2), (1,2), (0,3), ..., six bits per byte, padded with zeros.
+    """
     n = g.n
     if n > GRAPH6_MAX_N:
         raise PreconditionError(f"graph6 supports n <= {GRAPH6_MAX_N}, got {n}")
-    chars = [chr(63 + n)]
-    buf = 0
-    nbits = 0
+    if n <= 62:
+        head = chr(63 + n)
+    else:
+        head = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
     nbr = g._nbr
-    # upper triangle in column-major order: column j lists bits (0,j)..(j-1,j)
+    pairs = 0  # bit k is the k-th pair in column order
+    k = 0
     for j in range(1, n):
-        col = nbr[j]
-        for i in range(j):
-            buf = (buf << 1) | (col >> i & 1)
-            nbits += 1
-            if nbits == 6:
-                chars.append(chr(63 + buf))
-                buf = 0
-                nbits = 0
-    if nbits:
-        chars.append(chr(63 + (buf << (6 - nbits))))
-    return "".join(chars)
+        pairs |= (nbr[j] & ((1 << j) - 1)) << k
+        k += j
+    # graph6 reads the pairs from the most significant bit down.  base64 writes one character
+    # per six bits, and padding to whole 24-bit groups keeps it from appending '='
+    pad = -k % 24
+    bits = int(format(pairs, "b").zfill(k)[::-1], 2) << pad
+    body = binascii.b2a_base64(bits.to_bytes((k + pad) >> 3, "big"), newline=False)
+    return head + body.translate(_BASE64_TO_GRAPH6)[:(k + 5) // 6].decode()
 
 
 def parse_graph6(text):
     """Decode a single graph6 line into a Graph.
 
-    Accepts an optional ">>graph6<<" prefix.  Malformed bytes, a truncated
-    bit payload, and trailing garbage all raise GraphFormatError.
+    Accepts an optional ">>graph6<<" prefix and the one-byte or '~' headers,
+    so n <= 258047.  Malformed bytes, a truncated header or bit payload, and
+    trailing garbage all raise GraphFormatError.
     """
     line = text.strip()
     if line.startswith(">>graph6<<"):
         line = line[len(">>graph6<<"):]
     if not line:
         raise GraphFormatError("empty graph6 line")
-    codes = [ord(c) for c in line]
-    for c in codes:
-        if not (63 <= c <= 126):
-            raise GraphFormatError(f"graph6 byte {c} outside the printable range [63, 126]")
-    n = codes[0] - 63
-    if n > GRAPH6_MAX_N:
-        raise GraphFormatError(f"graph6 header encodes n={n}; only n <= {GRAPH6_MAX_N} is supported")
+    for c in line:
+        if not ("?" <= c <= "~"):
+            raise GraphFormatError(f"graph6 byte {ord(c)} outside the printable range [63, 126]")
+    if line[0] != "~":
+        n, head = ord(line[0]) - 63, 1
+    elif len(line) < 4:
+        raise GraphFormatError(f"graph6 header truncated: '~' needs 3 more bytes, got {len(line) - 1}")
+    elif line[1] == "~":
+        raise GraphFormatError(f"graph6 header encodes n > {GRAPH6_MAX_N}; only n <= {GRAPH6_MAX_N} is supported")
+    else:
+        n = (ord(line[1]) - 63) << 12 | (ord(line[2]) - 63) << 6 | (ord(line[3]) - 63)
+        head = 4
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    payload = codes[1:]
-    if len(payload) < need:
+    payload = len(line) - head
+    if payload < need:
         raise GraphFormatError(
-            f"graph6 payload truncated: need {need} bytes for n={n}, got {len(payload)}"
+            f"graph6 payload truncated: need {need} bytes for n={n}, got {payload}"
         )
-    if len(payload) > need:
+    if payload > need:
         raise GraphFormatError(
-            f"trailing garbage after graph6 payload: expected {need} bytes, got {len(payload)}"
+            f"trailing garbage after graph6 payload: expected {need} bytes, got {payload}"
         )
+    bits = line[head:].translate(_GRAPH6_TO_BITS)
     nbr = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = payload[k // 6] - 63
-            if byte >> (5 - k % 6) & 1:
-                nbr[i] |= 1 << j
-                nbr[j] |= 1 << i
-            k += 1
+    k = bits.find("1", 0, nbits)
+    while k >= 0:
+        # the k-th pair in column order is (i, j) with j(j-1)/2 <= k < j(j+1)/2
+        j = (1 + isqrt(8 * k + 1)) >> 1
+        i = k - (j * (j - 1) >> 1)
+        nbr[i] |= 1 << j
+        nbr[j] |= 1 << i
+        k = bits.find("1", k + 1, nbits)
     return Graph.from_neighbor_masks(n, nbr)
 
 

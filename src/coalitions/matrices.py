@@ -1,4 +1,4 @@
-"""Edge-domination and incidence matrices, and the two polynomial deciders.
+"""The edge-domination matrix and the two polynomial deciders.
 
 check_cc_equals_n decides CC(G) = n for connected graphs without a full
 vertex: it holds exactly when every vertex has an incident edge whose two
@@ -13,9 +13,8 @@ how the variants and the exact oracle relate instead of assuming it.
 
 from dataclasses import dataclass, field
 
-from .domination import mask_is_cds, mask_is_dominating
 from .errors import PreconditionError
-from .graphs import full_vertices, induced_connected, is_connected
+from .graphs import full_vertices, is_connected
 
 VARIANTS = ("paper", "strict")
 
@@ -77,23 +76,6 @@ class EdgeDominationMatrix:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class IncidenceMatrix:
-    """Rows indexed by vertices, columns by edges in sorted order."""
-
-    n: int
-    edges: tuple
-
-    def entry(self, x, j):
-        return 1 if x in self.edges[j] else 0
-
-    def row_sum(self, x):
-        return sum(1 for e in self.edges if x in e)
-
-    def column_sum(self, j):
-        return 2
-
-
 def edge_domination_matrix(g):
     """The edge-domination matrix of a graph with at least one edge."""
     if g.m == 0:
@@ -101,24 +83,6 @@ def edge_domination_matrix(g):
     closed = g.closed_masks
     rows = tuple(closed[p] | closed[q] for p, q in g.edges)
     return EdgeDominationMatrix(g.n, g.edges, rows)
-
-
-def incidence_matrix(g):
-    if g.m == 0:
-        raise PreconditionError("incidence matrix needs a graph with at least one edge")
-    return IncidenceMatrix(g.n, g.edges)
-
-
-def three_vertex_dominates(g, a, b, c, x):
-    """True iff x lies in the union of the closed neighborhoods of a, b, c.
-
-    The triple must be distinct.  This is the single-entry view of the
-    three-vertex-domination table; the full table is never materialized.
-    """
-    if a == b or a == c or b == c:
-        raise PreconditionError(f"three-vertex domination needs distinct vertices, got ({a}, {b}, {c})")
-    closed = g.closed_masks
-    return bool((closed[a] | closed[b] | closed[c]) >> x & 1)
 
 
 def _check_preconditions(g, op, minimum_order):
@@ -131,6 +95,41 @@ def _check_preconditions(g, op, minimum_order):
         raise PreconditionError(f"{op} requires no full vertex; vertex {min(fulls)} is full")
 
 
+def _dominators(closed, cand, need):
+    """The members of the mask cand whose closed neighborhoods contain all of need.
+
+    w lies in N[m] exactly when m lies in N[w], so this is cand ANDed with
+    N[m] for every m in need; the loop stops as soon as nothing is left.
+    """
+    while need and cand:
+        low = need & -need
+        cand &= closed[low.bit_length() - 1]
+        need ^= low
+    return cand
+
+
+def _partner_masks(g):
+    """partner[x] is the mask of the w such that xw is an edge whose row sums to n.
+
+    The row of xw is N[x] | N[w], so it is full exactly when N[w] covers the
+    vertices N[x] misses: the full-row partners of x are its neighbors that
+    dominate V - N[x].
+    """
+    closed = g.closed_masks
+    full = g.full_mask
+    return [_dominators(closed, nbr, full ^ closed[x]) for x, nbr in enumerate(g.nbr_masks)]
+
+
+def _first_edge(x, partners):
+    """The first edge in sorted order joining x to a vertex of the nonempty mask partners.
+
+    Every edge (w, x) with w < x sorts before every edge (x, w) with w > x,
+    and each group sorts by w, so the first edge is the one to the lowest w.
+    """
+    w = (partners & -partners).bit_length() - 1
+    return (x, w) if x < w else (w, x)
+
+
 def check_cc_equals_n(g):
     """Decide CC(G) = n for a connected graph of order >= 2 with no full vertex.
 
@@ -139,24 +138,14 @@ def check_cc_equals_n(g):
     sorted order; a no carries the first vertex with no qualifying edge.
     """
     _check_preconditions(g, "the CC = n check", 2)
-    n = g.n
-    closed = g.closed_masks
-    full = g.full_mask
     witness = {}
-    for x in range(n):
-        found = None
-        for y in sorted(g.neighbors(x)):
-            p, q = (x, y) if x < y else (y, x)
-            if closed[p] | closed[q] == full:
-                cand = (p, q)
-                if found is None or cand < found:
-                    found = cand
-        if found is None:
+    for x, partners in enumerate(_partner_masks(g)):
+        if not partners:
             return Decision(
                 False,
-                reason=f"vertex {x} has no incident edge whose row sums to {n}",
+                reason=f"vertex {x} has no incident edge whose row sums to {g.n}",
             )
-        witness[x] = found
+        witness[x] = _first_edge(x, partners)
     return Decision(True, witness)
 
 
@@ -169,52 +158,65 @@ def check_cc_equals_n_minus_1(g, variant="strict"):
     makes {y, u, v} a connected dominating triple.  The strict variant also
     requires that {u, v} itself is not a CDS and that the CC = n check fails.
     Pairs are scanned in ascending order and the first qualifying one is the
-    witness.
+    witness: u, v, the lowest such y, and for each x the first edge in
+    sorted order that serves it, else its triple.
+
+    Three facts keep the work per pair to a few mask operations:
+
+    - Condition 1 for x holds exactly when partner[x] minus {u, v} is
+      nonempty, where partner[x] holds the w whose edge xw has a full row
+      (see _partner_masks); its lowest vertex gives the first such edge.
+    - A qualifying pair needs a dominating triple {y, u, v}.  Three closed
+      neighborhoods cover at most 3(D + 1) vertices, D the maximum degree,
+      so when 3(D + 1) < n no pair qualifies.
+    - {z, u, v} dominates exactly when N[z] contains every vertex missed
+      by N[u] | N[v], and three vertices induce a connected graph exactly
+      when two of their pairs are edges: z adjacent to u or v if uv is an
+      edge, to both otherwise.  These z form one mask per pair, the same
+      mask for x in condition 2 and for y; an empty mask skips the pair.
     """
     if variant not in VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     _check_preconditions(g, "the CC = n-1 check", 3)
+    strict = variant == "strict"
+    partner = _partner_masks(g)
+    if strict and all(partner):  # the CC = n check's answer
+        return Decision(
+            False,
+            reason="the CC = n check already succeeds, which rules out CC = n-1",
+            variant=variant,
+        )
     n = g.n
+    nbr = g.nbr_masks
+    no = Decision(False, reason="no qualifying vertex pair (u, v)", variant=variant)
+    if 3 * (max(m.bit_count() for m in nbr) + 1) < n:
+        return no
     closed = g.closed_masks
     full = g.full_mask
-    full_row_edges = [e for e in g.edges if closed[e[0]] | closed[e[1]] == full]
-    if variant == "strict":
-        if check_cc_equals_n(g).answer:
-            return Decision(
-                False,
-                reason="the CC = n check already succeeds, which rules out CC = n-1",
-                variant=variant,
-            )
-
-    def triple_cds(a, b, c):
-        mask = (1 << a) | (1 << b) | (1 << c)
-        return induced_connected(g, mask) and mask_is_dominating(g, mask)
-
     for u in range(n):
         for v in range(u + 1, n):
-            if variant == "strict" and mask_is_cds(g, (1 << u) | (1 << v)):
+            pair = (1 << u) | (1 << v)
+            missing = full ^ (closed[u] | closed[v])
+            adjacent = nbr[u] >> v & 1
+            if strict and adjacent and not missing:
+                continue  # {u, v} is itself a CDS
+            link = nbr[u] | nbr[v] if adjacent else nbr[u] & nbr[v]
+            triples = _dominators(closed, link & ~pair, missing)
+            if not triples:
                 continue
             justification = {}
-            ok = True
             for x in range(n):
                 if x == u or x == v:
                     continue
-                reason = None
-                for p, q in full_row_edges:
-                    if (x == p or x == q) and u != p and u != q and v != p and v != q:
-                        reason = ("edge", (p, q))
-                        break
-                if reason is None and triple_cds(x, u, v):
-                    reason = ("triple", (x, u, v))
-                if reason is None:
-                    ok = False
+                partners = partner[x] & ~pair
+                if partners:
+                    justification[x] = ("edge", _first_edge(x, partners))
+                elif triples >> x & 1:
+                    justification[x] = ("triple", (x, u, v))
+                else:
                     break
-                justification[x] = reason
-            if not ok:
-                continue
-            y = next((y for y in range(n) if y != u and y != v and triple_cds(y, u, v)), None)
-            if y is None:
-                continue
-            witness = {"u": u, "v": v, "y": y, "justification": justification}
-            return Decision(True, witness, variant=variant)
-    return Decision(False, reason="no qualifying vertex pair (u, v)", variant=variant)
+            else:
+                y = (triples & -triples).bit_length() - 1
+                witness = {"u": u, "v": v, "y": y, "justification": justification}
+                return Decision(True, witness, variant=variant)
+    return no

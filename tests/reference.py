@@ -99,3 +99,47 @@ def ref_connected_domatic(g):
         if len(parts) > best and all(ref_is_cds(g, p) for p in parts):
             best, witness = len(parts), parts
     return best, witness
+
+
+def ref_closed_neighborhood(g, v):
+    return {v} | {w for w in range(g.n) if g.has_edge(v, w)}
+
+
+def ref_check_cc_equals_n_minus_1(g, variant):
+    """The CC = n-1 pair scan written out directly, in Decision.as_dict() form.
+
+    Full-row edges are tested by comparing neighborhood sets, triples by
+    ref_is_cds; pairs, vertices, edges and y are all tried in ascending order.
+    """
+    n = g.n
+    everything = set(range(n))
+    edges = [(p, q) for p, q in itertools.combinations(range(n), 2) if g.has_edge(p, q)]
+    full_rows = [
+        (p, q) for p, q in edges
+        if ref_closed_neighborhood(g, p) | ref_closed_neighborhood(g, q) == everything
+    ]
+
+    def answer(witness=None, reason=None):
+        return {"answer": witness is not None, "witness": witness, "reason": reason, "variant": variant}
+
+    if variant == "strict" and all(any(x in e for e in full_rows) for x in range(n)):
+        return answer(reason="the CC = n check already succeeds, which rules out CC = n-1")
+    for u, v in itertools.combinations(range(n), 2):
+        if variant == "strict" and ref_is_cds(g, {u, v}):
+            continue
+        justification = {}
+        for x in range(n):
+            if x in (u, v):
+                continue
+            edge = next((e for e in full_rows if x in e and u not in e and v not in e), None)
+            if edge is not None:
+                justification[str(x)] = ["edge", list(edge)]
+            elif ref_is_cds(g, {x, u, v}):
+                justification[str(x)] = ["triple", [x, u, v]]
+            else:
+                break
+        else:
+            y = next((y for y in range(n) if y not in (u, v) and ref_is_cds(g, {y, u, v})), None)
+            if y is not None:
+                return answer({"u": u, "v": v, "y": y, "justification": justification})
+    return answer(reason="no qualifying vertex pair (u, v)")

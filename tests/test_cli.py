@@ -1,11 +1,15 @@
 """Command-line surface: output formats, exit codes, guards, input handling.
 
 Everything runs in-process through cli.main so exit codes and streams can be
-asserted without spawning interpreters.
+asserted without spawning interpreters, except the closed-pipe case, which
+needs a real pipe.
 """
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -160,6 +164,13 @@ class TestDeciders:
         witness = json.loads(out)["witness"]
         assert (witness["u"], witness["v"], witness["y"]) == (0, 1, 2)
 
+    def test_check_n1_reads_graph6_above_62_vertices(self, run):
+        from coalitions import emit_graph6, generate
+
+        code, out, _ = run(["check-n1", "-"], stdin=emit_graph6(generate("cycle", [2000])) + "\n")
+        assert code == 0
+        assert out == "answer=no variant=strict reason=no qualifying vertex pair (u, v)\n"
+
 
 class TestFamilyAndDomination:
     def test_family_f_member(self, run):
@@ -252,6 +263,25 @@ class TestInputHandling:
         assert run([])[0] == 2
         assert run(["unknown-command"])[0] == 2
         assert run(["cc"])[0] == 2  # missing the input argument
+
+
+class TestClosedStdout:
+    def test_reader_closing_the_pipe_exits_0_quietly(self, tmp_path):
+        # `coalitions family-f many.g6 | head -1`: far more output than the pipe buffers
+        path = tmp_path / "many.g6"
+        path.write_text("Cl\n" * 5000)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "coalitions", "family-f", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert first.startswith(b"member=no ")
+        assert err == b""
 
 
 class TestVerifyCommand:

@@ -223,8 +223,25 @@ class TestGraph6:
             parse_graph6("EhE")
         with pytest.raises(GraphFormatError, match=r"trailing garbage"):
             parse_graph6("EhEGG")
-        with pytest.raises(PreconditionError, match=r"n <= 62"):
-            emit_graph6(Graph(63, []))
+        with pytest.raises(GraphFormatError, match=r"header truncated"):
+            parse_graph6("~??")
+        with pytest.raises(GraphFormatError, match=r"n <= 258047"):
+            parse_graph6("~~??????")
+        with pytest.raises(PreconditionError, match=r"n <= 258047"):
+            emit_graph6(Graph(258048, []))
+
+    def test_long_header_above_62_vertices(self):
+        # n >= 63 takes '~' plus an 18-bit big-endian count
+        assert emit_graph6(Graph(63, [])) == "~??~" + "?" * 326
+        rng = random.Random(17)
+        c2000 = generate("cycle", [2000])
+        chords = Graph(2000, list(c2000.edges) + [(rng.randrange(1000), rng.randrange(1000, 2000)) for _ in range(50)])
+        for g, header in ((random_graph(rng, 63), "~??~"), (random_graph(rng, 300), "~?Ck"),
+                          (c2000, "~?^O"), (chords, "~?^O")):
+            text = emit_graph6(g)
+            assert text[:4] == header
+            assert len(text) == 4 + (g.n * (g.n - 1) // 2 + 5) // 6
+            assert parse_graph6(text) == g
 
     def test_iter_graph6_lines_skips_noise(self):
         text = ">>graph6<<\n\nEhEG\n   \nCl\n"

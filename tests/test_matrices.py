@@ -1,4 +1,4 @@
-"""Edge-domination and incidence matrices plus the two polynomial deciders."""
+"""The edge-domination matrix and the two polynomial deciders."""
 
 import json
 import random
@@ -16,10 +16,10 @@ from coalitions import (
     enumerate_labeled_graphs,
     full_vertices,
     generate,
-    incidence_matrix,
     is_connected,
 )
-from coalitions.matrices import three_vertex_dominates
+
+from reference import ref_check_cc_equals_n_minus_1
 
 C6_DUMP = (
     "6 6\n"
@@ -62,32 +62,6 @@ class TestEdgeDominationMatrix:
     def test_rejects_edgeless_graphs(self):
         with pytest.raises(PreconditionError, match=r"at least one edge"):
             edge_domination_matrix(Graph(3, []))
-
-
-class TestIncidenceMatrix:
-    def test_shape_and_sums(self, c5):
-        m = incidence_matrix(c5)
-        assert len(m.edges) == 5
-        for j in range(5):
-            assert m.column_sum(j) == 2
-        for x in range(5):
-            assert m.row_sum(x) == c5.degree(x)
-        assert m.entry(0, 0) == 1  # vertex 0 sits on edge (0, 1)
-        assert m.entry(2, 0) == 0
-
-    def test_rejects_edgeless_graphs(self):
-        with pytest.raises(PreconditionError):
-            incidence_matrix(Graph(1, []))
-
-
-class TestThreeVertexDomination:
-    def test_values(self, house):
-        assert three_vertex_dominates(house, 2, 0, 1, 4)
-        assert not three_vertex_dominates(generate("path", [6]), 0, 1, 2, 5)
-
-    def test_requires_distinct_triple(self, house):
-        with pytest.raises(PreconditionError, match=r"distinct"):
-            three_vertex_dominates(house, 1, 1, 2, 0)
 
 
 class TestCheckCcEqualsN:
@@ -153,12 +127,41 @@ class TestCheckCcEqualsNMinus1:
             assert d.reason == "no qualifying vertex pair (u, v)"
 
     def test_strict_yes_implies_oracle_on_small_graphs(self):
+        # strict answers yes exactly when the oracle finds CC = n-1
         for n in range(3, 6):
             for g in enumerate_labeled_graphs(n, connected_only=True):
                 if full_vertices(g):
                     continue
-                if check_cc_equals_n_minus_1(g, "strict").answer:
-                    assert cc_number(g)[0] == g.n - 1
+                assert check_cc_equals_n_minus_1(g, "strict").answer == (cc_number(g)[0] == g.n - 1)
+
+    def test_matches_reference_exhaustive_small(self):
+        for n in range(3, 6):
+            for g in enumerate_labeled_graphs(n, connected_only=True):
+                if full_vertices(g):
+                    continue
+                for variant in ("paper", "strict"):
+                    assert check_cc_equals_n_minus_1(g, variant).as_dict() == ref_check_cc_equals_n_minus_1(g, variant)
+
+    def test_matches_reference_on_random_graphs(self):
+        rng = random.Random(29)
+        checked = 0
+        while checked < 300:
+            n = rng.randint(6, 12)
+            p = rng.choice((0.3, 0.5, 0.7, 0.85))
+            g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+            if not is_connected(g) or full_vertices(g):
+                continue
+            checked += 1
+            for variant in ("paper", "strict"):
+                assert check_cc_equals_n_minus_1(g, variant).as_dict() == ref_check_cc_equals_n_minus_1(g, variant)
+
+    def test_large_cycle_and_path_say_no(self):
+        # n = 2000: each answer takes milliseconds, so a per-pair slowdown shows as a stall
+        for g in (generate("cycle", [2000]), generate("path", [2000])):
+            for variant in ("paper", "strict"):
+                d = check_cc_equals_n_minus_1(g, variant)
+                assert not d.answer
+                assert d.reason == "no qualifying vertex pair (u, v)"
 
     def test_unknown_variant(self, house):
         with pytest.raises(PreconditionError, match=r"unknown variant"):
