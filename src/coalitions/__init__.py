@@ -37,7 +37,6 @@ from .graphs import (
     enumerate_labeled_graphs,
     full_vertices,
     generate,
-    induced_subgraph,
     is_connected,
     is_corona_of_k1,
     is_tree,
@@ -65,9 +64,7 @@ from .oracle import (
 from .verify import (
     THEOREMS,
     VerifyReport,
-    benchmark_check_n_scaling,
     corona_corpus,
-    cross_validate,
     default_corpus,
     replay_counterexample,
     run_theorem_suite,
@@ -90,7 +87,6 @@ __all__ = [
     "PreconditionError",
     "THEOREMS",
     "VerifyReport",
-    "benchmark_check_n_scaling",
     "build_graph",
     "cc_number",
     "cc_partition_search",
@@ -101,7 +97,6 @@ __all__ = [
     "connected_domatic_number",
     "corona",
     "corona_corpus",
-    "cross_validate",
     "default_corpus",
     "edge_domination_matrix",
     "emit_edgelist",
@@ -113,7 +108,6 @@ __all__ = [
     "gamma_c",
     "generate",
     "in_family_f",
-    "induced_subgraph",
     "is_cc_partition",
     "is_connected",
     "is_connected_dominating_set",

@@ -213,10 +213,14 @@ def _cmd_verify(args):
     return 1 if args.status_exit and report.failing() else 0
 
 
-def _add_io_flags(sp, status=False, guard=False):
+def _add_input(sp):
     sp.add_argument("input", help="graph file, or - for standard input")
     sp.add_argument("--format", choices=("g6", "edgelist"), default=None,
                     help="input format; default graph6 unless the extension is .el/.edgelist")
+
+
+def _add_io_flags(sp, status=False, guard=False):
+    _add_input(sp)
     sp.add_argument("--json", action="store_true", help="emit one JSON object per graph")
     if status:
         sp.add_argument("--status-exit", action="store_true",
@@ -270,25 +274,19 @@ def _build_parser():
     sp.set_defaults(func=_cmd_gen)
 
     sp = sub.add_parser("corona", help="attach one pendant to every vertex (corona with K_1)")
-    sp.add_argument("input", help="graph file, or - for standard input")
+    _add_input(sp)
     sp.add_argument("attach", choices=("k1",), help="what to attach (only k1 is supported)")
-    sp.add_argument("--format", choices=("g6", "edgelist"), default=None,
-                    help="input format; default graph6 unless the extension is .el/.edgelist")
     sp.add_argument("--out", default=None, help="write to a file instead of standard output")
     sp.set_defaults(func=_cmd_corona)
 
     sp = sub.add_parser("ccg", help="coalition graph of a valid partition, as graph6")
-    sp.add_argument("input", help="graph file, or - for standard input")
-    sp.add_argument("--format", choices=("g6", "edgelist"), default=None,
-                    help="input format; default graph6 unless the extension is .el/.edgelist")
+    _add_input(sp)
     sp.add_argument("--partition", required=True,
                     help="JSON file holding an array of arrays of vertex ids")
     sp.set_defaults(func=_cmd_ccg)
 
     sp = sub.add_parser("dump-matrix", help="edge-domination matrix in the plain text dump format")
-    sp.add_argument("input", help="graph file, or - for standard input")
-    sp.add_argument("--format", choices=("g6", "edgelist"), default=None,
-                    help="input format; default graph6 unless the extension is .el/.edgelist")
+    _add_input(sp)
     sp.set_defaults(func=_cmd_dump_matrix)
 
     sp = sub.add_parser("verify", help="run the theorem suite over a corpus")

@@ -7,19 +7,10 @@ so witnesses are deterministic.
 """
 
 from .errors import GuardExceededError, PreconditionError
-from .graphs import induced_component, induced_connected, is_connected, iter_mask, mask_from_set, set_from_mask
+from .graphs import induced_component, induced_connected, is_connected, iter_mask, set_from_mask, subset_mask
 
 PARTITION_GUARD_DEFAULT = 12
 _TABLE_LIMIT = 20
-
-
-def _check_subset(g, s, what="vertex set"):
-    mask = 0
-    for v in s:
-        if not (0 <= v < g.n):
-            raise PreconditionError(f"{what} contains vertex {v}, outside 0..{g.n - 1}")
-        mask |= 1 << v
-    return mask
 
 
 def mask_is_dominating(g, mask):
@@ -40,7 +31,7 @@ def is_dominating_set(g, s):
 
     The empty set dominates only the empty graph.
     """
-    return mask_is_dominating(g, _check_subset(g, s))
+    return mask_is_dominating(g, subset_mask(g, s))
 
 
 def is_connected_dominating_set(g, s):
@@ -49,7 +40,7 @@ def is_connected_dominating_set(g, s):
     The empty set never qualifies; a singleton qualifies exactly when its
     vertex is full.
     """
-    return mask_is_cds(g, _check_subset(g, s))
+    return mask_is_cds(g, subset_mask(g, s))
 
 
 def cds_table(g):
@@ -168,7 +159,7 @@ def shrink_to_minimal_cds(g, s):
     again connected dominating sets, the fixed point is minimal in the strong
     sense: no proper subset is a CDS.
     """
-    mask = s if isinstance(s, int) else _check_subset(g, s)
+    mask = s if isinstance(s, int) else subset_mask(g, s)
     if not mask_is_cds(g, mask):
         raise PreconditionError("shrink_to_minimal_cds needs a connected dominating set")
     shrunk = True

@@ -5,13 +5,16 @@ two by repeatedly joining one new universal vertex.  Membership is decided
 top-down by peeling full vertices.  The peel choice cannot change the verdict
 because any two full vertices have the same closed neighborhood (all of V),
 so swapping them is an automorphism; the lowest id is peeled for determinism
-and a property test compares other choices.
+and the tests compare other choices through a reference peel.
+
+Both the decision and the replay walk a mask ``rest`` of the vertices not yet
+peeled, over the original graph, so vertex ids never need relabeling.
 """
 
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .graphs import full_vertices, induced_subgraph, is_connected
+from .graphs import induced_connected, iter_mask
 
 TERMINAL_DISCONNECTED = "disconnected_ge2"
 TERMINAL_NO_FULL = "connected_no_full"
@@ -35,35 +38,44 @@ class PeelTrace:
         return self.terminal == TERMINAL_DISCONNECTED
 
 
-def in_family_f(g, _pick=min):
+def _peel_step(g, rest):
+    """Classify G[rest], the graph left once every vertex outside rest is peeled.
+
+    Returns (terminal, 0) when the peel ends at G[rest], else (None, fulls)
+    with fulls the nonempty mask of vertices of rest adjacent to every other
+    vertex of rest.  The empty mask counts as disconnected, as in is_connected.
+    """
+    if not induced_connected(g, rest):
+        return TERMINAL_DISCONNECTED, 0
+    if rest & (rest - 1) == 0:
+        return TERMINAL_K1, 0
+    nbr = g.nbr_masks
+    fulls = 0
+    for v in iter_mask(rest):
+        if nbr[v] & rest == rest ^ (1 << v):
+            fulls |= 1 << v
+    return (None, fulls) if fulls else (TERMINAL_NO_FULL, 0)
+
+
+def in_family_f(g):
     """Decide membership in the peel family, returning (member, trace).
 
-    Repeatedly removes a full vertex.  Reaching a disconnected graph of
-    order >= 2 proves membership; running out of full vertices while still
+    Repeatedly removes the lowest full vertex.  Reaching a disconnected graph
+    of order >= 2 proves membership; running out of full vertices while still
     connected, or peeling all the way down to a single vertex, disproves it
     (the one-vertex graph is not a member: its coalition number is 1).
-
-    _pick selects among several full vertices and exists only so tests can
-    confirm the choice is irrelevant; the default peels the lowest id.
     """
     if g.n < 1:
         raise PreconditionError("family membership needs a graph of order >= 1")
-    current = g
-    original = list(range(g.n))
+    rest = g.full_mask
     steps = []
     while True:
-        if current.n == 1:
-            return False, PeelTrace(tuple(steps), TERMINAL_K1)
-        if not is_connected(current):
-            return True, PeelTrace(tuple(steps), TERMINAL_DISCONNECTED)
-        fulls = full_vertices(current)
-        if not fulls:
-            return False, PeelTrace(tuple(steps), TERMINAL_NO_FULL)
-        peel = _pick(fulls)
-        keep = [v for v in range(current.n) if v != peel]
-        steps.append((original[peel], current.n - 1))
-        current, mapping = induced_subgraph(current, keep)
-        original = [original[v] for v in keep]
+        terminal, fulls = _peel_step(g, rest)
+        if terminal:
+            return terminal == TERMINAL_DISCONNECTED, PeelTrace(tuple(steps), terminal)
+        low = fulls & -fulls
+        rest ^= low
+        steps.append((low.bit_length() - 1, rest.bit_count()))
 
 
 def replay_peel_trace(g, trace):
@@ -72,25 +84,14 @@ def replay_peel_trace(g, trace):
     Returns True when each recorded vertex was full at its step, the
     remaining orders match, and the terminal state is reproduced.
     """
-    current = g
-    original = list(range(g.n))
-    for orig_id, remaining in trace.steps:
-        if current.n <= 1 or orig_id not in original:
+    rest = g.full_mask
+    for v, remaining in trace.steps:
+        terminal, fulls = _peel_step(g, rest)
+        if terminal or not (isinstance(v, int) and v >= 0 and fulls >> v & 1):
             return False
-        local = original.index(orig_id)
-        if local not in full_vertices(current):
+        rest ^= 1 << v
+        if rest.bit_count() != remaining:
             return False
-        keep = [v for v in range(current.n) if v != local]
-        current, _ = induced_subgraph(current, keep)
-        original = [original[v] for v in keep]
-        if current.n != remaining:
-            return False
-    if current.n == 1:
-        terminal = TERMINAL_K1
-    elif not is_connected(current):
-        terminal = TERMINAL_DISCONNECTED
-    elif not full_vertices(current):
-        terminal = TERMINAL_NO_FULL
-    else:
-        return False  # trace stopped while a full vertex was still available
-    return terminal == trace.terminal
+    terminal, _ = _peel_step(g, rest)
+    # a None terminal means the trace stopped while a full vertex was still available
+    return terminal is not None and terminal == trace.terminal

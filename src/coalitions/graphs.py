@@ -30,6 +30,16 @@ def mask_from_set(vertices):
     return m
 
 
+def subset_mask(g, s, what="vertex set"):
+    """Pack a vertex set of g into a bitmask, rejecting ids outside 0..n-1."""
+    mask = 0
+    for v in s:
+        if not (0 <= v < g.n):
+            raise PreconditionError(f"{what} contains vertex {v}, outside 0..{g.n - 1}")
+        mask |= 1 << v
+    return mask
+
+
 def set_from_mask(mask):
     """Unpack a bitmask into a frozenset of vertex ids."""
     out = []
@@ -51,10 +61,9 @@ def iter_mask(mask):
 class Graph:
     """A simple undirected graph on vertices 0..n-1.
 
-    Instances are immutable.  ``adj`` presents per-vertex neighbor sets as
-    frozensets; ``nbr_masks`` and ``closed_masks`` expose the same adjacency
-    as bitmasks for the exhaustive-search kernels.  Equality is vertex-by-
-    vertex (same order, same adjacency), not isomorphism.
+    Instances are immutable.  ``nbr_masks`` and ``closed_masks`` expose the
+    adjacency as bitmasks for the exhaustive-search kernels.  Equality is
+    vertex-by-vertex (same order, same adjacency), not isomorphism.
     """
 
     __slots__ = ("n", "_nbr", "_edges")
@@ -95,11 +104,6 @@ class Graph:
     @property
     def full_mask(self):
         return (1 << self.n) - 1
-
-    @property
-    def adj(self):
-        """Neighbor sets, indexed by vertex id."""
-        return tuple(set_from_mask(m) for m in self._nbr)
 
     @property
     def edges(self):
@@ -176,27 +180,6 @@ def is_connected(g):
     if g.n == 0:
         return False
     return induced_connected(g, g.full_mask)
-
-
-def induced_subgraph(g, vertices):
-    """Induced subgraph on a vertex subset, relabeled 0..k-1 in ascending id order.
-
-    Returns (subgraph, mapping) where mapping sends each original id to its
-    new id.
-    """
-    keep = sorted(set(vertices))
-    if keep and not (0 <= keep[0] and keep[-1] < g.n):
-        raise PreconditionError(f"vertex set {sorted(vertices)} not within 0..{g.n - 1}")
-    mapping = {orig: new for new, orig in enumerate(keep)}
-    keep_mask = mask_from_set(keep)
-    nbr = []
-    for orig in keep:
-        m = g._nbr[orig] & keep_mask
-        packed = 0
-        for w in iter_mask(m):
-            packed |= 1 << mapping[w]
-        nbr.append(packed)
-    return Graph.from_neighbor_masks(len(keep), nbr), mapping
 
 
 def full_vertices(g):

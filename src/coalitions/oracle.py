@@ -25,16 +25,8 @@ from .graphs import (
     full_vertices,
     is_connected,
     set_from_mask,
+    subset_mask,
 )
-
-
-def _subset_mask(g, s, what):
-    m = 0
-    for v in s:
-        if not (0 <= v < g.n):
-            raise PreconditionError(f"{what} contains vertex {v}, outside 0..{g.n - 1}")
-        m |= 1 << v
-    return m
 
 
 def _partition_masks(g, parts):
@@ -44,7 +36,7 @@ def _partition_masks(g, parts):
     masks = []
     union = 0
     for idx, part in enumerate(parts):
-        m = _subset_mask(g, part, f"part {idx}")
+        m = subset_mask(g, part, f"part {idx}")
         if m == 0:
             raise PreconditionError(f"part {idx} is empty")
         if m & union:
@@ -63,8 +55,8 @@ def forms_connected_coalition(g, a, b):
     Symmetric in its two set arguments.  Empty or overlapping sets are
     rejected.
     """
-    am = _subset_mask(g, a, "first set")
-    bm = _subset_mask(g, b, "second set")
+    am = subset_mask(g, a, "first set")
+    bm = subset_mask(g, b, "second set")
     if am == 0 or bm == 0:
         raise PreconditionError("coalition sets must be nonempty")
     if am & bm:
@@ -189,6 +181,7 @@ def cc_number(g, guard=PARTITION_GUARD_DEFAULT):
     """
     if g.n < 1:
         raise PreconditionError("cc_number needs a graph of order >= 1")
+    # before the disconnected shortcut, so an oversized input is refused whatever its shape
     if g.n > guard:
         raise GuardExceededError(f"cc partition search guarded at n <= {guard}, got n={g.n}")
     if g.n >= 2 and not is_connected(g):
@@ -196,28 +189,39 @@ def cc_number(g, guard=PARTITION_GUARD_DEFAULT):
     return cc_partition_search(g, guard)
 
 
+def _first_split(g, whole):
+    """First (a, b) bipartition of whole with neither half a CDS, or None.
+
+    a always holds the lowest vertex of whole, and the candidates for its
+    other vertices are tried in ascending submask order.
+    """
+    low = whole & -whole
+    rest = whole ^ low
+    sub = 0
+    while True:
+        a = low | sub
+        b = whole ^ a
+        if b and not mask_is_cds(g, a) and not mask_is_cds(g, b):
+            return a, b
+        if sub == rest:
+            return None
+        sub = (sub - rest) & rest
+
+
 def _split_minimal(g, core):
     """Split a minimal CDS into two halves forming a connected coalition.
 
     A proper nonempty subset of a minimal CDS is never a CDS (otherwise the
     superset fact above would contradict minimality), so the first split
-    should always work; each candidate is verified anyway, in ascending
-    submask order, and exhaustion is a loud failure.
+    should always work; each candidate is verified anyway, and exhaustion is
+    a loud failure.
     """
-    low = core & -core
-    rest = core ^ low
-    sub = 0
-    while True:
-        a = low | sub
-        b = core ^ a
-        if b and not mask_is_cds(g, a) and not mask_is_cds(g, b):
-            return a, b
-        if sub == rest:
-            break
-        sub = (sub - rest) & rest
-    raise CoalitionExpansionError(
-        "a minimal connected dominating set admitted no coalition split"
-    )
+    split = _first_split(g, core)
+    if split is None:
+        raise CoalitionExpansionError(
+            "a minimal connected dominating set admitted no coalition split"
+        )
+    return split
 
 
 def _expand_masks(g, masks):
@@ -251,20 +255,12 @@ def _expand_masks(g, masks):
     if not mask_is_cds(g, a | rest):
         return out + [a | rest, b]
     # last resort: bipartition the whole final class directly
-    low = tail & -tail
-    subrest = tail ^ low
-    sub = 0
-    while True:
-        x = low | sub
-        y = tail ^ x
-        if y and not mask_is_cds(g, x) and not mask_is_cds(g, y):
-            return out + [x, y]
-        if sub == subrest:
-            break
-        sub = (sub - subrest) & subrest
-    raise CoalitionExpansionError(
-        "the final domatic class admitted no placement for its surplus vertices"
-    )
+    split = _first_split(g, tail)
+    if split is None:
+        raise CoalitionExpansionError(
+            "the final domatic class admitted no placement for its surplus vertices"
+        )
+    return out + list(split)
 
 
 def expand_domatic_to_cc_partition(g, parts):

@@ -12,11 +12,10 @@ failures of this package.
 import heapq
 import itertools
 import json
-import math
 import time
 from dataclasses import dataclass
 
-from .domination import PARTITION_GUARD_DEFAULT, connected_domatic_number, gamma_c
+from .domination import PARTITION_GUARD_DEFAULT, connected_domatic_number
 from .errors import GuardExceededError, PreconditionError
 from .family import in_family_f
 from .graphs import (
@@ -25,7 +24,6 @@ from .graphs import (
     emit_graph6,
     enumerate_labeled_graphs,
     full_vertices,
-    generate,
     is_connected,
     is_corona_of_k1,
     is_tree,
@@ -80,10 +78,6 @@ class GraphRecord:
     @property
     def dc_pair(self):
         return self._memo("dc", lambda: connected_domatic_number(self.graph, self.guard))
-
-    @property
-    def gamma_pair(self):
-        return self._memo("gamma", lambda: gamma_c(self.graph))
 
     @property
     def family_pair(self):
@@ -340,48 +334,6 @@ def replay_counterexample(theorem_id, graph6, guard=PARTITION_GUARD_DEFAULT):
     return {"applicable": True, "ok": ok, "detail": detail}
 
 
-def cross_validate(g, guard=PARTITION_GUARD_DEFAULT):
-    """One-graph record of every quantity this package computes, plus consistency flags."""
-    rec = GraphRecord(g, guard)
-    n = g.n
-    cc, witness = rec.cc_pair
-    out = {
-        "n": n,
-        "graph6": emit_graph6(g),
-        "cc": cc,
-        "cc_witness": None if witness is None else [sorted(p) for p in witness],
-        "family_f": rec.family_member,
-        "peel_terminal": rec.family_pair[1].terminal,
-        "gamma_c": None,
-        "d_c": None,
-        "check_n": None,
-        "check_n1_paper": None,
-        "check_n1_strict": None,
-    }
-    if rec.connected:
-        out["gamma_c"] = rec.gamma_pair[0]
-        out["d_c"] = rec.dc_pair[0]
-    plain = rec.connected and not rec.fulls
-    if plain and n >= 2:
-        out["check_n"] = rec.decision_n.answer
-    if plain and n >= 3:
-        out["check_n1_paper"] = rec.decision_n1("paper").answer
-        out["check_n1_strict"] = rec.decision_n1("strict").answer
-    flags = {
-        "cc_zero_iff_family": (cc == 0) == out["family_f"],
-        "cc_in_bounds": 0 <= cc <= n,
-    }
-    if out["check_n"] is not None:
-        flags["check_n_iff_cc_n"] = out["check_n"] == (cc == n)
-    if out["check_n1_strict"] is not None:
-        flags["strict_n1_implies_oracle"] = (not out["check_n1_strict"]) or cc == n - 1
-    if out["d_c"] is not None and plain and n > 1:
-        flags["cc_ge_two_dc"] = cc >= 2 * out["d_c"]
-    out["flags"] = flags
-    out["consistent"] = all(flags.values())
-    return out
-
-
 def default_corpus(n_max=6, connected_only=False):
     """All labeled graphs of order 1..n_max, enumeration order, optionally connected only."""
     for n in range(1, n_max + 1):
@@ -427,52 +379,3 @@ def corona_corpus(h_order_max=5):
     for n in range(1, h_order_max + 1):
         for h in enumerate_labeled_graphs(n, connected_only=True):
             yield corona(h, k1)
-
-
-def benchmark_check_n_scaling(sizes=(50, 100, 200, 400), repeats=3):
-    """Time the CC = n decider on cycles and fit a log-log slope.
-
-    Report only: the returned dict states whether the fitted slope stays at
-    or below degree 4 (with slack for timer noise), but nothing here should
-    gate a test suite.  The decider's cost on a cycle is dominated by the m
-    edge-row sums; the early exit on the first unservable vertex makes the
-    constant small without changing the shape.
-    """
-    points = []
-    for n in sizes:
-        g = generate("cycle", [n])
-        once = _time_once(g)
-        number = max(1, int(0.005 / max(once, 1e-7)))
-        best = min(_time_batch(g, number) for _ in range(repeats))
-        points.append({"n": n, "seconds": best})
-    xs = [math.log(p["n"]) for p in points]
-    ys = [math.log(max(p["seconds"], 1e-9)) for p in points]
-    xbar = sum(xs) / len(xs)
-    ybar = sum(ys) / len(ys)
-    sxx = sum((x - xbar) ** 2 for x in xs)
-    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx
-    intercept = ybar - slope * xbar
-    rms = math.sqrt(
-        sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys)) / len(xs)
-    )
-    return {
-        "points": points,
-        "log_log_slope": round(slope, 3),
-        "residual_rms": round(rms, 3),
-        "max_degree": 4,
-        "consistent_with_max_degree": slope <= 4.5,
-        "note": "least-squares fit of log time against log order on cycles; sanity report, not an assertion",
-    }
-
-
-def _time_once(g):
-    start = time.perf_counter()
-    check_cc_equals_n(g)
-    return time.perf_counter() - start
-
-
-def _time_batch(g, number):
-    start = time.perf_counter()
-    for _ in range(number):
-        check_cc_equals_n(g)
-    return (time.perf_counter() - start) / number

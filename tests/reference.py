@@ -143,3 +143,24 @@ def ref_check_cc_equals_n_minus_1(g, variant):
             if y is not None:
                 return answer({"u": u, "v": v, "y": y, "justification": justification})
     return answer(reason="no qualifying vertex pair (u, v)")
+
+
+def ref_peel(g, pick):
+    """The peel written out on a set of remaining vertices: (member, steps, terminal).
+
+    pick chooses the vertex to peel from the ascending list of full vertices
+    left; steps and terminal use the same vocabulary as the package's trace.
+    """
+    rest = set(range(g.n))
+    steps = []
+    while True:
+        if len(rest) == 1:
+            return False, tuple(steps), "reached_k1"
+        if not ref_is_connected_subset(g, rest):
+            return True, tuple(steps), "disconnected_ge2"
+        fulls = [v for v in sorted(rest) if all(g.has_edge(v, w) for w in rest if w != v)]
+        if not fulls:
+            return False, tuple(steps), "connected_no_full"
+        v = pick(fulls)
+        rest.remove(v)
+        steps.append((v, len(rest)))

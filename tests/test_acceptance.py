@@ -8,6 +8,7 @@ are honest.
 """
 
 import io
+import math
 import random
 import time
 
@@ -37,9 +38,9 @@ from coalitions import (
     replay_peel_trace,
     run_theorem_suite,
     tree_corpus,
-    benchmark_check_n_scaling,
 )
 from coalitions.domination import mask_is_cds
+from reference import ref_peel
 
 C6_MATRIX_BYTES = (
     "6 6\n"
@@ -207,8 +208,9 @@ def test_criterion_08_randomized_property_sweeps():
     for _ in range(10_000):
         g = random_graph(rng, 1, 7)
         member, trace = in_family_f(g)
-        assert member == in_family_f(g, _pick=max)[0]
-        assert member == in_family_f(g, _pick=lambda vs: rng.choice(sorted(vs)))[0]
+        assert (member, trace.steps, trace.terminal) == ref_peel(g, min)
+        assert member == ref_peel(g, max)[0]
+        assert member == ref_peel(g, rng.choice)[0]
         assert replay_peel_trace(g, trace)
 
     # every witness the package hands out replays
@@ -238,11 +240,53 @@ def test_criterion_08_randomized_property_sweeps():
                     assert closed[p] | closed[q] == g.full_mask
 
 
+def check_n_scaling(sizes, repeats):
+    """Time the CC = n decider on cycles and fit a log-log slope.
+
+    Report only: the returned dict states whether the fitted slope stays at
+    or below degree 4 (with slack for timer noise), but nothing here gates
+    on it.  The decider's cost on a cycle is dominated by the m edge-row
+    sums; the early exit on the first unservable vertex makes the constant
+    small without changing the shape.
+    """
+    def seconds_per_call(g, number):
+        start = time.perf_counter()
+        for _ in range(number):
+            check_cc_equals_n(g)
+        return (time.perf_counter() - start) / number
+
+    points = []
+    for n in sizes:
+        g = generate("cycle", [n])
+        number = max(1, int(0.005 / max(seconds_per_call(g, 1), 1e-7)))
+        best = min(seconds_per_call(g, number) for _ in range(repeats))
+        points.append({"n": n, "seconds": best})
+    xs = [math.log(p["n"]) for p in points]
+    ys = [math.log(max(p["seconds"], 1e-9)) for p in points]
+    xbar = sum(xs) / len(xs)
+    ybar = sum(ys) / len(ys)
+    sxx = sum((x - xbar) ** 2 for x in xs)
+    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sxx
+    intercept = ybar - slope * xbar
+    rms = math.sqrt(
+        sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys)) / len(xs)
+    )
+    return {
+        "points": points,
+        "log_log_slope": round(slope, 3),
+        "residual_rms": round(rms, 3),
+        "max_degree": 4,
+        "consistent_with_max_degree": slope <= 4.5,
+    }
+
+
 def test_criterion_09_decider_scaling_report():
-    result = benchmark_check_n_scaling(sizes=(50, 100, 200, 400), repeats=3)
+    result = check_n_scaling(sizes=(50, 100, 200, 400), repeats=3)
     assert [p["n"] for p in result["points"]] == [50, 100, 200, 400]
     assert all(p["seconds"] > 0 for p in result["points"])
     assert isinstance(result["log_log_slope"], float)
+    assert result["max_degree"] == 4
+    assert isinstance(result["consistent_with_max_degree"], bool)
     print("\ncycle scaling of the CC = n decider (report only):")
     for p in result["points"]:
         print(f"  n={p['n']:>4}  {p['seconds'] * 1e6:9.1f} us")

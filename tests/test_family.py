@@ -21,6 +21,7 @@ from coalitions.family import (
     TERMINAL_NO_FULL,
     PeelTrace,
 )
+from reference import ref_peel
 
 
 class TestVerdictsAndTerminals:
@@ -73,18 +74,23 @@ class TestVerdictsAndTerminals:
 
 
 class TestPeelChoiceIrrelevance:
+    """The lowest-id peel matches the reference peel exactly; other picks keep the verdict."""
+
     def test_min_and_max_picks_agree_exhaustively(self):
         for n in range(1, 6):
             for g in enumerate_labeled_graphs(n):
-                assert in_family_f(g)[0] == in_family_f(g, _pick=max)[0]
+                member, trace = in_family_f(g)
+                assert (member, trace.steps, trace.terminal) == ref_peel(g, min)
+                assert member == ref_peel(g, max)[0]
 
     def test_random_picks_agree(self):
         rng = random.Random(8)
-        pick = lambda fulls: rng.choice(sorted(fulls))
         pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
         for _ in range(200):
             g = Graph(6, [e for e in pairs if rng.random() < 0.5])
-            assert in_family_f(g)[0] == in_family_f(g, _pick=pick)[0]
+            member, trace = in_family_f(g)
+            assert (member, trace.steps, trace.terminal) == ref_peel(g, min)
+            assert member == ref_peel(g, rng.choice)[0]
 
 
 class TestEquivalenceWithTheOracle:

@@ -17,7 +17,6 @@ from coalitions import (
     enumerate_labeled_graphs,
     full_vertices,
     generate,
-    induced_subgraph,
     is_connected,
     is_corona_of_k1,
     is_tree,
@@ -103,15 +102,6 @@ class TestConnectivity:
             h.add_edges_from(g.edges)
             assert is_connected(g) == nx.is_connected(h)
 
-    def test_induced_subgraph_relabels_in_order(self, c6):
-        sub, mapping = induced_subgraph(c6, {1, 2, 4, 5})
-        assert sub.n == 4
-        assert mapping == {1: 0, 2: 1, 4: 2, 5: 3}
-        assert sub.edges == ((0, 1), (2, 3))  # edges 1-2 and 4-5 survive
-
-    def test_induced_subgraph_rejects_foreign_vertices(self, c6):
-        with pytest.raises(PreconditionError):
-            induced_subgraph(c6, {0, 6})
 
 
 class TestFullVerticesAndProducts:

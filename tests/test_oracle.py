@@ -102,6 +102,9 @@ class TestRawSearch:
             cc_number(k13)
         with pytest.raises(GuardExceededError):
             cc_partition_search(Graph(13, []))
+        # the guard comes before the disconnected shortcut, so this is refused, not answered 0
+        with pytest.raises(GuardExceededError):
+            cc_number(Graph(13, []))
         # an explicit override runs; complete graphs take the singleton fast path
         cc, witness = cc_number(k13, guard=13)
         assert cc == 13 and len(witness) == 13

@@ -1,4 +1,4 @@
-"""Theorem suite runner, reports, replay, corpora, and the scaling benchmark."""
+"""Theorem suite runner, reports, replay, and corpora."""
 
 import itertools
 import json
@@ -8,13 +8,10 @@ import networkx as nx
 import pytest
 
 from coalitions import (
-    Graph,
     GuardExceededError,
     PreconditionError,
     THEOREMS,
-    benchmark_check_n_scaling,
     corona_corpus,
-    cross_validate,
     default_corpus,
     generate,
     is_corona_of_k1,
@@ -125,33 +122,6 @@ class TestReplay:
         assert out["applicable"] and out["ok"] is True
 
 
-class TestCrossValidate:
-    def test_c4(self, c4):
-        out = cross_validate(c4)
-        assert out["cc"] == 4 and out["graph6"] == "Cl"
-        assert out["gamma_c"] == 2 and out["d_c"] == 2
-        assert out["check_n"] is True and out["check_n1_strict"] is False
-        assert out["consistent"] and all(out["flags"].values())
-
-    def test_p3_has_no_decider_fields(self):
-        out = cross_validate(generate("path", [3]))
-        assert out["cc"] == 0 and out["family_f"] is True
-        assert out["check_n"] is None and out["check_n1_paper"] is None
-        assert out["gamma_c"] == 1  # still connected, so domination fields fill in
-        assert out["consistent"]
-
-    def test_disconnected_graph(self, two_k2):
-        out = cross_validate(two_k2)
-        assert out["cc"] == 0 and out["family_f"] is True
-        assert out["gamma_c"] is None and out["d_c"] is None
-        assert out["consistent"]
-
-    def test_k1(self):
-        out = cross_validate(Graph(1, []))
-        assert out["cc"] == 1 and out["cc_witness"] == [[0]]
-        assert out["consistent"]
-
-
 class TestCorpora:
     def test_default_corpus_counts(self):
         assert sum(1 for _ in default_corpus(4)) == 75
@@ -203,12 +173,3 @@ class TestGraphRecord:
         rec = GraphRecord(two_k2)
         assert rec.cc_raw_pair == (0, None)
 
-
-class TestScalingBenchmark:
-    def test_smoke(self):
-        out = benchmark_check_n_scaling(sizes=(16, 32, 64), repeats=1)
-        assert [p["n"] for p in out["points"]] == [16, 32, 64]
-        assert all(p["seconds"] > 0 for p in out["points"])
-        assert isinstance(out["log_log_slope"], float)
-        assert out["max_degree"] == 4
-        assert isinstance(out["consistent_with_max_degree"], bool)
