@@ -1,4 +1,4 @@
-"""Theorem suite runner, reports, replay, and corpora."""
+"""Theorem suite runner, reports, replay, corpora, and the scaling report."""
 
 import itertools
 import json
@@ -21,6 +21,7 @@ from coalitions import (
     tree_corpus,
 )
 from coalitions.verify import GraphRecord, tree_from_prufer
+from test_acceptance import check_n_scaling
 
 
 def strip_millis(report):
@@ -173,3 +174,12 @@ class TestGraphRecord:
         rec = GraphRecord(two_k2)
         assert rec.cc_raw_pair == (0, None)
 
+
+class TestScalingBenchmark:
+    def test_smoke(self):
+        out = check_n_scaling(sizes=(16, 32, 64), repeats=1)
+        assert [p["n"] for p in out["points"]] == [16, 32, 64]
+        assert all(p["seconds"] > 0 for p in out["points"])
+        assert isinstance(out["log_log_slope"], float)
+        assert out["max_degree"] == 4
+        assert isinstance(out["consistent_with_max_degree"], bool)
