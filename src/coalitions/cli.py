@@ -1,14 +1,15 @@
 """Command-line interface.
 
 One subcommand per library entry point.  Graph input comes from a file or
-from standard input as '-'; graph6 is the default format (multi-line graph6
-input produces one result line per graph), and the edge-list format is
-selected by extension (.el, .edgelist) or by --format.  Exit codes: 0 for a
-computed answer, 1 for answer-no under --status-exit, 2 for usage errors,
-3 for precondition or format errors, 4 for an exceeded search guard; a reader
-that closes standard output early ends the run quietly with 0.  The
-CC_GUARD_N environment variable overrides the partition-search guard; an
-explicit --guard flag wins over it.
+from standard input as '-'; graph6 is the default format, and the edge-list
+format is selected by extension (.el, .edgelist) or by --format.  Multi-line
+graph6 input produces one result line per graph, printed as each graph is
+read, so a malformed line ends the run after the lines before it.  Exit
+codes: 0 for a computed answer, 1 for answer-no under --status-exit, 2 for
+usage errors, 3 for precondition or format errors, 4 for an exceeded search
+guard; a reader that closes standard output early ends the run quietly with
+0.  The CC_GUARD_N environment variable overrides the partition-search
+guard; an explicit --guard flag wins over it.
 """
 
 import argparse
@@ -42,22 +43,23 @@ def _read_text(path):
 
 
 def _load_graphs(path, fmt):
-    """Load one or more graphs; graph6 unless the extension or --format says edge list."""
+    """Yield the input graphs as they parse; graph6 unless the extension or --format says edge list."""
     text = _read_text(path)
     if fmt is None:
         fmt = "edgelist" if path.endswith((".el", ".edgelist")) else "g6"
     if fmt == "edgelist":
-        return [parse_edgelist(text)]
-    graphs = list(iter_graph6_lines(text))
-    if not graphs:
+        yield parse_edgelist(text)
+        return
+    g = None
+    for g in iter_graph6_lines(text):
+        yield g
+    if g is None:
         raise GraphFormatError("input contains no graphs")
-    return graphs
 
 
 def _resolve_guard(args):
-    guard = getattr(args, "guard", None)
-    if guard is not None:
-        return guard
+    if args.guard is not None:
+        return args.guard
     env = os.environ.get("CC_GUARD_N")
     if env is not None:
         try:
@@ -65,10 +67,6 @@ def _resolve_guard(args):
         except ValueError:
             raise PreconditionError(f"CC_GUARD_N must be an integer, got {env!r}")
     return PARTITION_GUARD_DEFAULT
-
-
-def _emit(args, payload, text):
-    print(json.dumps(payload) if args.json else text)
 
 
 def _write_lines(out, lines):
@@ -80,80 +78,71 @@ def _write_lines(out, lines):
         sys.stdout.write(body)
 
 
-def _cmd_cc(args):
-    guard = _resolve_guard(args)
-    any_zero = False
+def _run_per_graph(args):
+    """Print args.answer's line for each input graph as it is read.
+
+    answer(g, args) returns (payload, text, yes): --json prints the payload,
+    otherwise the text; --status-exit turns any no into exit code 1.  A
+    subcommand with --guard has it resolved once, before any input is read.
+    """
+    if hasattr(args, "guard"):
+        args.guard = _resolve_guard(args)
+    all_yes = True
     for g in _load_graphs(args.input, args.format):
-        cc, witness = cc_number(g, guard)
-        wit = None if witness is None else [sorted(p) for p in witness]
-        _emit(args, {"cc": cc, "witness": wit},
-              f"cc={cc} witness={'none' if wit is None else json.dumps(wit)}")
-        if cc == 0:
-            any_zero = True
-    return 1 if args.status_exit and any_zero else 0
+        payload, text, yes = args.answer(g, args)
+        print(json.dumps(payload) if args.json else text)
+        all_yes = all_yes and yes
+    return 1 if getattr(args, "status_exit", False) and not all_yes else 0
 
 
-def _cmd_check_n(args):
-    any_no = False
-    for g in _load_graphs(args.input, args.format):
-        decision = check_cc_equals_n(g)
-        payload = decision.as_dict()
+def _cc(g, args):
+    cc, witness = cc_number(g, args.guard)
+    wit = None if witness is None else [sorted(p) for p in witness]
+    text = f"cc={cc} witness={'none' if wit is None else json.dumps(wit)}"
+    return {"cc": cc, "witness": wit}, text, cc != 0
+
+
+def _decision_line(decision):
+    """A decider's Decision as (payload, text, yes); check-n's carries no variant."""
+    payload = decision.as_dict()
+    text = f"answer={'yes' if decision.answer else 'no'}"
+    if decision.variant is None:
         del payload["variant"]
-        if decision.answer:
-            text = f"answer=yes witness={json.dumps(payload['witness'])}"
-        else:
-            text = f"answer=no reason={decision.reason}"
-            any_no = True
-        _emit(args, payload, text)
-    return 1 if args.status_exit and any_no else 0
+    else:
+        text += f" variant={decision.variant}"
+    if decision.answer:
+        text += f" witness={json.dumps(payload['witness'])}"
+    else:
+        text += f" reason={decision.reason}"
+    return payload, text, decision.answer
 
 
-def _cmd_check_n1(args):
-    any_no = False
-    for g in _load_graphs(args.input, args.format):
-        decision = check_cc_equals_n_minus_1(g, args.variant)
-        payload = decision.as_dict()
-        if decision.answer:
-            text = (f"answer=yes variant={args.variant} "
-                    f"witness={json.dumps(payload['witness'])}")
-        else:
-            text = f"answer=no variant={args.variant} reason={decision.reason}"
-            any_no = True
-        _emit(args, payload, text)
-    return 1 if args.status_exit and any_no else 0
+def _check_n(g, args):
+    return _decision_line(check_cc_equals_n(g))
 
 
-def _cmd_family_f(args):
-    any_no = False
-    for g in _load_graphs(args.input, args.format):
-        member, trace = in_family_f(g)
-        steps = [[v, r] for v, r in trace.steps]
-        payload = {"member": member, "terminal": trace.terminal, "steps": steps}
-        text = (f"member={'yes' if member else 'no'} terminal={trace.terminal} "
-                f"steps={json.dumps(steps)}")
-        _emit(args, payload, text)
-        if not member:
-            any_no = True
-    return 1 if args.status_exit and any_no else 0
+def _check_n1(g, args):
+    return _decision_line(check_cc_equals_n_minus_1(g, args.variant))
 
 
-def _cmd_gamma_c(args):
-    for g in _load_graphs(args.input, args.format):
-        size, witness = gamma_c(g)
-        wit = sorted(witness)
-        _emit(args, {"gamma_c": size, "witness": wit},
-              f"gamma_c={size} witness={json.dumps(wit)}")
-    return 0
+def _family_f(g, args):
+    member, trace = in_family_f(g)
+    steps = [[v, r] for v, r in trace.steps]
+    text = (f"member={'yes' if member else 'no'} terminal={trace.terminal} "
+            f"steps={json.dumps(steps)}")
+    return {"member": member, "terminal": trace.terminal, "steps": steps}, text, member
 
 
-def _cmd_domatic(args):
-    guard = _resolve_guard(args)
-    for g in _load_graphs(args.input, args.format):
-        k, parts = connected_domatic_number(g, guard)
-        wit = [sorted(p) for p in parts]
-        _emit(args, {"d_c": k, "witness": wit},
-              f"d_c={k} witness={json.dumps(wit)}")
-    return 0
+def _gamma_c(g, args):
+    size, witness = gamma_c(g)
+    wit = sorted(witness)
+    return {"gamma_c": size, "witness": wit}, f"gamma_c={size} witness={json.dumps(wit)}", True
+
+
+def _domatic(g, args):
+    k, parts = connected_domatic_number(g, args.guard)
+    wit = [sorted(p) for p in parts]
+    return {"d_c": k, "witness": wit}, f"d_c={k} witness={json.dumps(wit)}", True
 
 
 def _cmd_gen(args):
@@ -171,7 +160,7 @@ def _cmd_corona(args):
 
 
 def _cmd_ccg(args):
-    graphs = _load_graphs(args.input, args.format)
+    graphs = list(_load_graphs(args.input, args.format))
     if len(graphs) != 1:
         raise PreconditionError(f"ccg expects exactly one input graph, got {len(graphs)}")
     with open(args.partition, encoding="utf-8") as fh:
@@ -240,30 +229,30 @@ def _build_parser():
 
     sp = sub.add_parser("cc", help="exact connected coalition number with witness partition")
     _add_io_flags(sp, status=True, guard=True)
-    sp.set_defaults(func=_cmd_cc)
+    sp.set_defaults(func=_run_per_graph, answer=_cc)
 
     sp = sub.add_parser("check-n", help="polynomial decider for CC = n")
     _add_io_flags(sp, status=True)
-    sp.set_defaults(func=_cmd_check_n)
+    sp.set_defaults(func=_run_per_graph, answer=_check_n)
 
     sp = sub.add_parser("check-n1", help="polynomial decider for CC = n-1")
     _add_io_flags(sp, status=True)
     sp.add_argument("--variant", choices=("paper", "strict"), default="strict",
                     help="paper: the pair rule as stated; strict: adds the non-CDS pair "
                          "guard and requires the CC = n check to fail (default)")
-    sp.set_defaults(func=_cmd_check_n1)
+    sp.set_defaults(func=_run_per_graph, answer=_check_n1)
 
     sp = sub.add_parser("family-f", help="membership in the peel family (CC = 0)")
     _add_io_flags(sp, status=True)
-    sp.set_defaults(func=_cmd_family_f)
+    sp.set_defaults(func=_run_per_graph, answer=_family_f)
 
     sp = sub.add_parser("gamma-c", help="connected domination number with witness")
     _add_io_flags(sp)
-    sp.set_defaults(func=_cmd_gamma_c)
+    sp.set_defaults(func=_run_per_graph, answer=_gamma_c)
 
     sp = sub.add_parser("domatic", help="connected domatic number with witness partition")
     _add_io_flags(sp, guard=True)
-    sp.set_defaults(func=_cmd_domatic)
+    sp.set_defaults(func=_run_per_graph, answer=_domatic)
 
     sp = sub.add_parser("gen", help="generate a standard family member")
     sp.add_argument("family", choices=GENERATOR_FAMILIES)

@@ -17,7 +17,6 @@ _BASE64_TO_GRAPH6 = bytes.maketrans(
 )
 _GRAPH6_TO_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
 ENUMERATION_GUARD = 7
-ENUMERATION_GUARD_RAISED = 8
 
 GENERATOR_FAMILIES = ("path", "cycle", "complete", "complete_bipartite", "star", "friendship")
 
@@ -426,19 +425,16 @@ def emit_edgelist(g):
     return "\n".join(lines)
 
 
-def enumerate_labeled_graphs(n, connected_only=False, raise_guard=False):
+def enumerate_labeled_graphs(n, connected_only=False):
     """Yield every labeled graph on n vertices exactly once.
 
     Order is ascending adjacency bitmask, where bit k of the mask is the k-th
     vertex pair in lexicographic order (0,1), (0,2), ..., (n-2,n-1).  The
-    guard stops at n=7 because the count is 2^(n(n-1)/2); pass
-    raise_guard=True to allow n=8.
+    guard stops at n=7 because the count is 2^(n(n-1)/2).
     """
-    limit = ENUMERATION_GUARD_RAISED if raise_guard else ENUMERATION_GUARD
-    if not (1 <= n <= limit):
+    if not (1 <= n <= ENUMERATION_GUARD):
         raise GuardExceededError(
-            f"labeled enumeration supports 1 <= n <= {limit}"
-            f"{' (raise_guard=True)' if raise_guard else ''}, got {n}"
+            f"labeled enumeration supports 1 <= n <= {ENUMERATION_GUARD}, got {n}"
         )
     pairs = _pair_order(n)
     for mask in range(1 << len(pairs)):

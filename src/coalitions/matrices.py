@@ -14,7 +14,7 @@ how the variants and the exact oracle relate instead of assuming it.
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError
-from .graphs import full_vertices, is_connected
+from .graphs import full_vertex_mask, is_connected
 
 VARIANTS = ("paper", "strict")
 
@@ -51,23 +51,14 @@ def _jsonable(value):
 class EdgeDominationMatrix:
     """Rows indexed by edges in sorted order, columns by vertices.
 
-    entry(i, x) is 1 exactly when vertex x lies in the union of the closed
-    neighborhoods of row i's endpoints.  Row masks keep the matrix compact;
-    to_text renders the byte-exact dump format.
+    Bit x of row_masks[i] is set exactly when vertex x lies in the union of
+    the closed neighborhoods of row i's endpoints.  to_text renders the
+    byte-exact dump format.
     """
 
     n: int
     edges: tuple
     row_masks: tuple = field(repr=False)
-
-    def entry(self, i, x):
-        return self.row_masks[i] >> x & 1
-
-    def row(self, i):
-        return tuple(self.row_masks[i] >> x & 1 for x in range(self.n))
-
-    def row_sum(self, i):
-        return self.row_masks[i].bit_count()
 
     def to_text(self):
         lines = [f"{len(self.edges)} {self.n}"]
@@ -90,9 +81,10 @@ def _check_preconditions(g, op, minimum_order):
         raise PreconditionError(f"{op} needs a graph of order >= {minimum_order}, got {g.n}")
     if not is_connected(g):
         raise PreconditionError(f"{op} needs a connected graph")
-    fulls = full_vertices(g)
+    fulls = full_vertex_mask(g)
     if fulls:
-        raise PreconditionError(f"{op} requires no full vertex; vertex {min(fulls)} is full")
+        first = (fulls & -fulls).bit_length() - 1
+        raise PreconditionError(f"{op} requires no full vertex; vertex {first} is full")
 
 
 def _dominators(closed, cand, need):

@@ -22,7 +22,6 @@ from .errors import CoalitionExpansionError, GuardExceededError, PreconditionErr
 from .graphs import (
     Graph,
     full_vertex_mask,
-    full_vertices,
     is_connected,
     set_from_mask,
     subset_mask,
@@ -278,9 +277,10 @@ def expand_domatic_to_cc_partition(g, parts):
         raise PreconditionError("expansion needs a graph of order > 1")
     if not is_connected(g):
         raise PreconditionError("expansion needs a connected graph")
-    if full_vertex_mask(g):
+    fulls = full_vertex_mask(g)
+    if fulls:
         raise PreconditionError(
-            f"expansion requires a graph with no full vertex; {sorted(full_vertices(g))} are full"
+            f"expansion requires a graph with no full vertex; {sorted(set_from_mask(fulls))} are full"
         )
     masks = _partition_masks(g, parts)
     for i, m in enumerate(masks):

@@ -14,6 +14,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from .domination import PARTITION_GUARD_DEFAULT, connected_domatic_number
 from .errors import GuardExceededError, PreconditionError
@@ -23,7 +24,7 @@ from .graphs import (
     corona,
     emit_graph6,
     enumerate_labeled_graphs,
-    full_vertices,
+    full_vertex_mask,
     is_connected,
     is_corona_of_k1,
     is_tree,
@@ -43,75 +44,68 @@ class GraphRecord:
     def __init__(self, graph, guard=PARTITION_GUARD_DEFAULT):
         self.graph = graph
         self.guard = guard
-        self._cache = {}
 
-    def _memo(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
-    @property
-    def n(self):
-        return self.graph.n
-
-    @property
+    @cached_property
     def connected(self):
-        return self._memo("connected", lambda: is_connected(self.graph))
+        return is_connected(self.graph)
 
-    @property
+    @cached_property
     def fulls(self):
-        return self._memo("fulls", lambda: full_vertices(self.graph))
+        """The full vertices as a bitmask."""
+        return full_vertex_mask(self.graph)
 
-    @property
+    @cached_property
     def cc_pair(self):
-        return self._memo("cc", lambda: cc_number(self.graph, self.guard))
+        return cc_number(self.graph, self.guard)
 
     @property
     def cc(self):
         return self.cc_pair[0]
 
-    @property
+    @cached_property
     def cc_raw_pair(self):
         """The partition search run as-is, without the disconnected shortcut."""
-        return self._memo("cc_raw", lambda: cc_partition_search(self.graph, self.guard))
+        return cc_partition_search(self.graph, self.guard)
 
-    @property
+    @cached_property
     def dc_pair(self):
-        return self._memo("dc", lambda: connected_domatic_number(self.graph, self.guard))
+        return connected_domatic_number(self.graph, self.guard)
 
-    @property
+    @cached_property
     def family_pair(self):
-        return self._memo("family", lambda: in_family_f(self.graph))
+        return in_family_f(self.graph)
 
     @property
     def family_member(self):
         return self.family_pair[0]
 
-    @property
+    @cached_property
     def decision_n(self):
-        return self._memo("check_n", lambda: check_cc_equals_n(self.graph))
+        return check_cc_equals_n(self.graph)
 
-    def decision_n1(self, variant):
-        return self._memo(
-            f"check_n1_{variant}",
-            lambda: check_cc_equals_n_minus_1(self.graph, variant),
-        )
+    @cached_property
+    def decision_paper(self):
+        return check_cc_equals_n_minus_1(self.graph, "paper")
 
-    @property
+    @cached_property
+    def decision_strict(self):
+        return check_cc_equals_n_minus_1(self.graph, "strict")
+
+    @cached_property
     def tree(self):
-        return self._memo("tree", lambda: is_tree(self.graph))
+        return is_tree(self.graph)
 
-    @property
+    @cached_property
     def corona_form(self):
-        return self._memo("corona", lambda: is_corona_of_k1(self.graph))
+        return is_corona_of_k1(self.graph)
 
     @property
     def complete(self):
-        return self.graph.m == self.n * (self.n - 1) // 2
+        return self.graph.m == self.graph.n * (self.graph.n - 1) // 2
 
     @property
     def min_degree(self):
-        return min(self.graph.degree(v) for v in range(self.n))
+        return min(self.graph.degree(v) for v in range(self.graph.n))
 
 
 @dataclass(frozen=True)
@@ -140,18 +134,18 @@ def _t3(rec):
 
 
 def _t4(rec):
-    return rec.cc < rec.n, {"cc": rec.cc, "n": rec.n}
+    return rec.cc < rec.graph.n, {"cc": rec.cc, "n": rec.graph.n}
 
 
 def _t5(rec):
-    agree = rec.decision_n.answer == (rec.cc == rec.n)
+    agree = rec.decision_n.answer == (rec.cc == rec.graph.n)
     return agree, {"cc": rec.cc, "check_n": rec.decision_n.answer}
 
 
 def _t6(rec):
-    paper = rec.decision_n1("paper").answer
-    strict = rec.decision_n1("strict").answer
-    oracle = rec.cc == rec.n - 1
+    paper = rec.decision_paper.answer
+    strict = rec.decision_strict.answer
+    oracle = rec.cc == rec.graph.n - 1
     strict_violation = strict and not oracle
     ok = (paper == oracle) and not strict_violation
     return ok, {"cc": rec.cc, "paper_answer": paper, "strict_answer": strict,
@@ -163,7 +157,7 @@ def _t7(rec):
 
 
 def _t8(rec):
-    k = len(rec.fulls)
+    k = rec.fulls.bit_count()
     return rec.cc >= k + 2, {"cc": rec.cc, "full_vertices": k}
 
 
@@ -173,18 +167,18 @@ def _t9(rec):
 
 
 def _t10(rec):
-    return 1 <= rec.cc <= rec.n, {"cc": rec.cc, "n": rec.n}
+    return 1 <= rec.cc <= rec.graph.n, {"cc": rec.cc, "n": rec.graph.n}
 
 
 THEOREMS = {
     "t1": TheoremCheck(
         "t1", "cc_zero_iff_family_f",
         "CC is zero exactly on the peel family",
-        lambda rec: rec.n >= 1, _t1),
+        lambda rec: rec.graph.n >= 1, _t1),
     "t2": TheoremCheck(
         "t2", "cc_ge_two_dc",
         "connected, no full vertex, order > 1: CC is at least twice d_c",
-        lambda rec: rec.n > 1 and rec.connected and not rec.fulls, _t2),
+        lambda rec: rec.graph.n > 1 and rec.connected and not rec.fulls, _t2),
     "t3": TheoremCheck(
         "t3", "trees_cc_two",
         "trees without a full vertex have CC = 2",
@@ -192,15 +186,15 @@ THEOREMS = {
     "t4": TheoremCheck(
         "t4", "pendant_lt_n",
         "connected, minimum degree 1, no full vertex: CC < n",
-        lambda rec: rec.connected and not rec.fulls and rec.n >= 2 and rec.min_degree == 1, _t4),
+        lambda rec: rec.connected and not rec.fulls and rec.graph.n >= 2 and rec.min_degree == 1, _t4),
     "t5": TheoremCheck(
         "t5", "check_n_iff_oracle",
         "the CC = n decider agrees with the oracle both ways",
-        lambda rec: rec.connected and not rec.fulls and rec.n >= 2, _t5),
+        lambda rec: rec.connected and not rec.fulls and rec.graph.n >= 2, _t5),
     "t6": TheoremCheck(
         "t6", "check_n1_vs_oracle",
         "both CC = n-1 decider variants measured against the oracle (report only)",
-        lambda rec: rec.connected and not rec.fulls and rec.n >= 3, _t6,
+        lambda rec: rec.connected and not rec.fulls and rec.graph.n >= 3, _t6,
         report_only=True),
     "t7": TheoremCheck(
         "t7", "corona_cc_two",
@@ -213,7 +207,7 @@ THEOREMS = {
     "t9": TheoremCheck(
         "t9", "disconnected_zero",
         "disconnected graphs of order >= 2 have CC = 0, by raw search",
-        lambda rec: rec.n >= 2 and not rec.connected, _t9),
+        lambda rec: rec.graph.n >= 2 and not rec.connected, _t9),
     "t10": TheoremCheck(
         "t10", "lower_upper_bounds",
         "connected and outside the peel family: 1 <= CC <= n",

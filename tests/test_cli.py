@@ -141,6 +141,14 @@ class TestDeciders:
         code, _, _ = run(["check-n", "-", "--status-exit"], stdin="EhEG\n")
         assert code == 1
 
+    def test_check_n_text_goldens(self, run):
+        code, out, _ = run(["check-n", "-"], stdin="Cl\n")
+        assert code == 0
+        assert out == 'answer=yes witness={"0": [0, 1], "1": [0, 1], "2": [1, 2], "3": [0, 3]}\n'
+        code, out, _ = run(["check-n", "-"], stdin="EhEG\n")
+        assert code == 0
+        assert out == "answer=no reason=vertex 0 has no incident edge whose row sums to 6\n"
+
     def test_check_n_precondition_exits_3(self, run):
         code, _, err = run(["check-n", "-"], stdin="Bg\n")
         assert code == 3 and "full" in err
@@ -155,6 +163,23 @@ class TestDeciders:
         assert code == 0
         data = json.loads(out)
         assert data["answer"] is True and data["variant"] == "paper"
+
+    def test_check_n1_text_goldens(self, run):
+        code, out, _ = run(["check-n1", "-"], stdin="Dhs\n")  # the house
+        assert code == 0
+        assert out == ('answer=yes variant=strict witness={"u": 0, "v": 1, "y": 2, "justification": '
+                       '{"2": ["triple", [2, 0, 1]], "3": ["edge", [3, 4]], "4": ["edge", [3, 4]]}}\n')
+        code, out, _ = run(["check-n1", "-", "--variant", "paper"], stdin="Cl\n")
+        assert code == 0
+        assert out == ('answer=yes variant=paper witness={"u": 0, "v": 1, "y": 2, "justification": '
+                       '{"2": ["edge", [2, 3]], "3": ["edge", [2, 3]]}}\n')
+        code, out, _ = run(["check-n1", "-"], stdin="Cl\n")
+        assert code == 0
+        assert out == ("answer=no variant=strict reason=the CC = n check already succeeds, "
+                       "which rules out CC = n-1\n")
+        code, out, _ = run(["check-n1", "-", "--variant", "paper"], stdin="EhEG\n")
+        assert code == 0
+        assert out == "answer=no variant=paper reason=no qualifying vertex pair (u, v)\n"
 
     def test_check_n1_house_witness(self, run, house):
         from coalitions import emit_graph6
@@ -193,6 +218,11 @@ class TestFamilyAndDomination:
     def test_domatic(self, run):
         code, out, _ = run(["domatic", "-"], stdin="Cl\n")
         assert code == 0 and out == "d_c=2 witness=[[0, 1], [2, 3]]\n"
+
+    def test_no_status_exit_flag_without_a_no_answer(self, run):
+        # gamma-c and domatic always compute an answer, so they take no --status-exit
+        assert run(["gamma-c", "-", "--status-exit"], stdin="Cl\n")[0] == 2
+        assert run(["domatic", "-", "--status-exit"], stdin="Cl\n")[0] == 2
 
 
 class TestCoronaAndCcg:
@@ -254,6 +284,13 @@ class TestInputHandling:
     def test_malformed_graph6_exits_3(self, run):
         code, _, err = run(["cc", "-"], stdin="EhE\n")
         assert code == 3 and "truncated" in err
+
+    def test_results_before_a_malformed_line_are_printed(self, run):
+        # results stream as the input is read: the line before the bad one is already out
+        code, out, err = run(["cc", "-"], stdin="Cl\nEhE\n")
+        assert code == 3
+        assert out == "cc=4 witness=[[0], [1], [2], [3]]\n"
+        assert "truncated" in err
 
     def test_missing_file_exits_3(self, run):
         code, _, err = run(["cc", "/nonexistent/thing.g6"])

@@ -16,15 +16,13 @@ from coalitions import (
     PreconditionError,
     cds_table,
     connected_domatic_number,
-    enumerate_labeled_graphs,
     gamma_c,
     generate,
     is_connected_dominating_set,
     is_dominating_set,
     shrink_to_minimal_cds,
 )
-from coalitions.domination import mask_is_cds
-from coalitions.graphs import mask_from_set, set_from_mask
+from coalitions.graphs import set_from_mask
 from conftest import small_connected
 
 

@@ -7,7 +7,6 @@ import pytest
 from coalitions import (
     Graph,
     PreconditionError,
-    build_graph,
     cc_number,
     enumerate_labeled_graphs,
     generate,

@@ -8,7 +8,6 @@ import pytest
 from coalitions import (
     Graph,
     PreconditionError,
-    build_graph,
     cc_number,
     check_cc_equals_n,
     check_cc_equals_n_minus_1,
@@ -41,12 +40,12 @@ class TestEdgeDominationMatrix:
     def test_entries_and_rows(self):
         m = edge_domination_matrix(generate("path", [4]))
         assert m.edges == ((0, 1), (1, 2), (2, 3))
-        assert m.row(0) == (1, 1, 1, 0)
-        assert m.row_sum(1) == 4  # the middle edge of P_4 covers everything
-        assert m.entry(0, 3) == 0 and m.entry(1, 3) == 1
+        assert m.row_masks[0] == 0b0111  # bit x is column x
+        assert m.row_masks[1].bit_count() == 4  # the middle edge of P_4 covers everything
+        assert m.row_masks[0] >> 3 & 1 == 0 and m.row_masks[1] >> 3 & 1 == 1
 
     def test_entry_characterization(self):
-        # entry(i, x) == 1 iff x lies in N[p] or N[q] for row i's edge (p, q)
+        # bit x of row i is 1 iff x lies in N[p] or N[q] for row i's edge (p, q)
         rng = random.Random(4)
         pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
         for _ in range(50):
@@ -57,7 +56,7 @@ class TestEdgeDominationMatrix:
             for i, (p, q) in enumerate(m.edges):
                 covered = {p, q} | set(g.neighbors(p)) | set(g.neighbors(q))
                 for x in range(g.n):
-                    assert m.entry(i, x) == (1 if x in covered else 0)
+                    assert m.row_masks[i] >> x & 1 == (1 if x in covered else 0)
 
     def test_rejects_edgeless_graphs(self):
         with pytest.raises(PreconditionError, match=r"at least one edge"):

@@ -12,11 +12,9 @@ import pytest
 from reference import iter_partitions, ref_cc, ref_valid_cc_partition
 
 from coalitions import (
-    CoalitionExpansionError,
     Graph,
     GuardExceededError,
     PreconditionError,
-    build_graph,
     cc_number,
     cc_partition_search,
     coalition_graph,

@@ -167,8 +167,8 @@ class TestGraphRecord:
         rec = GraphRecord(c5)
         assert rec.cc_pair is rec.cc_pair
         assert rec.cc == 3
-        assert rec.decision_n1("strict") is rec.decision_n1("strict")
-        assert rec.decision_n1("paper") is not rec.decision_n1("strict")
+        assert rec.decision_strict is rec.decision_strict
+        assert rec.decision_paper is not rec.decision_strict
 
     def test_raw_search_field(self, two_k2):
         rec = GraphRecord(two_k2)
