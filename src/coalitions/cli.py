@@ -13,6 +13,7 @@ guard; an explicit --guard flag wins over it.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -35,24 +36,24 @@ from .oracle import cc_number, coalition_graph
 from .verify import default_corpus, run_theorem_suite
 
 
-def _read_text(path):
+def _open_input(path):
+    """The file at path opened for reading, or standard input (left open on exit) for '-'."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        return contextlib.nullcontext(sys.stdin)
+    return open(path, encoding="utf-8")
 
 
 def _load_graphs(path, fmt):
     """Yield the input graphs as they parse; graph6 unless the extension or --format says edge list."""
-    text = _read_text(path)
     if fmt is None:
         fmt = "edgelist" if path.endswith((".el", ".edgelist")) else "g6"
-    if fmt == "edgelist":
-        yield parse_edgelist(text)
-        return
     g = None
-    for g in iter_graph6_lines(text):
-        yield g
+    with _open_input(path) as fh:
+        if fmt == "edgelist":
+            yield parse_edgelist(fh.read())
+            return
+        for g in iter_graph6_lines(fh):
+            yield g
     if g is None:
         raise GraphFormatError("input contains no graphs")
 
@@ -185,16 +186,17 @@ def _cmd_dump_matrix(args):
 
 def _cmd_verify(args):
     guard = _resolve_guard(args)
+    ids = args.theorems.split(",") if args.theorems else None
     if args.corpus:
-        graphs = iter_graph6_lines(_read_text(args.corpus))
-        label = f"graph6 file {args.corpus}"
+        with _open_input(args.corpus) as fh:
+            report = run_theorem_suite(iter_graph6_lines(fh), ids,
+                                       corpus_label=f"graph6 file {args.corpus}", guard=guard)
     else:
-        graphs = default_corpus(args.n_max, args.connected_only)
         label = f"labeled graphs n <= {args.n_max}"
         if args.connected_only:
             label += ", connected only"
-    ids = args.theorems.split(",") if args.theorems else None
-    report = run_theorem_suite(graphs, ids, corpus_label=label, guard=guard)
+        report = run_theorem_suite(default_corpus(args.n_max, args.connected_only), ids,
+                                   corpus_label=label, guard=guard)
     print(report.summary_text())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -96,8 +96,11 @@ def connected_domatic_number(g, guard=PARTITION_GUARD_DEFAULT):
     pruned when some part, even granted every unassigned vertex, could not
     dominate the graph or would stay disconnected, and when the remaining
     vertices cannot supply enough gamma_c-sized parts to beat the incumbent.
-    Returns (d_c, witness) where the witness is the first maximum partition
-    in enumeration order.
+    The last bound counts a deficit: every final part is a CDS of at least
+    gamma_c vertices, so each current part that is not yet a CDS must still
+    take max(1, gamma_c - |part|) of the unassigned vertices, and only what
+    is left over can open new parts.  Returns (d_c, witness) where the
+    witness is the first maximum partition in enumeration order.
     """
     if g.n < 1:
         raise PreconditionError("connected_domatic_number needs a graph of order >= 1")
@@ -124,12 +127,16 @@ def connected_domatic_number(g, guard=PARTITION_GUARD_DEFAULT):
     def rec(i, blocks, assigned):
         nonlocal best, best_parts
         b = len(blocks)
-        if b + (n - i) // gc <= best:
+        free = n - i
+        for blk in blocks:
+            if not table[blk]:
+                free -= max(1, gc - blk.bit_count())
+        if free < 0 or b + free // gc <= best:
             return
         if i == n:
-            if all(table[p] for p in blocks):
-                best = b
-                best_parts = [set_from_mask(p) for p in blocks]
+            # free is 0 here, so every part is already a CDS
+            best = b
+            best_parts = [set_from_mask(p) for p in blocks]
             return
         rest = full ^ assigned
         for blk in blocks:

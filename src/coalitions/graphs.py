@@ -373,9 +373,13 @@ def parse_graph6(text):
     return Graph.from_neighbor_masks(n, nbr)
 
 
-def iter_graph6_lines(text):
-    """Parse every graph in a graph6 text blob, skipping blanks and '>' header lines."""
-    for line in text.splitlines():
+def iter_graph6_lines(lines):
+    """Parse the graph on each of an iterable of graph6 lines, skipping blanks and '>' headers.
+
+    An open text file is such an iterable, so a file streams one line at a
+    time; for a string in memory pass text.splitlines().
+    """
+    for line in lines:
         stripped = line.strip()
         if not stripped or stripped.startswith(">"):
             continue

@@ -14,7 +14,7 @@ how the variants and the exact oracle relate instead of assuming it.
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError
-from .graphs import full_vertex_mask, is_connected
+from .graphs import full_vertex_mask, is_connected, iter_mask
 
 VARIANTS = ("paper", "strict")
 
@@ -153,7 +153,7 @@ def check_cc_equals_n_minus_1(g, variant="strict"):
     witness: u, v, the lowest such y, and for each x the first edge in
     sorted order that serves it, else its triple.
 
-    Three facts keep the work per pair to a few mask operations:
+    Four facts keep the scan to few pairs and a few mask operations per pair:
 
     - Condition 1 for x holds exactly when partner[x] minus {u, v} is
       nonempty, where partner[x] holds the w whose edge xw has a full row
@@ -166,6 +166,11 @@ def check_cc_equals_n_minus_1(g, variant="strict"):
       when two of their pairs are edges: z adjacent to u or v if uv is an
       edge, to both otherwise.  These z form one mask per pair, the same
       mask for x in condition 2 and for y; an empty mask skips the pair.
+    - A lonely x, one with no full-row partner at all, can only be served
+      by condition 2, which puts x in N(u) | N(v) unless x is u or v.  So
+      every lonely vertex outside N[u] lies in N[v]: for each u only the v
+      above u whose closed neighborhoods contain those vertices are
+      scanned, still in ascending order.
     """
     if variant not in VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -185,8 +190,10 @@ def check_cc_equals_n_minus_1(g, variant="strict"):
         return no
     closed = g.closed_masks
     full = g.full_mask
+    lonely = sum(1 << x for x, m in enumerate(partner) if not m)
     for u in range(n):
-        for v in range(u + 1, n):
+        above = full ^ ((2 << u) - 1)
+        for v in iter_mask(_dominators(closed, above, lonely & ~closed[u])):
             pair = (1 << u) | (1 << v)
             missing = full ^ (closed[u] | closed[v])
             adjacent = nbr[u] >> v & 1

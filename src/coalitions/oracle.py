@@ -8,11 +8,25 @@ a partition can have, or 0 when none exists.
 
 The exact search enumerates set partitions as restricted-growth strings and
 returns the first maximum-size valid partition in that order, so witnesses
-are reproducible.  Its one structural prune rests on a small fact used
+are reproducible.  Its two structural prunes rest on a small fact used
 throughout this module: any superset of a connected dominating set is again
 a connected dominating set (domination is monotone, and an added vertex is
-dominated, so it attaches to the connected core).  A non-singleton part that
-becomes a CDS therefore stays one in every completion and can never be legal.
+dominated, so it attaches to the connected core).
+
+- Growth: a non-singleton part that becomes a CDS stays one in every
+  completion and can never be legal.
+- Partner feasibility: with the vertices below i placed and rest the mask
+  of those not yet placed, a part p can only end as some p' within p | rest.
+  Its partner q' is either a grown current part, so within q | rest, or a
+  part still to be opened, so within rest.  Either way p' | q' lies inside
+  p | q | rest for some current part q (q = p covers the second case), and
+  a subset of a non-CDS is no CDS.  So when no such mask is a CDS, p finds
+  no partner in any completion and the branch is cut.  A full-vertex
+  singleton is exempt without a test: it is a CDS, so p | rest is one too.
+
+Both prunes cut only branches holding no valid partition, so the first
+maximum partition in restricted-growth order is the one the unpruned
+enumeration finds.
 """
 
 from dataclasses import dataclass
@@ -120,6 +134,7 @@ def cc_partition_search(g, guard=PARTITION_GUARD_DEFAULT):
         raise GuardExceededError(f"cc partition search guarded at n <= {guard}, got n={n}")
     table = cds_table(g)
     fulls = full_vertex_mask(g)
+    full = g.full_mask
 
     def leaf_valid(blocks):
         if fulls:
@@ -153,6 +168,15 @@ def cc_partition_search(g, guard=PARTITION_GUARD_DEFAULT):
                 best = b
                 best_blocks = blocks.copy()
             return
+        rest = full ^ ((1 << i) - 1)
+        for p in blocks:
+            reach = p | rest
+            # partner feasibility (module docstring); q = p tests p | rest itself
+            for q in blocks:
+                if table[reach | q]:
+                    break
+            else:
+                return
         bit = 1 << i
         for j in range(b):
             grown = blocks[j] | bit

@@ -162,6 +162,13 @@ def _t8(rec):
 
 
 def _t9(rec):
+    """The raw search and cc_number both give 0 on a disconnected graph.
+
+    No vertex set of a disconnected graph is a CDS, so table[V] is false and
+    the raw search's partner-feasibility prune stops it at its root: this
+    check confirms the superset-CDS fact, not an exhaustive enumeration.
+    The unpruned search in tests/reference.py stays the exhaustive judge.
+    """
     raw = rec.cc_raw_pair[0]
     return raw == 0 and rec.cc == 0, {"cc": rec.cc, "cc_raw_search": raw}
 

@@ -2,7 +2,7 @@
 
 The exact searches are cross-checked against the unpruned references in
 reference.py, witness-for-witness, over every connected labeled graph up to
-n = 5 and seeded samples at n = 6.
+n = 5 and seeded samples at n = 6 to 8.
 """
 
 import random
@@ -26,12 +26,12 @@ from coalitions.graphs import set_from_mask
 from conftest import small_connected
 
 
-def random_connected(rng, n):
+def random_connected(rng, n, p=0.5):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     from coalitions import is_connected
 
     while True:
-        g = Graph(n, [e for e in pairs if rng.random() < 0.5])
+        g = Graph(n, [e for e in pairs if rng.random() < p])
         if is_connected(g):
             return g
 
@@ -144,6 +144,22 @@ class TestConnectedDomatic:
         for _ in range(40):
             g = random_connected(rng, 6)
             assert connected_domatic_number(g) == ref_connected_domatic(g)
+
+    def test_matches_reference_on_seeded_n7_n8(self):
+        rng = random.Random(708)
+        for n in (7, 8):
+            for p in (0.3, 0.6, 0.9):
+                for _ in range(2):
+                    g = random_connected(rng, n, p)
+                    assert connected_domatic_number(g) == ref_connected_domatic(g)
+
+    def test_dense_n12(self):
+        g = random_connected(random.Random(12), 12, 0.9)
+        k, parts = connected_domatic_number(g)
+        assert k == 7 and len(parts) == 7
+        assert set().union(*parts) == set(range(12)) and sum(map(len, parts)) == 12
+        for p in parts:
+            assert is_connected_dominating_set(g, p)
 
     def test_guard_and_override(self):
         with pytest.raises(GuardExceededError, match=r"n <= 12"):

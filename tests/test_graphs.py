@@ -235,7 +235,7 @@ class TestGraph6:
 
     def test_iter_graph6_lines_skips_noise(self):
         text = ">>graph6<<\n\nEhEG\n   \nCl\n"
-        graphs = list(iter_graph6_lines(text))
+        graphs = list(iter_graph6_lines(text.splitlines()))
         assert [g.n for g in graphs] == [6, 4]
 
 

@@ -154,6 +154,20 @@ class TestCheckCcEqualsNMinus1:
             for variant in ("paper", "strict"):
                 assert check_cc_equals_n_minus_1(g, variant).as_dict() == ref_check_cc_equals_n_minus_1(g, variant)
 
+    def test_matches_reference_on_dense_random_graphs(self):
+        # dense graphs mix yes and no answers, and most have vertices without a full-row partner
+        rng = random.Random(31)
+        checked = 0
+        while checked < 120:
+            n = rng.randint(13, 30)
+            p = rng.choice((0.5, 0.6, 0.7, 0.8, 0.9, 0.95))
+            g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+            if not is_connected(g) or full_vertices(g):
+                continue
+            checked += 1
+            for variant in ("paper", "strict"):
+                assert check_cc_equals_n_minus_1(g, variant).as_dict() == ref_check_cc_equals_n_minus_1(g, variant)
+
     def test_large_cycle_and_path_say_no(self):
         # n = 2000: each answer takes milliseconds, so a per-pair slowdown shows as a stall
         for g in (generate("cycle", [2000]), generate("path", [2000])):

@@ -3,7 +3,8 @@
 cc_number is compared against the unpruned reference witness-for-witness:
 the pruned search must visit partitions in the same restricted-growth order,
 so equal answers with different witnesses would mean a prune changed the
-semantics, not just the speed.
+semantics, not just the speed.  The raw search is compared the same way,
+disconnected graphs included, since cc_number never runs it on them.
 """
 
 import random
@@ -19,6 +20,7 @@ from coalitions import (
     cc_partition_search,
     coalition_graph,
     connected_domatic_number,
+    corona,
     enumerate_labeled_graphs,
     expand_domatic_to_cc_partition,
     forms_connected_coalition,
@@ -46,9 +48,19 @@ class TestFrozenValues:
         (lambda: generate("cycle", [6]), 3),
         (lambda: generate("friendship", [2]), 0),
         (lambda: generate("star", [4]), 0),
+        # n = 12 took seconds each before the partner-feasibility prune
+        (lambda: generate("path", [12]), 2),
+        (lambda: generate("cycle", [12]), 3),
+        (lambda: corona(generate("path", [6]), Graph(1, [])), 2),
     ])
     def test_values(self, maker, cc):
-        assert cc_number(maker())[0] == cc
+        g = maker()
+        value, witness = cc_number(g)
+        assert value == cc
+        if cc == 0:
+            assert witness is None
+        else:
+            assert len(witness) == cc and is_cc_partition(g, witness)[0]
 
     def test_house_value(self, house):
         assert cc_number(house)[0] == 4
@@ -66,9 +78,12 @@ class TestFrozenValues:
 
 class TestAgainstReference:
     def test_exhaustive_to_n5(self):
+        # the raw search too, disconnected graphs included: cc_number never runs it on them
         for n in range(1, 6):
             for g in enumerate_labeled_graphs(n):
-                assert cc_number(g) == ref_cc(g)
+                expected = ref_cc(g)
+                assert cc_number(g) == expected
+                assert cc_partition_search(g) == expected
 
     def test_seeded_samples_at_n6(self):
         rng = random.Random(2024)
@@ -76,6 +91,16 @@ class TestAgainstReference:
         for _ in range(120):
             g = Graph(6, [e for e in pairs if rng.random() < 0.5])
             assert cc_number(g) == ref_cc(g)
+
+    def test_raw_search_seeded_n7_n8_with_full_vertices(self):
+        rng = random.Random(78)
+        for i in range(12):
+            n = 7 + i % 2
+            p = rng.choice((0.3, 0.5, 0.7))
+            full = set(rng.sample(range(n), i % 3))
+            g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                          if a in full or b in full or rng.random() < p])
+            assert cc_partition_search(g) == ref_cc(g)
 
     def test_witnesses_validate(self):
         for g in small_connected(5):
