@@ -1,4 +1,4 @@
-"""Immutable bitmask-backed graphs plus construction, serialization, and enumeration.
+"""Immutable bitmask-backed graphs: construction, serialization, enumeration, canonical form.
 
 Vertices of a graph of order n are the integers 0..n-1.  Vertex sets travel
 through the public API as frozensets of ids; the search kernels in the other
@@ -19,14 +19,6 @@ _GRAPH6_TO_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
 ENUMERATION_GUARD = 7
 
 GENERATOR_FAMILIES = ("path", "cycle", "complete", "complete_bipartite", "star", "friendship")
-
-
-def mask_from_set(vertices):
-    """Pack an iterable of vertex ids into a bitmask."""
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def subset_mask(g, s, what="vertex set"):
@@ -122,12 +114,6 @@ class Graph:
 
     def degree(self, v):
         return self._nbr[v].bit_count()
-
-    def neighbors(self, v):
-        return set_from_mask(self._nbr[v])
-
-    def has_edge(self, u, v):
-        return bool(self._nbr[u] >> v & 1)
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self._nbr == other._nbr
@@ -476,7 +462,7 @@ def is_corona_of_k1(g):
     leaves = [v for v in range(n) if g.degree(v) == 1]
     if len(leaves) != n // 2:
         return False
-    leaf_mask = mask_from_set(leaves)
+    leaf_mask = sum(1 << v for v in leaves)
     core_mask = g.full_mask ^ leaf_mask
     pendants_per_support = {}
     for leaf in leaves:
@@ -489,3 +475,103 @@ def is_corona_of_k1(g):
     if any(c != 1 for c in pendants_per_support.values()):
         return False
     return induced_connected(g, core_mask)
+
+
+def _refine(nbr, cells):
+    """Split an ordered partition (a list of cell bitmasks) until it is equitable.
+
+    Each round splits every cell by its vertices' neighbour counts into each
+    cell of the previous round, the parts in sorted signature order, so the
+    result depends only on the graph and the input partition, not on labels.
+    """
+    while True:
+        out = []
+        for cell in cells:
+            if cell & (cell - 1) == 0:
+                out.append(cell)
+                continue
+            parts = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                nv = nbr[low.bit_length() - 1]
+                sig = tuple([(nv & c).bit_count() for c in cells])
+                parts[sig] = parts.get(sig, 0) | low
+            if len(parts) == 1:
+                out.append(cell)
+            else:
+                out += [parts[sig] for sig in sorted(parts)]
+        if len(out) == len(cells):
+            return cells
+        cells = out
+
+
+def _orbit(mask, gens):
+    """The vertex mask closed under the permutations gens."""
+    while True:
+        grown = mask
+        for perm in gens:
+            for x in iter_mask(mask):
+                grown |= 1 << perm[x]
+        if grown == mask:
+            return mask
+        mask = grown
+
+
+def canonical_form(g):
+    """A key equal for two graphs exactly when they are isomorphic: (n, min leaf code).
+
+    Individualization-refinement (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014): refine to an equitable partition, then for each
+    vertex of the first non-singleton cell put it in a cell of its own ahead of
+    the rest, refine and recurse.  A leaf's partition is discrete, and its code
+    is the adjacency read in that vertex order; the least code over all leaves
+    is the form.  A child is skipped when an automorphism that fixes the
+    node's partition maps an already tried vertex onto it, since its subtree
+    then holds the same codes: a twin of a tried vertex (N(u) - v == N(v) - u,
+    so swapping the two is one), or an image of a tried vertex under the
+    automorphisms found so far that fix every vertex individualized above the
+    node (two leaves with equal codes give one).
+    """
+    nbr = g.nbr_masks
+    best = None
+    best_order = None
+    autos = []
+
+    def search(cells, fixed):
+        nonlocal best, best_order
+        cells = _refine(nbr, cells)
+        for i, cell in enumerate(cells):
+            if cell & (cell - 1):
+                break
+        else:
+            order = [c.bit_length() - 1 for c in cells]
+            code = 0
+            for k, u in enumerate(order):
+                nu = nbr[u]
+                for w in order[k + 1:]:
+                    code = code << 1 | (nu >> w & 1)
+            if best is None or code < best:
+                best, best_order = code, order
+            elif code == best:
+                perm = [0] * len(order)
+                for a, b in zip(best_order, order):
+                    perm[a] = b
+                autos.append(perm)
+            return
+        tried = 0
+        for v in iter_mask(cell):
+            bit = 1 << v
+            if tried:
+                if any(nbr[u] & ~bit == nbr[v] & ~(1 << u) for u in iter_mask(tried)):
+                    continue
+                gens = [p for p in autos if all(p[x] == x for x in fixed)]
+                if bit & _orbit(tried, gens):
+                    continue
+            tried |= bit
+            search(cells[:i] + [bit, cell ^ bit] + cells[i + 1:], fixed + [v])
+
+    search([g.full_mask] if g.n else [], [])
+    return g.n, best
+

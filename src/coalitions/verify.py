@@ -21,6 +21,7 @@ from .errors import GuardExceededError, PreconditionError
 from .family import in_family_f
 from .graphs import (
     Graph,
+    canonical_form,
     corona,
     emit_graph6,
     enumerate_labeled_graphs,
@@ -38,7 +39,8 @@ class GraphRecord:
     """Lazy per-graph cache shared by every theorem check.
 
     Values are computed on first touch and reused, so running several checks
-    over one corpus costs a single oracle call per graph.
+    over one corpus costs a single oracle call per isomorphism class in the
+    suite.
     """
 
     def __init__(self, graph, guard=PARTITION_GUARD_DEFAULT):
@@ -110,6 +112,15 @@ class GraphRecord:
 
 @dataclass(frozen=True)
 class TheoremCheck:
+    """One registry entry: applies(rec) -> bool and check(rec) -> (ok, detail).
+
+    Both must be isomorphism-invariant: a relabeled copy of the graph gets
+    the same applies answer and the same (ok, detail), so detail holds only
+    invariants (CC, d_c, decider answers, counts) and never a witness.
+    run_theorem_suite shares outcomes across each isomorphism class on that
+    contract.
+    """
+
     id: str
     anchor: str
     description: str
@@ -244,12 +255,6 @@ class VerifyReport:
     corpus: str
     theorems: list
 
-    def entry(self, theorem_id):
-        for t in self.theorems:
-            if t["id"] == theorem_id:
-                return t
-        raise KeyError(theorem_id)
-
     def failing(self):
         """Ids of asserted (non report-only) theorems that found counterexamples."""
         return [t["id"] for t in self.theorems
@@ -277,37 +282,48 @@ def run_theorem_suite(graphs, theorem_ids=None, corpus_label="custom",
 
     Returns a VerifyReport whose per-theorem entries satisfy
     passed + len(counterexamples) == checked.  Counterexamples carry the
-    graph6 string and observed values.  Timings cover each check plus
-    whatever shared lazy values it was the first to touch, so they are
-    attribution-fuzzy but the totals are honest.
+    graph6 string of the labeled corpus graph and the observed values.
+
+    Every check is isomorphism-invariant (see TheoremCheck), so the checks
+    run once per isomorphism class: the first graph of a class is checked
+    through one GraphRecord, and later graphs whose canonical_form matches
+    reuse its outcomes.  That cache lives for this one call, and its memory
+    grows with the number of classes, not of corpus graphs.  Counts and
+    certificates stay per labeled graph.  millis times each check on the
+    first graph of each class, including the shared lazy values it was the
+    first to touch.
     """
     ids = _resolve_ids(theorem_ids)
-    stats = {tid: {"checked": 0, "passed": 0, "counterexamples": [], "seconds": 0.0}
-             for tid in ids}
+    checks = [THEOREMS[tid] for tid in ids]
+    stats = [{"checked": 0, "passed": 0, "counterexamples": [], "seconds": 0.0}
+             for _ in ids]
+    by_class = {}
     for g in graphs:
         if g.n > guard:
             raise GuardExceededError(
                 f"corpus graph of order {g.n} exceeds the oracle guard {guard}"
             )
-        rec = GraphRecord(g, guard)
-        for tid in ids:
-            t = THEOREMS[tid]
-            s = stats[tid]
-            start = time.perf_counter()
-            if t.applies(rec):
-                ok, detail = t.check(rec)
-                s["checked"] += 1
-                if ok:
-                    s["passed"] += 1
-                else:
-                    s["counterexamples"].append(
-                        {"graph6": emit_graph6(g), "detail": detail}
-                    )
-            s["seconds"] += time.perf_counter() - start
+        key = canonical_form(g)
+        outcomes = by_class.get(key)
+        if outcomes is None:
+            rec = GraphRecord(g, guard)
+            outcomes = []
+            for t, s in zip(checks, stats):
+                start = time.perf_counter()
+                outcomes.append(t.check(rec) if t.applies(rec) else None)
+                s["seconds"] += time.perf_counter() - start
+            by_class[key] = outcomes
+        for outcome, s in zip(outcomes, stats):
+            if outcome is None:
+                continue
+            ok, detail = outcome
+            s["checked"] += 1
+            if ok:
+                s["passed"] += 1
+            else:
+                s["counterexamples"].append({"graph6": emit_graph6(g), "detail": dict(detail)})
     theorems = []
-    for tid in ids:
-        t = THEOREMS[tid]
-        s = stats[tid]
+    for tid, t, s in zip(ids, checks, stats):
         theorems.append({
             "id": tid,
             "anchor": t.anchor,

@@ -1,31 +1,40 @@
 """Slow reference implementations used only to cross-check the fast kernels.
 
-Everything here works with frozensets, explicit adjacency queries, and
-unpruned enumeration; none of it touches the bitmask machinery it is meant
-to check.  The partition generator visits set partitions in the same
+Everything here works with frozensets, an adjacency set read from g.edges,
+and unpruned enumeration; none of it touches the bitmask machinery it is
+meant to check.  The partition generator visits set partitions in the same
 restricted-growth order as the package searches (existing blocks in index
 order, then a new block), so witness identities can be compared exactly,
 not just the optimal values.
 """
 
+import functools
 import itertools
 
 
+@functools.lru_cache(maxsize=16)
+def ref_adjacency(g):
+    """Every edge of g as an ordered pair, both ways round (kept for the last few graphs)."""
+    return frozenset(g.edges) | {(v, u) for u, v in g.edges}
+
+
 def ref_is_dominating(g, s):
-    return all(v in s or any(g.has_edge(u, v) for u in s) for v in range(g.n))
+    adj = ref_adjacency(g)
+    return all(v in s or any((u, v) in adj for u in s) for v in range(g.n))
 
 
 def ref_is_connected_subset(g, s):
     s = set(s)
     if not s:
         return False
+    adj = ref_adjacency(g)
     start = min(s)
     seen = {start}
     todo = [start]
     while todo:
         u = todo.pop()
         for v in s:
-            if v not in seen and g.has_edge(u, v):
+            if v not in seen and (u, v) in adj:
                 seen.add(v)
                 todo.append(v)
     return seen == s
@@ -102,7 +111,8 @@ def ref_connected_domatic(g):
 
 
 def ref_closed_neighborhood(g, v):
-    return {v} | {w for w in range(g.n) if g.has_edge(v, w)}
+    adj = ref_adjacency(g)
+    return {v} | {w for w in range(g.n) if (v, w) in adj}
 
 
 def ref_check_cc_equals_n_minus_1(g, variant):
@@ -113,7 +123,8 @@ def ref_check_cc_equals_n_minus_1(g, variant):
     """
     n = g.n
     everything = set(range(n))
-    edges = [(p, q) for p, q in itertools.combinations(range(n), 2) if g.has_edge(p, q)]
+    adj = ref_adjacency(g)
+    edges = [(p, q) for p, q in itertools.combinations(range(n), 2) if (p, q) in adj]
     full_rows = [
         (p, q) for p, q in edges
         if ref_closed_neighborhood(g, p) | ref_closed_neighborhood(g, q) == everything
@@ -151,6 +162,7 @@ def ref_peel(g, pick):
     pick chooses the vertex to peel from the ascending list of full vertices
     left; steps and terminal use the same vocabulary as the package's trace.
     """
+    adj = ref_adjacency(g)
     rest = set(range(g.n))
     steps = []
     while True:
@@ -158,7 +170,7 @@ def ref_peel(g, pick):
             return False, tuple(steps), "reached_k1"
         if not ref_is_connected_subset(g, rest):
             return True, tuple(steps), "disconnected_ge2"
-        fulls = [v for v in sorted(rest) if all(g.has_edge(v, w) for w in rest if w != v)]
+        fulls = [v for v in sorted(rest) if all((v, w) in adj for w in rest if w != v)]
         if not fulls:
             return False, tuple(steps), "connected_no_full"
         v = pick(fulls)

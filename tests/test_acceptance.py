@@ -7,7 +7,9 @@ build cost, so the per-test timings are attribution-fuzzy but the totals
 are honest.
 """
 
+import hashlib
 import io
+import json
 import math
 import random
 import time
@@ -42,6 +44,10 @@ from coalitions import (
 from coalitions.domination import mask_is_cds
 from reference import ref_peel
 
+# sha256 of json.dumps(theorem rows without millis, sort_keys=True) for the
+# n <= 6 report, taken when every labeled graph still ran every check itself
+FULL_SUITE_SHA256 = "3a104060d744c9c73519e36d6c5cddec184296efea2e265069071d1c5b172aad"
+
 C6_MATRIX_BYTES = (
     "6 6\n"
     "1 1 1 0 0 1\n"
@@ -51,6 +57,12 @@ C6_MATRIX_BYTES = (
     "0 0 1 1 1 1\n"
     "1 0 0 1 1 1\n"
 )
+
+
+def theorem_row(report, theorem_id):
+    """The report entry of one theorem."""
+    (row,) = [t for t in report.theorems if t["id"] == theorem_id]
+    return row
 
 
 @pytest.fixture(scope="module")
@@ -113,14 +125,17 @@ def test_criterion_02_cycle6_matrix_golden_bytes(capsys, monkeypatch):
 
 def test_criterion_03_family_characterization_exhaustive(full_suite):
     report, elapsed = full_suite
-    row = report.entry("t1")
+    row = theorem_row(report, "t1")
     assert row["checked"] == 33867  # every labeled graph on 1..6 vertices
     assert row["counterexamples"] == []
     assert elapsed <= 300.0
+    rows = [{k: v for k, v in t.items() if k != "millis"} for t in report.theorems]
+    digest = hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+    assert digest == FULL_SUITE_SHA256
 
 
 def test_criterion_04_cc_equals_n_decider_matches_oracle(full_suite):
-    row = full_suite[0].entry("t5")
+    row = theorem_row(full_suite[0], "t5")
     assert row["checked"] == 21872  # connected, no full vertex, n >= 2
     assert row["counterexamples"] == []
 
@@ -129,19 +144,19 @@ def test_criterion_05_bound_theorems_trees_and_coronas(full_suite, tree_suite, c
     report = full_suite[0]
     for tid, expected_checked in [("t2", 21872), ("t4", 13482), ("t8", 3132),
                                   ("t9", 6391), ("t10", 25010)]:
-        row = report.entry(tid)
+        row = theorem_row(report, tid)
         assert row["checked"] == expected_checked
         assert row["counterexamples"] == [], f"{tid} found counterexamples"
-    t3 = tree_suite.entry("t3")
+    t3 = theorem_row(tree_suite, "t3")
     assert t3["checked"] == 18222  # trees n <= 7 minus those with a full vertex
     assert t3["counterexamples"] == []
-    t7 = corona_suite.entry("t7")
+    t7 = theorem_row(corona_suite, "t7")
     assert t7["checked"] == 772  # one corona per connected labeled H, |H| <= 5
     assert t7["counterexamples"] == []  # the check is literally cc == 2
 
 
 def test_criterion_06_cc_equals_n_minus_1_report_and_certificates(full_suite):
-    row = full_suite[0].entry("t6")
+    row = theorem_row(full_suite[0], "t6")
     assert row["report_only"]
     assert row["checked"] == 21872
     # the guarded variant must never say yes when the oracle says no
@@ -236,7 +251,7 @@ def test_criterion_08_randomized_property_sweeps():
             if decision.answer:
                 closed = g.closed_masks
                 for x, (p, q) in decision.witness.items():
-                    assert x in (p, q) and g.has_edge(p, q)
+                    assert x in (p, q) and g.nbr_masks[p] >> q & 1
                     assert closed[p] | closed[q] == g.full_mask
 
 

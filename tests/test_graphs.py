@@ -25,12 +25,30 @@ from coalitions import (
     parse_edgelist,
     parse_graph6,
 )
-from coalitions.graphs import induced_connected, iter_mask, mask_from_set, set_from_mask
+from coalitions.graphs import (
+    canonical_form,
+    induced_connected,
+    iter_mask,
+    set_from_mask,
+    subset_mask,
+)
 
 
 def random_graph(rng, n):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return Graph(n, [e for e in pairs if rng.random() < 0.5])
+
+
+def relabel(g, rng):
+    """g with its vertex ids shuffled by rng."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def disjoint_copies(k, h):
+    """k vertex-disjoint copies of h."""
+    return Graph(k * h.n, [(u + i * h.n, v + i * h.n) for i in range(k) for u, v in h.edges])
 
 
 class TestGraphBasics:
@@ -41,15 +59,18 @@ class TestGraphBasics:
 
     def test_degree_neighbors_has_edge(self, c5):
         assert c5.degree(0) == 2
-        assert c5.neighbors(0) == frozenset({1, 4})
-        assert c5.has_edge(0, 4) and not c5.has_edge(0, 2)
+        assert set_from_mask(c5.nbr_masks[0]) == frozenset({1, 4})
+        assert (0, 4) in c5.edges and (0, 2) not in c5.edges
 
     def test_adjacency_is_symmetric(self):
         rng = random.Random(7)
         for _ in range(20):
             g = random_graph(rng, rng.randint(1, 9))
-            for u, v in g.edges:
-                assert g.has_edge(v, u)
+            nbr = g.nbr_masks
+            for u in range(g.n):
+                for v in range(g.n):
+                    edge = (min(u, v), max(u, v)) in g.edges
+                    assert (nbr[u] >> v & 1) == (nbr[v] >> u & 1) == edge
 
     def test_equality_and_hash(self):
         a = build_graph(3, [(0, 1)])
@@ -74,7 +95,7 @@ class TestGraphBasics:
             Graph(-1, [])
 
     def test_mask_helpers_round_trip(self):
-        assert mask_from_set([0, 2, 5]) == 0b100101
+        assert subset_mask(Graph(6, []), [0, 2, 5]) == 0b100101
         assert set_from_mask(0b100101) == frozenset({0, 2, 5})
         assert list(iter_mask(0b1101)) == [0, 2, 3]
         assert set_from_mask(0) == frozenset()
@@ -89,8 +110,8 @@ class TestConnectivity:
         assert not is_connected(Graph(2, []))
 
     def test_induced_connected_on_masks(self, c6):
-        assert induced_connected(c6, mask_from_set({0, 1, 2}))
-        assert not induced_connected(c6, mask_from_set({0, 2, 4}))
+        assert induced_connected(c6, subset_mask(c6, {0, 1, 2}))
+        assert not induced_connected(c6, subset_mask(c6, {0, 2, 4}))
         assert not induced_connected(c6, 0)
 
     def test_matches_networkx_on_random_graphs(self):
@@ -136,9 +157,8 @@ class TestFullVerticesAndProducts:
         g = corona(generate("path", [2]), generate("complete", [2]))
         assert g.n == 6
         # each host vertex is joined to its own K_2 copy
-        assert g.has_edge(0, 2) and g.has_edge(0, 3) and g.has_edge(2, 3)
-        assert g.has_edge(1, 4) and g.has_edge(1, 5) and g.has_edge(4, 5)
-        assert not g.has_edge(0, 4)
+        assert {(0, 2), (0, 3), (2, 3), (1, 4), (1, 5), (4, 5)} <= set(g.edges)
+        assert (0, 4) not in g.edges
 
     def test_corona_requires_nonempty_host(self):
         with pytest.raises(PreconditionError):
@@ -326,3 +346,48 @@ class TestShapeRecognizers:
         # right leaf count, but two leaves support each other (isolated edge)
         g = build_graph(6, [(0, 1), (2, 3), (2, 4), (3, 4), (2, 5)])
         assert not is_corona_of_k1(g)
+
+
+class TestCanonicalForm:
+    def test_one_form_per_isomorphism_class(self):
+        # OEIS A000088: graphs on n unlabeled vertices
+        for n, classes in [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)]:
+            assert len({canonical_form(g) for g in enumerate_labeled_graphs(n)}) == classes
+
+    def test_invariant_under_relabeling(self):
+        rng = random.Random(41)
+        for n in range(1, 13):
+            for _ in range(25):
+                g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                              if rng.random() < rng.random()])
+                assert canonical_form(relabel(g, rng)) == canonical_form(g)
+
+    def test_same_degree_sequence_pairs_differ(self):
+        prism = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                                (0, 3), (1, 4), (2, 5)])
+        k3_k2 = build_graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+        pairs = [
+            (generate("cycle", [6]), disjoint_copies(2, generate("complete", [3]))),
+            (generate("complete_bipartite", [3, 3]), prism),
+            (generate("path", [5]), k3_k2),
+        ]
+        for a, b in pairs:
+            assert sorted(map(a.degree, range(a.n))) == sorted(map(b.degree, range(b.n)))
+            assert canonical_form(a) != canonical_form(b)
+
+    def test_highly_symmetric_graphs(self):
+        rng = random.Random(12)
+        graphs = [
+            generate("complete", [12]),
+            Graph(12, []),
+            disjoint_copies(6, generate("complete", [2])),
+            disjoint_copies(4, generate("complete", [3])),
+            disjoint_copies(3, generate("cycle", [4])),
+            generate("cycle", [12]),
+            # 240,000 automorphisms and no twins: needs the orbit prune to finish quickly
+            disjoint_copies(4, generate("cycle", [5])),
+        ]
+        forms = [canonical_form(g) for g in graphs]
+        assert len(set(forms)) == len(graphs)
+        assert [n for n, _ in forms] == [12] * 6 + [20]
+        assert [canonical_form(relabel(g, rng)) for g in graphs] == forms

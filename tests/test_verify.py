@@ -8,6 +8,7 @@ import networkx as nx
 import pytest
 
 from coalitions import (
+    Graph,
     GuardExceededError,
     PreconditionError,
     THEOREMS,
@@ -21,7 +22,7 @@ from coalitions import (
     tree_corpus,
 )
 from coalitions.verify import GraphRecord, tree_from_prufer
-from test_acceptance import check_n_scaling
+from test_acceptance import check_n_scaling, theorem_row
 
 
 def strip_millis(report):
@@ -67,7 +68,7 @@ class TestSuiteRuns:
             assert t["passed"] + len(t["counterexamples"]) == t["checked"]
 
     def test_report_only_divergence_does_not_fail_the_suite(self, n4_report):
-        assert n4_report.entry("t6")["counterexamples"]
+        assert theorem_row(n4_report, "t6")["counterexamples"]
         assert n4_report.failing() == []
 
     def test_schema_and_json_round_trip(self, n4_report):
@@ -104,10 +105,40 @@ class TestSuiteRuns:
             run_theorem_suite([generate("complete", [13])], ["t10"])
 
 
+class TestIsomorphismClassSharing:
+    """run_theorem_suite shares outcomes by canonical form; these pin why that is sound."""
+
+    def test_every_check_is_isomorphism_invariant(self):
+        rng = random.Random(29)
+        for g in default_corpus(5):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            a = GraphRecord(g)
+            b = GraphRecord(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+            for t in THEOREMS.values():
+                applies = bool(t.applies(a))
+                assert applies == bool(t.applies(b)), (t.id, g)
+                if applies:
+                    assert t.check(a) == t.check(b), (t.id, g)
+
+    def test_suite_equals_merge_of_one_graph_runs(self):
+        singles = [strip_millis(run_theorem_suite([g]))["theorems"] for g in default_corpus(5)]
+        merged = []
+        for rows in zip(*singles):
+            merged.append({
+                **rows[0],
+                "checked": sum(r["checked"] for r in rows),
+                "passed": sum(r["passed"] for r in rows),
+                "counterexamples": [ce for r in rows for ce in r["counterexamples"]],
+            })
+        assert any(t["counterexamples"] for t in merged)
+        assert strip_millis(run_theorem_suite(default_corpus(5)))["theorems"] == merged
+
+
 class TestReplay:
     def test_t6_certificates_replay(self, c4):
         report = run_theorem_suite([c4], ["t6"])
-        (cex,) = report.entry("t6")["counterexamples"]
+        (cex,) = theorem_row(report, "t6")["counterexamples"]
         assert cex["graph6"] == "Cl"
         replayed = replay_counterexample("t6", cex["graph6"])
         assert replayed["applicable"] and replayed["ok"] is False
