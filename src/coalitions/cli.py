@@ -317,10 +317,7 @@ def main(argv=None):
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (GraphFormatError, PreconditionError, CoalitionsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (CoalitionsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

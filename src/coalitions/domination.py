@@ -1,9 +1,10 @@
 """Dominating-set predicates and exact gamma_c / d_c computation at desk scale.
 
 The public predicates take frozensets.  The mask-level twins and the
-whole-subset table feed the partition searches here and in the coalition
-oracle; both searches enumerate set partitions as restricted-growth strings
-so witnesses are deterministic.
+whole-subset table feed gamma_c and the partition searches here and in the
+coalition oracle; the table is the package's one exponential subset scan.
+Both searches enumerate set partitions as restricted-growth strings so
+witnesses are deterministic.
 """
 
 from .errors import GuardExceededError, PreconditionError
@@ -65,28 +66,24 @@ def cds_table(g):
     return table
 
 
+def _min_cds(table):
+    """(size, mask) of the least mask of least size that the table marks as a CDS."""
+    return min((mask.bit_count(), mask) for mask, ok in enumerate(table) if ok)
+
+
 def gamma_c(g):
     """Minimum size of a connected dominating set, with a deterministic witness.
 
-    Searches subsets by ascending size; ties break toward the smallest
-    member bitmask, so repeated runs return the same witness.
+    Read off cds_table, so it shares that table's guard of n <= 20.  Ties
+    break toward the smallest member bitmask, so repeated runs return the
+    same witness.
     """
     if g.n < 1:
         raise PreconditionError("gamma_c needs a graph of order >= 1")
     if not is_connected(g):
         raise PreconditionError("gamma_c undefined for disconnected graphs")
-    n = g.n
-    limit = 1 << n
-    for size in range(1, n + 1):
-        # Gosper's hack walks same-popcount masks in increasing numeric order
-        mask = (1 << size) - 1
-        while mask < limit:
-            if mask_is_cds(g, mask):
-                return size, set_from_mask(mask)
-            low = mask & -mask
-            ripple = mask + low
-            mask = ripple | (((mask ^ ripple) >> 2) // low)
-    raise AssertionError("connected graph has V(G) as a connected dominating set")
+    size, mask = _min_cds(cds_table(g))
+    return size, set_from_mask(mask)
 
 
 def connected_domatic_number(g, guard=PARTITION_GUARD_DEFAULT):
@@ -112,7 +109,7 @@ def connected_domatic_number(g, guard=PARTITION_GUARD_DEFAULT):
         )
     n = g.n
     table = cds_table(g)
-    gc, _ = gamma_c(g)
+    gc, _ = _min_cds(table)
     cap = n // gc
     full = g.full_mask
     best = 0

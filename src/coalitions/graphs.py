@@ -18,8 +18,6 @@ _BASE64_TO_GRAPH6 = bytes.maketrans(
 _GRAPH6_TO_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
 ENUMERATION_GUARD = 7
 
-GENERATOR_FAMILIES = ("path", "cycle", "complete", "complete_bipartite", "star", "friendship")
-
 
 def subset_mask(g, s, what="vertex set"):
     """Pack a vertex set of g into a bitmask, rejecting ids outside 0..n-1."""
@@ -255,25 +253,29 @@ def _gen_friendship(t):
     return Graph(2 * t + 1, edges)
 
 
+# family -> (builder, parameter count), in the order the CLI and error texts list them
+_GENERATORS = {
+    "path": (_gen_path, 1),
+    "cycle": (_gen_cycle, 1),
+    "complete": (_gen_complete, 1),
+    "complete_bipartite": (_gen_complete_bipartite, 2),
+    "star": (_gen_star, 1),
+    "friendship": (_gen_friendship, 1),
+}
+GENERATOR_FAMILIES = tuple(_GENERATORS)
+
+
 def generate(family, params):
     """Build a standard graph family member with canonical vertex numbering.
 
     Families: path n; cycle n (n >= 3); complete n; complete_bipartite r s
     (part A first); star leaves (hub 0); friendship t (hub 0).
     """
-    builders = {
-        "path": (_gen_path, 1),
-        "cycle": (_gen_cycle, 1),
-        "complete": (_gen_complete, 1),
-        "complete_bipartite": (_gen_complete_bipartite, 2),
-        "star": (_gen_star, 1),
-        "friendship": (_gen_friendship, 1),
-    }
-    if family not in builders:
+    if family not in _GENERATORS:
         raise PreconditionError(
             f"unknown family {family!r}; expected one of {', '.join(GENERATOR_FAMILIES)}"
         )
-    fn, arity = builders[family]
+    fn, arity = _GENERATORS[family]
     if len(params) != arity:
         raise PreconditionError(f"family {family} takes {arity} parameter(s), got {len(params)}")
     return fn(*params)
@@ -459,22 +461,14 @@ def is_corona_of_k1(g):
         return False
     if n == 2:
         return g.m == 1
-    leaves = [v for v in range(n) if g.degree(v) == 1]
-    if len(leaves) != n // 2:
+    leaf_mask = sum(1 << v for v in range(n) if g.degree(v) == 1)
+    if leaf_mask.bit_count() != n // 2:
         return False
-    leaf_mask = sum(1 << v for v in leaves)
-    core_mask = g.full_mask ^ leaf_mask
-    pendants_per_support = {}
-    for leaf in leaves:
-        s = g._nbr[leaf].bit_length() - 1
-        if leaf_mask >> s & 1:
-            return False
-        pendants_per_support[s] = pendants_per_support.get(s, 0) + 1
-    if len(pendants_per_support) != n // 2:
-        return False
-    if any(c != 1 for c in pendants_per_support.values()):
-        return False
-    return induced_connected(g, core_mask)
+    # n/2 leaves whose supports are exactly the n/2 non-leaves support one leaf each
+    supports = 0
+    for leaf in iter_mask(leaf_mask):
+        supports |= g._nbr[leaf]
+    return supports == g.full_mask ^ leaf_mask and induced_connected(g, supports)
 
 
 def _refine(nbr, cells):

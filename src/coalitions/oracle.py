@@ -79,6 +79,31 @@ def forms_connected_coalition(g, a, b):
     return not mask_is_cds(g, am) and not mask_is_cds(g, bm) and mask_is_cds(g, am | bm)
 
 
+def _diagnose(g, parts):
+    """is_cc_partition's (valid, diagnostics), plus every coalition pair (i, j), i < j, ascending."""
+    masks = _partition_masks(g, parts)
+    k = len(masks)
+    cds = [mask_is_cds(g, m) for m in masks]
+    pairs = [(i, j) for i in range(k) if not cds[i] for j in range(i + 1, k)
+             if not cds[j] and mask_is_cds(g, masks[i] | masks[j])]
+    partner = {}
+    for i, j in pairs:
+        # a part's pairs with lower parts come first, so the first one seen is its lowest partner
+        partner.setdefault(i, j)
+        partner.setdefault(j, i)
+    fulls = full_vertex_mask(g)
+    diagnostics = []
+    for i, m in enumerate(masks):
+        if cds[i]:
+            diagnostics.append("full-singleton" if m & (m - 1) == 0 and m & fulls else "illegal-CDS")
+        elif i in partner:
+            diagnostics.append(f"partnered({partner[i]})")
+        else:
+            diagnostics.append("unpartnered")
+    valid = "illegal-CDS" not in diagnostics and "unpartnered" not in diagnostics
+    return valid, diagnostics, pairs
+
+
 def is_cc_partition(g, parts):
     """Validate a partition of V(G) against the coalition rules.
 
@@ -88,33 +113,7 @@ def is_cc_partition(g, parts):
     j), "unpartnered", or "illegal-CDS" (a CDS that is not a full-vertex
     singleton; no such part can ever be legal).
     """
-    masks = _partition_masks(g, parts)
-    fulls = full_vertex_mask(g)
-    k = len(masks)
-    cds = [mask_is_cds(g, m) for m in masks]
-    diagnostics = []
-    valid = True
-    for i in range(k):
-        m = masks[i]
-        if cds[i]:
-            if m & (m - 1) == 0 and m & fulls:
-                diagnostics.append("full-singleton")
-            else:
-                diagnostics.append("illegal-CDS")
-                valid = False
-            continue
-        partner = None
-        for j in range(k):
-            if j == i or cds[j]:
-                continue
-            if mask_is_cds(g, m | masks[j]):
-                partner = j
-                break
-        if partner is None:
-            diagnostics.append("unpartnered")
-            valid = False
-        else:
-            diagnostics.append(f"partnered({partner})")
+    valid, diagnostics, _ = _diagnose(g, parts)
     return valid, diagnostics
 
 
@@ -212,42 +211,32 @@ def cc_number(g, guard=PARTITION_GUARD_DEFAULT):
     return cc_partition_search(g, guard)
 
 
-def _first_split(g, whole):
-    """First (a, b) bipartition of whole with neither half a CDS, or None.
-
-    a always holds the lowest vertex of whole, and the candidates for its
-    other vertices are tried in ascending submask order.
-    """
-    low = whole & -whole
-    rest = whole ^ low
-    sub = 0
-    while True:
-        a = low | sub
-        b = whole ^ a
-        if b and not mask_is_cds(g, a) and not mask_is_cds(g, b):
-            return a, b
-        if sub == rest:
-            return None
-        sub = (sub - rest) & rest
-
-
 def _split_minimal(g, core):
-    """Split a minimal CDS into two halves forming a connected coalition.
+    """Split a minimal CDS into its lowest vertex and the rest, a connected coalition.
 
     A proper nonempty subset of a minimal CDS is never a CDS (otherwise the
-    superset fact above would contradict minimality), so the first split
-    should always work; each candidate is verified anyway, and exhaustion is
-    a loud failure.
+    superset fact above would contradict minimality), and the core has at
+    least two vertices because the graph has no full vertex, so this split
+    always works.  It is verified anyway, and a failure is loud.
     """
-    split = _first_split(g, core)
-    if split is None:
+    a = core & -core
+    b = core ^ a
+    if not b or mask_is_cds(g, a) or mask_is_cds(g, b):
         raise CoalitionExpansionError(
             "a minimal connected dominating set admitted no coalition split"
         )
-    return split
+    return a, b
 
 
 def _expand_masks(g, masks):
+    """Coalition partition masks with at least two parts per CDS mask of the domatic partition.
+
+    Each class but the last shrinks to a minimal core and splits in two; its
+    surplus joins the last class, whose own minimal core splits in two.  What
+    is left of the last class (rest) becomes a domatic class of its own if it
+    is a CDS, a part of its own if some half partners it, and otherwise joins
+    the second half of the last core.
+    """
     cores = []
     tail = masks[-1]
     for d in masks[:-1]:
@@ -263,27 +252,17 @@ def _expand_masks(g, masks):
         return _expand_masks(g, cores + [tail_core, rest])
     out = []
     for c in cores:
-        a, b = _split_minimal(g, c)
-        out += [a, b]
+        out += _split_minimal(g, c)
     a, b = _split_minimal(g, tail_core)
     if not rest:
         return out + [a, b]
-    # rest is nonempty and not a CDS: give it its own seat if some existing
-    # half partners it, otherwise absorb it into one of the last two halves
+    # rest is nonempty and not a CDS: give it its own seat if some existing half partners it
     for p in out + [a, b]:
         if mask_is_cds(g, p | rest):
             return out + [a, b, rest]
-    if not mask_is_cds(g, b | rest):
-        return out + [a, b | rest]
-    if not mask_is_cds(g, a | rest):
-        return out + [a | rest, b]
-    # last resort: bipartition the whole final class directly
-    split = _first_split(g, tail)
-    if split is None:
-        raise CoalitionExpansionError(
-            "the final domatic class admitted no placement for its surplus vertices"
-        )
-    return out + list(split)
+    # a is no CDS, b | rest is none (the loop tried p = b), and their union
+    # is tail, a superset of tail_core, so they form a coalition
+    return out + [a, b | rest]
 
 
 def expand_domatic_to_cc_partition(g, parts):
@@ -340,19 +319,9 @@ def coalition_graph(g, parts):
     Full-vertex singleton parts are CDSs, so they can never belong to a
     coalition pair and end up isolated.
     """
-    valid, diagnostics = is_cc_partition(g, parts)
+    valid, diagnostics, pairs = _diagnose(g, parts)
     if not valid:
         raise PreconditionError(
             f"not a valid coalition partition (diagnostics: {diagnostics})"
         )
-    masks = _partition_masks(g, parts)
-    k = len(masks)
-    cds = [mask_is_cds(g, m) for m in masks]
-    edges = []
-    for i in range(k):
-        if cds[i]:
-            continue
-        for j in range(i + 1, k):
-            if not cds[j] and mask_is_cds(g, masks[i] | masks[j]):
-                edges.append((i, j))
-    return CoalitionGraph(tuple(frozenset(p) for p in parts), Graph(k, edges))
+    return CoalitionGraph(tuple(frozenset(p) for p in parts), Graph(len(parts), pairs))

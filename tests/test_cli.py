@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from coalitions import cli
+from coalitions import cli, emit_graph6, generate
 
 C6_MATRIX_BYTES = (
     "6 6\n"
@@ -210,6 +210,11 @@ class TestFamilyAndDomination:
     def test_gamma_c(self, run):
         code, out, _ = run(["gamma-c", "-"], stdin="EhEG\n")
         assert code == 0 and out == "gamma_c=4 witness=[0, 1, 2, 3]\n"
+
+    def test_gamma_c_guard_exits_4(self, run):
+        star = emit_graph6(generate("star", [20]))  # 21 vertices
+        code, out, err = run(["gamma-c", "-"], stdin=star + "\n")
+        assert (code, out) == (4, "") and "n <= 20, got 21" in err
 
     def test_gamma_c_disconnected_exits_3(self, run):
         code, _, err = run(["gamma-c", "-"], stdin="C`\n")  # two disjoint edges

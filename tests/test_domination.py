@@ -103,6 +103,16 @@ class TestGammaC:
         for _ in range(60):
             g = random_connected(rng, 6)
             assert gamma_c(g) == ref_gamma_c(g)
+        for n in (7, 8, 9):
+            for p in (0.3, 0.5, 0.7):
+                for _ in range(5):
+                    g = random_connected(rng, n, p)
+                    assert gamma_c(g) == ref_gamma_c(g)
+
+    def test_refuses_more_than_20_vertices(self):
+        # gamma_c reads the 2^n CDS table, so it shares the table's guard
+        with pytest.raises(GuardExceededError, match=r"n <= 20, got 21"):
+            gamma_c(generate("star", [20]))
 
     def test_rejects_disconnected_and_empty(self, two_k2):
         with pytest.raises(PreconditionError, match=r"disconnected"):

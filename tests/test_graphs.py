@@ -188,6 +188,12 @@ class TestGenerate:
             generate("path", [0])
         with pytest.raises(PreconditionError, match=r"r, s >= 1"):
             generate("complete_bipartite", [0, 3])
+        with pytest.raises(PreconditionError, match=r"complete needs n >= 1"):
+            generate("complete", [0])
+        with pytest.raises(PreconditionError, match=r"star needs at least 1 leaf"):
+            generate("star", [0])
+        with pytest.raises(PreconditionError, match=r"friendship needs t >= 1"):
+            generate("friendship", [0])
         with pytest.raises(PreconditionError, match=r"unknown family"):
             generate("hypercube", [3])
         with pytest.raises(PreconditionError, match=r"takes 2 parameter"):

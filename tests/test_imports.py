@@ -1,8 +1,10 @@
-"""Every imported name is read somewhere in the module that imports it.
+"""Every imported name is read somewhere in the module that imports it, and
+every module-level private name in the package is read somewhere in it.
 
-The repository has no linter, so this is its unused-import check, written
-with the standard library's ast module.  A package __init__.py imports names
-to re-export them, so those files are exempt.
+The repository has no linter, so these are its unused-import and dead-helper
+checks, written with the standard library's ast module.  A package
+__init__.py imports names to re-export them, so those files are exempt from
+the import check.
 """
 
 import ast
@@ -39,3 +41,55 @@ def test_no_module_imports_a_name_it_never_reads():
         for line, name in _unused_imports(path.read_text(encoding="utf-8")):
             found.append(f"{path.relative_to(ROOT)}:{line}: {name}")
     assert found == []
+
+
+def _read_names(node):
+    """Names a syntax tree reads, as identifiers or as attributes."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def _defined_private(stmt):
+    """Single-underscore names a top-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, ast.Assign):
+        names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _unread_private_names(sources):
+    """(module, line, name) for each module-level private name no other top-level statement reads.
+
+    sources maps a module name to its source text.  A read inside the
+    statement that defines the name, such as a recursive call, does not count.
+    """
+    stmts = [(module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body]
+    reads = [_read_names(stmt) for _, stmt in stmts]
+    found = []
+    for k, (module, stmt) in enumerate(stmts):
+        for name in _defined_private(stmt):
+            if not any(name in r for j, r in enumerate(reads) if j != k):
+                found.append((module, stmt.lineno, name))
+    return found
+
+
+def test_private_name_checker_on_a_tiny_package():
+    sources = {
+        "a": "_LIMIT = 3\n_dead = 1\ndef _rec(n):\n    return _rec(n - 1)\ndef _used():\n    return _LIMIT\n",
+        "b": "from .a import _used\nprint(_used())\n",
+    }
+    assert _unread_private_names(sources) == [("a", 2, "_dead"), ("a", 3, "_rec")]
+
+
+def test_every_module_level_private_name_is_read():
+    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src").rglob("*.py"))}
+    assert _unread_private_names(sources) == []

@@ -7,6 +7,8 @@ semantics, not just the speed.  The raw search is compared the same way,
 disconnected graphs included, since cc_number never runs it on them.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -21,9 +23,11 @@ from coalitions import (
     coalition_graph,
     connected_domatic_number,
     corona,
+    emit_graph6,
     enumerate_labeled_graphs,
     expand_domatic_to_cc_partition,
     forms_connected_coalition,
+    full_vertices,
     generate,
     is_cc_partition,
 )
@@ -192,8 +196,6 @@ class TestExpansion:
         assert sorted(sorted(p) for p in out) == [[0, 2, 3, 4, 5], [1]]
 
     def test_output_contract_over_small_connected_graphs(self):
-        from coalitions import full_vertices
-
         for g in small_connected(5):
             if g.n <= 1 or full_vertices(g):
                 continue
@@ -202,6 +204,25 @@ class TestExpansion:
             assert len(out) >= 2 * dc
             valid, _ = is_cc_partition(g, out)
             assert valid
+
+    def test_outputs_pinned_over_connected_graphs_without_full_vertex(self):
+        # Digest of the expansions of the d_c witness and of {V} for every
+        # connected labeled graph 2 <= n <= 6 with no full vertex (21,872
+        # graphs), taken before the split was reduced to its one candidate.
+        rows = []
+        for n in range(2, 7):
+            for g in enumerate_labeled_graphs(n, connected_only=True):
+                if full_vertices(g):
+                    continue
+                _, domatic = connected_domatic_number(g)
+                rows.append([
+                    emit_graph6(g),
+                    [sorted(p) for p in expand_domatic_to_cc_partition(g, domatic)],
+                    [sorted(p) for p in expand_domatic_to_cc_partition(g, parts(range(n)))],
+                ])
+        assert len(rows) == 21872
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "60a2e4fa2f7a1b02e1d88931fe66d4e3555624768b7868d02a392df7c4588273"
 
     def test_preconditions(self, two_k2, c4):
         with pytest.raises(PreconditionError, match=r"order > 1"):
