@@ -14,7 +14,7 @@ how the variants and the exact oracle relate instead of assuming it.
 from dataclasses import dataclass, field
 
 from .errors import PreconditionError
-from .graphs import full_vertex_mask, is_connected, iter_mask
+from .graphs import is_connected, iter_mask
 
 VARIANTS = ("paper", "strict")
 
@@ -75,14 +75,16 @@ def edge_domination_matrix(g):
 
 
 def _check_preconditions(g, op, minimum_order):
+    """Refuse graphs the deciders are not defined on; return the maximum degree."""
     if g.n < minimum_order:
         raise PreconditionError(f"{op} needs a graph of order >= {minimum_order}, got {g.n}")
     if not is_connected(g):
         raise PreconditionError(f"{op} needs a connected graph")
-    fulls = full_vertex_mask(g)
-    if fulls:
-        first = (fulls & -fulls).bit_length() - 1
-        raise PreconditionError(f"{op} requires no full vertex; vertex {first} is full")
+    degrees = list(map(int.bit_count, g.nbr_masks))
+    top = max(degrees)
+    if top == g.n - 1:
+        raise PreconditionError(f"{op} requires no full vertex; vertex {degrees.index(top)} is full")
+    return top
 
 
 def _dominators(closed, cand, need):
@@ -98,16 +100,17 @@ def _dominators(closed, cand, need):
     return cand
 
 
-def _partner_masks(g):
-    """partner[x] is the mask of the w such that xw is an edge whose row sums to n.
+def _partner_masks(g, closed):
+    """Yield, for x = 0, 1, ..., the mask of the w such that xw is an edge whose row sums to n.
 
-    The row of xw is N[x] | N[w], so it is full exactly when N[w] covers the
-    vertices N[x] misses: the full-row partners of x are its neighbors that
-    dominate V - N[x].
+    closed is g.closed_masks.  The row of xw is N[x] | N[w], so it is full
+    exactly when N[w] covers the vertices N[x] misses: the full-row partners
+    of x are its neighbors that dominate V - N[x].  The masks are built one
+    at a time, so a caller that stops early pays only for those it read.
     """
-    closed = g.closed_masks
     full = g.full_mask
-    return [_dominators(closed, nbr, full ^ closed[x]) for x, nbr in enumerate(g.nbr_masks)]
+    for x, nbr in enumerate(g.nbr_masks):
+        yield _dominators(closed, nbr, full ^ closed[x])
 
 
 def _first_edge(x, partners):
@@ -126,15 +129,21 @@ def check_cc_equals_n(g):
     Answer yes iff every vertex has an incident edge whose edge-domination
     row sums to n.  The witness maps each vertex to the lowest such edge in
     sorted order; a no carries the first vertex with no qualifying edge.
+
+    The row of an edge xw is N[x] | N[w], which holds at most 2(D + 1)
+    vertices, D the maximum degree.  So when 2(D + 1) < n no row is full,
+    and vertex 0 is the first refusal; that answer needs no partner mask.
+    Otherwise the partner masks are built in vertex order and the scan
+    stops at the first vertex without one.
     """
-    _check_preconditions(g, "the CC = n check", 2)
+    top = _check_preconditions(g, "the CC = n check", 2)
+    n = g.n
+    if 2 * (top + 1) < n:
+        return Decision(False, reason=f"vertex 0 has no incident edge whose row sums to {n}")
     witness = {}
-    for x, partners in enumerate(_partner_masks(g)):
+    for x, partners in enumerate(_partner_masks(g, g.closed_masks)):
         if not partners:
-            return Decision(
-                False,
-                reason=f"vertex {x} has no incident edge whose row sums to {g.n}",
-            )
+            return Decision(False, reason=f"vertex {x} has no incident edge whose row sums to {n}")
         witness[x] = _first_edge(x, partners)
     return Decision(True, witness)
 
@@ -158,7 +167,10 @@ def check_cc_equals_n_minus_1(g, variant="strict"):
       (see _partner_masks); its lowest vertex gives the first such edge.
     - A qualifying pair needs a dominating triple {y, u, v}.  Three closed
       neighborhoods cover at most 3(D + 1) vertices, D the maximum degree,
-      so when 3(D + 1) < n no pair qualifies.
+      so when 3(D + 1) < n no pair qualifies.  This is tested before any
+      partner mask is built, in both variants.  The strict variant's
+      earlier refusal, "the CC = n check already succeeds", cannot apply
+      there: it needs a full row, of at most 2(D + 1) < n vertices.
     - {z, u, v} dominates exactly when N[z] contains every vertex missed
       by N[u] | N[v], and three vertices induce a connected graph exactly
       when two of their pairs are edges: z adjacent to u or v if uv is an
@@ -172,21 +184,21 @@ def check_cc_equals_n_minus_1(g, variant="strict"):
     """
     if variant not in VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    _check_preconditions(g, "the CC = n-1 check", 3)
+    top = _check_preconditions(g, "the CC = n-1 check", 3)
+    n = g.n
+    no = Decision(False, reason="no qualifying vertex pair (u, v)", variant=variant)
+    if 3 * (top + 1) < n:
+        return no
     strict = variant == "strict"
-    partner = _partner_masks(g)
+    closed = g.closed_masks
+    partner = list(_partner_masks(g, closed))
     if strict and all(partner):  # the CC = n check's answer
         return Decision(
             False,
             reason="the CC = n check already succeeds, which rules out CC = n-1",
             variant=variant,
         )
-    n = g.n
     nbr = g.nbr_masks
-    no = Decision(False, reason="no qualifying vertex pair (u, v)", variant=variant)
-    if 3 * (max(m.bit_count() for m in nbr) + 1) < n:
-        return no
-    closed = g.closed_masks
     full = g.full_mask
     lonely = sum(1 << x for x, m in enumerate(partner) if not m)
     for u in range(n):

@@ -1,6 +1,14 @@
+import functools
+
 import pytest
 
-from coalitions import build_graph, generate
+from coalitions import (
+    build_graph,
+    connected_domatic_number,
+    enumerate_labeled_graphs,
+    full_vertices,
+    generate,
+)
 
 
 @pytest.fixture
@@ -22,10 +30,33 @@ def two_k2():
 
 def small_connected(n_max=5):
     """Every connected labeled graph of order 1..n_max (helper, not a fixture)."""
-    from coalitions import enumerate_labeled_graphs
-
     for n in range(1, n_max + 1):
         yield from enumerate_labeled_graphs(n, connected_only=True)
+
+
+@functools.cache
+def connected_without_full_vertex():
+    """Every connected labeled graph 2 <= n <= 6 with no full vertex, in enumeration order.
+
+    There are 21,872 of them.  Built once per test run for the tests that
+    sweep the whole set.
+    """
+    return tuple(
+        g
+        for n in range(2, 7)
+        for g in enumerate_labeled_graphs(n, connected_only=True)
+        if not full_vertices(g)
+    )
+
+
+@functools.cache
+def domatic_sweep():
+    """(g, d_c, witness) for every graph of connected_without_full_vertex().
+
+    The expansion criterion and the pinned expansion digest both need
+    connected_domatic_number over the whole set; this computes it once.
+    """
+    return tuple((g, *connected_domatic_number(g)) for g in connected_without_full_vertex())
 
 
 @pytest.fixture

@@ -115,6 +115,33 @@ def ref_closed_neighborhood(g, v):
     return {v} | {w for w in range(g.n) if (v, w) in adj}
 
 
+def ref_full_rows(g):
+    """The edges (p, q), p < q, in sorted order whose N[p] and N[q] together hold every vertex."""
+    everything = set(range(g.n))
+    adj = ref_adjacency(g)
+    return [
+        (p, q) for p, q in itertools.combinations(range(g.n), 2)
+        if (p, q) in adj and ref_closed_neighborhood(g, p) | ref_closed_neighborhood(g, q) == everything
+    ]
+
+
+def ref_check_cc_equals_n(g):
+    """The CC = n test written out directly, in Decision.as_dict() form.
+
+    Each vertex takes the first full-row edge in sorted order that contains
+    it; the first vertex on no such edge is named in the refusal.
+    """
+    full_rows = ref_full_rows(g)
+    witness = {}
+    for x in range(g.n):
+        edge = next((e for e in full_rows if x in e), None)
+        if edge is None:
+            reason = f"vertex {x} has no incident edge whose row sums to {g.n}"
+            return {"answer": False, "witness": None, "reason": reason, "variant": None}
+        witness[str(x)] = list(edge)
+    return {"answer": True, "witness": witness, "reason": None, "variant": None}
+
+
 def ref_check_cc_equals_n_minus_1(g, variant):
     """The CC = n-1 pair scan written out directly, in Decision.as_dict() form.
 
@@ -122,13 +149,7 @@ def ref_check_cc_equals_n_minus_1(g, variant):
     ref_is_cds; pairs, vertices, edges and y are all tried in ascending order.
     """
     n = g.n
-    everything = set(range(n))
-    adj = ref_adjacency(g)
-    edges = [(p, q) for p, q in itertools.combinations(range(n), 2) if (p, q) in adj]
-    full_rows = [
-        (p, q) for p, q in edges
-        if ref_closed_neighborhood(g, p) | ref_closed_neighborhood(g, q) == everything
-    ]
+    full_rows = ref_full_rows(g)
 
     def answer(witness=None, reason=None):
         return {"answer": witness is not None, "witness": witness, "reason": reason, "variant": variant}

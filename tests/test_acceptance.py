@@ -42,6 +42,7 @@ from coalitions import (
     tree_corpus,
 )
 from coalitions.domination import mask_is_cds
+from conftest import domatic_sweep
 from reference import ref_peel
 
 # sha256 of json.dumps(theorem rows without millis, sort_keys=True) for the
@@ -176,10 +177,7 @@ def test_criterion_06_cc_equals_n_minus_1_report_and_certificates(full_suite):
 
 def test_criterion_07_domatic_expansion_doubles():
     checked = 0
-    for g in default_corpus(6, connected_only=True):
-        if g.n < 2 or full_vertices(g):
-            continue
-        dc, parts = connected_domatic_number(g)
+    for g, dc, parts in domatic_sweep():
         expanded = expand_domatic_to_cc_partition(g, parts)
         valid, _ = is_cc_partition(g, expanded)
         assert valid, f"invalid expansion on {emit_graph6(g)}"
@@ -260,9 +258,9 @@ def check_n_scaling(sizes, repeats):
 
     Report only: the returned dict states whether the fitted slope stays at
     or below degree 4 (with slack for timer noise), but nothing here gates
-    on it.  The decider's cost on a cycle is dominated by the m edge-row
-    sums; the early exit on the first unservable vertex makes the constant
-    small without changing the shape.
+    on it.  On a cycle with n > 6, 2(D + 1) < n, so the decider answers no
+    from the degree bound without computing any edge row; its cost is the
+    preconditions, a connectivity search and one pass over the degrees.
     """
     def seconds_per_call(g, number):
         start = time.perf_counter()

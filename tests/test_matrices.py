@@ -1,5 +1,6 @@
 """The edge-domination matrix and the two polynomial deciders."""
 
+import hashlib
 import json
 import random
 
@@ -12,13 +13,22 @@ from coalitions import (
     check_cc_equals_n,
     check_cc_equals_n_minus_1,
     edge_domination_matrix,
+    emit_graph6,
     enumerate_labeled_graphs,
     full_vertices,
     generate,
     is_connected,
 )
 
-from reference import ref_check_cc_equals_n_minus_1
+from conftest import connected_without_full_vertex
+from reference import ref_check_cc_equals_n, ref_check_cc_equals_n_minus_1
+
+# sha256 of json.dumps(decider_rows(...)) over connected_without_full_vertex()
+# and seeded_graphs(random.Random(9), 400, 7, 60, KINDS), taken before the
+# deciders answered from the degree bound first
+DECIDERS_SHA256 = "7dafda08215061645d78e400650231ee689e9f40c6e859b2c7e0c6af65c4f542"
+
+KINDS = ("tree", "cycle", "gnp")
 
 C6_DUMP = (
     "6 6\n"
@@ -29,6 +39,64 @@ C6_DUMP = (
     "0 0 1 1 1 1\n"
     "1 0 0 1 1 1"
 )
+
+
+def seeded_graph(rng, kind, n):
+    """One seeded graph on n vertices, or None when it is disconnected or has a full vertex.
+
+    kind is "tree" (random recursive tree), "cycle" (C_n plus up to three
+    random chords) or "gnp" (G(n, p) with p drawn from 0.1-0.9).
+    """
+    if kind == "tree":
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+    elif kind == "cycle":
+        edges = [(v, (v + 1) % n) for v in range(n)]
+        edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
+    else:
+        p = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    g = Graph(n, edges)
+    return g if is_connected(g) and not full_vertices(g) else None
+
+
+def seeded_graphs(rng, count, n_min, n_max, kinds):
+    """count connected graphs without a full vertex, cycling through kinds."""
+    out = []
+    while len(out) < count:
+        g = seeded_graph(rng, kinds[len(out) % len(kinds)], rng.randint(n_min, n_max))
+        if g is not None:
+            out.append(g)
+    return out
+
+
+def decider_rows(graphs):
+    return [
+        [
+            emit_graph6(g),
+            check_cc_equals_n(g).as_dict(),
+            check_cc_equals_n_minus_1(g, "paper").as_dict(),
+            check_cc_equals_n_minus_1(g, "strict").as_dict(),
+        ]
+        for g in graphs
+    ]
+
+
+def max_degree(g):
+    return max(m.bit_count() for m in g.nbr_masks)
+
+
+def prism12():
+    # C_6 x K_2: 3-regular on 12 vertices, so 3(D + 1) = n
+    return Graph(12, [(i, (i + 1) % 6) for i in range(6)]
+                 + [(6 + i, 6 + (i + 1) % 6) for i in range(6)]
+                 + [(i, i + 6) for i in range(6)])
+
+
+def test_decider_outputs_pinned():
+    graphs = connected_without_full_vertex() + tuple(seeded_graphs(random.Random(9), 400, 7, 60, KINDS))
+    assert len(graphs) == 21872 + 400
+    digest = hashlib.sha256(json.dumps(decider_rows(graphs)).encode()).hexdigest()
+    assert digest == DECIDERS_SHA256
 
 
 class TestEdgeDominationMatrix:
@@ -82,7 +150,22 @@ class TestCheckCcEqualsN:
             for g in enumerate_labeled_graphs(n, connected_only=True):
                 if full_vertices(g):
                     continue
-                assert check_cc_equals_n(g).answer == (cc_number(g)[0] == g.n)
+                d = check_cc_equals_n(g)
+                assert d.answer == (cc_number(g)[0] == g.n)
+                assert d.as_dict() == ref_check_cc_equals_n(g)  # witness and reason too
+
+    def test_matches_reference_where_the_degree_bound_answers(self):
+        # 2(D + 1) < n: no row can be full, so vertex 0 is the first refusal
+        rng = random.Random(17)
+        checked = 0
+        while checked < 200:
+            g = seeded_graph(rng, rng.choice(("tree", "cycle")), rng.randint(7, 40))
+            if g is None or 2 * (max_degree(g) + 1) >= g.n:
+                continue
+            checked += 1
+            d = check_cc_equals_n(g)
+            assert d.as_dict() == ref_check_cc_equals_n(g)
+            assert d.reason == f"vertex 0 has no incident edge whose row sums to {g.n}"
 
     def test_preconditions(self, two_k2):
         with pytest.raises(PreconditionError, match=r"order >= 2"):
@@ -91,6 +174,8 @@ class TestCheckCcEqualsN:
             check_cc_equals_n(two_k2)
         with pytest.raises(PreconditionError, match=r"vertex 1 is full"):
             check_cc_equals_n(generate("path", [3]))
+        with pytest.raises(PreconditionError, match=r"vertex 0 is full"):  # the first of several
+            check_cc_equals_n(generate("complete", [4]))
 
 
 class TestCheckCcEqualsNMinus1:
@@ -176,6 +261,20 @@ class TestCheckCcEqualsNMinus1:
                 assert not d.answer
                 assert d.reason == "no qualifying vertex pair (u, v)"
 
+    def test_matches_reference_where_the_degree_bound_answers(self):
+        # 3(D + 1) < n: no dominating triple exists, so no pair qualifies
+        rng = random.Random(23)
+        checked = 0
+        while checked < 40:
+            g = seeded_graph(rng, rng.choice(("tree", "cycle")), rng.randint(7, 16))
+            if g is None or 3 * (max_degree(g) + 1) >= g.n:
+                continue
+            checked += 1
+            for variant in ("paper", "strict"):
+                d = check_cc_equals_n_minus_1(g, variant)
+                assert d.as_dict() == ref_check_cc_equals_n_minus_1(g, variant)
+                assert d.reason == "no qualifying vertex pair (u, v)"
+
     def test_unknown_variant(self, house):
         with pytest.raises(PreconditionError, match=r"unknown variant"):
             check_cc_equals_n_minus_1(house, "fast")
@@ -185,6 +284,22 @@ class TestCheckCcEqualsNMinus1:
             check_cc_equals_n_minus_1(generate("complete", [2]))
         with pytest.raises(PreconditionError, match=r"is full"):
             check_cc_equals_n_minus_1(generate("star", [3]))
+        with pytest.raises(PreconditionError, match=r"vertex 0 is full"):  # the first of several
+            check_cc_equals_n_minus_1(generate("complete", [4]))
+
+
+class TestDegreeBoundEdge:
+    """Graphs on the degree bounds themselves, where the scans must still run."""
+
+    @pytest.mark.parametrize("g", [
+        generate("cycle", [6]),  # 2(D + 1) = n
+        generate("cycle", [9]),  # 3(D + 1) = n
+        prism12(),  # 3(D + 1) = n
+    ], ids=["C6", "C9", "prism12"])
+    def test_matches_both_references(self, g):
+        assert check_cc_equals_n(g).as_dict() == ref_check_cc_equals_n(g)
+        for variant in ("paper", "strict"):
+            assert check_cc_equals_n_minus_1(g, variant).as_dict() == ref_check_cc_equals_n_minus_1(g, variant)
 
 
 class TestDecisionSerialization:

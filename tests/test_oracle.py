@@ -31,7 +31,7 @@ from coalitions import (
     generate,
     is_cc_partition,
 )
-from conftest import small_connected
+from conftest import domatic_sweep, small_connected
 
 
 def parts(*sets):
@@ -209,17 +209,14 @@ class TestExpansion:
         # Digest of the expansions of the d_c witness and of {V} for every
         # connected labeled graph 2 <= n <= 6 with no full vertex (21,872
         # graphs), taken before the split was reduced to its one candidate.
-        rows = []
-        for n in range(2, 7):
-            for g in enumerate_labeled_graphs(n, connected_only=True):
-                if full_vertices(g):
-                    continue
-                _, domatic = connected_domatic_number(g)
-                rows.append([
-                    emit_graph6(g),
-                    [sorted(p) for p in expand_domatic_to_cc_partition(g, domatic)],
-                    [sorted(p) for p in expand_domatic_to_cc_partition(g, parts(range(n)))],
-                ])
+        rows = [
+            [
+                emit_graph6(g),
+                [sorted(p) for p in expand_domatic_to_cc_partition(g, domatic)],
+                [sorted(p) for p in expand_domatic_to_cc_partition(g, parts(range(g.n)))],
+            ]
+            for g, _, domatic in domatic_sweep()
+        ]
         assert len(rows) == 21872
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == "60a2e4fa2f7a1b02e1d88931fe66d4e3555624768b7868d02a392df7c4588273"
