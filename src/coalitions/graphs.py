@@ -471,34 +471,57 @@ def is_corona_of_k1(g):
     return supports == g.full_mask ^ leaf_mask and induced_connected(g, supports)
 
 
-def _refine(nbr, cells):
-    """Split an ordered partition (a list of cell bitmasks) until it is equitable.
+def _refine(nbr, cells, stack):
+    """Split an ordered partition (a list of cell bitmasks), in place, until it is equitable.
 
-    Each round splits every cell by its vertices' neighbour counts into each
-    cell of the previous round, the parts in sorted signature order, so the
-    result depends only on the graph and the input partition, not on labels.
+    stack holds splitter masks.  A popped splitter S splits every cell by its
+    vertices' neighbour counts in S, the parts in sorted-count order; for a
+    single vertex S = {x} they are cell & ~N(x), then cell & N(x).  Each split
+    pushes every new part except the first largest one, whose counts follow
+    from the others' and the old cell's (McKay, "Practical graph isomorphism",
+    1981).  Only positions and counts pick cells, parts and splitters, so the
+    result depends on the graph and the input, not on labels.  It is equitable
+    when every cell's counts follow from splitters in the stack: start from
+    [V] at the root, and from [{v}] after individualizing v in an equitable
+    partition.
     """
-    while True:
-        out = []
-        for cell in cells:
-            if cell & (cell - 1) == 0:
-                out.append(cell)
+    n = len(nbr)
+    while stack and len(cells) < n:
+        s = stack.pop()
+        single = not s & (s - 1)
+        ns = nbr[s.bit_length() - 1]
+        i = 0
+        for cell in cells[:]:
+            i += 1
+            if not cell & (cell - 1):
                 continue
-            parts = {}
+            if single:
+                a = cell & ns
+                if a and a != cell:
+                    b = cell ^ a
+                    cells[i - 1:i] = b, a
+                    i += 1
+                    stack.append(a if a.bit_count() <= b.bit_count() else b)
+                continue
+            groups = {}
             rest = cell
             while rest:
                 low = rest & -rest
                 rest ^= low
-                nv = nbr[low.bit_length() - 1]
-                sig = tuple([(nv & c).bit_count() for c in cells])
-                parts[sig] = parts.get(sig, 0) | low
-            if len(parts) == 1:
-                out.append(cell)
-            else:
-                out += [parts[sig] for sig in sorted(parts)]
-        if len(out) == len(cells):
-            return cells
-        cells = out
+                k = (nbr[low.bit_length() - 1] & s).bit_count()
+                groups[k] = groups.get(k, 0) | low
+            if len(groups) > 1:
+                parts = [groups[k] for k in sorted(groups)]
+                cells[i - 1:i] = parts
+                i += len(parts) - 1
+                keep = max(parts, key=int.bit_count)
+                stack += [p for p in parts if p != keep]
+
+
+def _twins(nbr, cell):
+    """True iff the cell's vertices are pairwise twins: all N(v) equal, or all N[v] equal."""
+    vs = list(iter_mask(cell))
+    return len({nbr[v] for v in vs}) == 1 or len({nbr[v] | 1 << v for v in vs}) == 1
 
 
 def _orbit(mask, gens):
@@ -519,28 +542,38 @@ def canonical_form(g):
     Individualization-refinement (McKay & Piperno, "Practical graph
     isomorphism, II", 2014): refine to an equitable partition, then for each
     vertex of the first non-singleton cell put it in a cell of its own ahead of
-    the rest, refine and recurse.  A leaf's partition is discrete, and its code
-    is the adjacency read in that vertex order; the least code over all leaves
-    is the form.  A child is skipped when an automorphism that fixes the
-    node's partition maps an already tried vertex onto it, since its subtree
-    then holds the same codes: a twin of a tried vertex (N(u) - v == N(v) - u,
-    so swapping the two is one), or an image of a tried vertex under the
-    automorphisms found so far that fix every vertex individualized above the
-    node (two leaves with equal codes give one).
+    the rest, refine by that vertex alone and recurse.  A leaf's partition is
+    discrete, and its code is the adjacency read in that vertex order; the
+    least code over all leaves is the form.  A node whose non-singleton cells
+    are all classes of twins is a leaf too: individualizing a twin splits no
+    other cell, and every order inside those cells gives the same code, so
+    each is read ascending.  A child is skipped when an automorphism that fixes
+    the node's partition maps an already tried vertex onto it, since its
+    subtree then holds the same codes: a twin of a tried vertex (N(u) - v ==
+    N(v) - u, so swapping the two is one), or an image of a tried vertex under
+    the automorphisms found so far that fix every vertex individualized above
+    the node (two leaves with equal codes give one).
     """
     nbr = g.nbr_masks
     best = None
     best_order = None
     autos = []
 
-    def search(cells, fixed):
+    def search(cells, stack, fixed):
         nonlocal best, best_order
-        cells = _refine(nbr, cells)
+        _refine(nbr, cells, stack)
+        target = None
         for i, cell in enumerate(cells):
             if cell & (cell - 1):
-                break
+                if target is None:
+                    target = i
+                if not _twins(nbr, cell):
+                    break
         else:
-            order = [c.bit_length() - 1 for c in cells]
+            if len(cells) == g.n:
+                order = [cell.bit_length() - 1 for cell in cells]
+            else:
+                order = [v for cell in cells for v in iter_mask(cell)]
             code = 0
             for k, u in enumerate(order):
                 nu = nbr[u]
@@ -554,6 +587,7 @@ def canonical_form(g):
                     perm[a] = b
                 autos.append(perm)
             return
+        cell = cells[target]
         tried = 0
         for v in iter_mask(cell):
             bit = 1 << v
@@ -564,8 +598,9 @@ def canonical_form(g):
                 if bit & _orbit(tried, gens):
                     continue
             tried |= bit
-            search(cells[:i] + [bit, cell ^ bit] + cells[i + 1:], fixed + [v])
+            search(cells[:target] + [bit, cell ^ bit] + cells[target + 1:], [bit], fixed + [v])
 
-    search([g.full_mask] if g.n else [], [])
+    full = g.full_mask
+    search([full] if full else [], [full], [])
+    del search  # search refers to itself; dropping it leaves no cycle for the garbage collector
     return g.n, best
-

@@ -165,12 +165,14 @@ def check_cc_equals_n_minus_1(g, variant="strict"):
     - Condition 1 for x holds exactly when partner[x] minus {u, v} is
       nonempty, where partner[x] holds the w whose edge xw has a full row
       (see _partner_masks); its lowest vertex gives the first such edge.
-    - A qualifying pair needs a dominating triple {y, u, v}.  Three closed
-      neighborhoods cover at most 3(D + 1) vertices, D the maximum degree,
-      so when 3(D + 1) < n no pair qualifies.  This is tested before any
-      partner mask is built, in both variants.  The strict variant's
-      earlier refusal, "the CC = n check already succeeds", cannot apply
-      there: it needs a full row, of at most 2(D + 1) < n vertices.
+    - When 2(D + 1) < n, D the maximum degree, no pair qualifies.  A row
+      N[x] | N[w] holds at most 2(D + 1) < n vertices, so no row is full
+      and condition 1 never holds.  Every x outside {u, v} (n >= 3, so one
+      exists) then needs condition 2, and a connected triple puts x in
+      N(u) | N(v).  So N[u] | N[v] would cover V, which needs
+      n <= 2(D + 1).  This is tested before any partner mask is built, in
+      both variants; the strict variant's earlier refusal, "the CC = n
+      check already succeeds", needs a full row and cannot apply there.
     - {z, u, v} dominates exactly when N[z] contains every vertex missed
       by N[u] | N[v], and three vertices induce a connected graph exactly
       when two of their pairs are edges: z adjacent to u or v if uv is an
@@ -187,7 +189,7 @@ def check_cc_equals_n_minus_1(g, variant="strict"):
     top = _check_preconditions(g, "the CC = n-1 check", 3)
     n = g.n
     no = Decision(False, reason="no qualifying vertex pair (u, v)", variant=variant)
-    if 3 * (top + 1) < n:
+    if 2 * (top + 1) < n:
         return no
     strict = variant == "strict"
     closed = g.closed_masks

@@ -287,50 +287,50 @@ def run_theorem_suite(graphs, theorem_ids=None, corpus_label="custom",
     Every check is isomorphism-invariant (see TheoremCheck), so the checks
     run once per isomorphism class: the first graph of a class is checked
     through one GraphRecord, and later graphs whose canonical_form matches
-    reuse its outcomes.  That cache lives for this one call, and its memory
-    grows with the number of classes, not of corpus graphs.  Counts and
-    certificates stay per labeled graph.  millis times each check on the
-    first graph of each class, including the shared lazy values it was the
-    first to touch.
+    cost one dict lookup.  Each class keeps the number of labeled graphs seen
+    and its failing (theorem, detail) pairs; a graph of a class with failures
+    adds its graph6 certificate to each, in corpus order, and checked and
+    passed are summed at the end as count times outcome.  That dict lives for
+    this one call, and its memory grows with the number of classes, not of
+    corpus graphs.  millis times each check on the first graph of each class,
+    including the shared lazy values it was the first to touch.
     """
     ids = _resolve_ids(theorem_ids)
     checks = [THEOREMS[tid] for tid in ids]
-    stats = [{"checked": 0, "passed": 0, "counterexamples": [], "seconds": 0.0}
-             for _ in ids]
-    by_class = {}
+    seconds = [0.0] * len(ids)
+    found = [[] for _ in ids]  # each theorem's counterexamples
+    by_class = {}  # canonical form -> [labeled graphs seen, outcomes, failures]
     for g in graphs:
         if g.n > guard:
             raise GuardExceededError(
                 f"corpus graph of order {g.n} exceeds the oracle guard {guard}"
             )
         key = canonical_form(g)
-        outcomes = by_class.get(key)
-        if outcomes is None:
+        seen = by_class.get(key)
+        if seen is None:
             rec = GraphRecord(g, guard)
             outcomes = []
-            for t, s in zip(checks, stats):
+            for j, t in enumerate(checks):
                 start = time.perf_counter()
                 outcomes.append(t.check(rec) if t.applies(rec) else None)
-                s["seconds"] += time.perf_counter() - start
-            by_class[key] = outcomes
-        for outcome, s in zip(outcomes, stats):
-            if outcome is None:
-                continue
-            ok, detail = outcome
-            s["checked"] += 1
-            if ok:
-                s["passed"] += 1
-            else:
-                s["counterexamples"].append({"graph6": emit_graph6(g), "detail": dict(detail)})
+                seconds[j] += time.perf_counter() - start
+            failures = [(cex, o[1]) for cex, o in zip(found, outcomes) if o and not o[0]]
+            seen = by_class[key] = [0, outcomes, failures]
+        seen[0] += 1
+        if seen[2]:
+            graph6 = emit_graph6(g)
+            for cex, detail in seen[2]:
+                cex.append({"graph6": graph6, "detail": dict(detail)})
     theorems = []
-    for tid, t, s in zip(ids, checks, stats):
+    for j, (tid, t) in enumerate(zip(ids, checks)):
+        runs = [(count, o[0]) for count, outcomes, _ in by_class.values() if (o := outcomes[j])]
         theorems.append({
             "id": tid,
             "anchor": t.anchor,
-            "checked": s["checked"],
-            "passed": s["passed"],
-            "counterexamples": s["counterexamples"],
-            "millis": int(round(s["seconds"] * 1000)),
+            "checked": sum(count for count, _ in runs),
+            "passed": sum(count for count, ok in runs if ok),
+            "counterexamples": found[j],
+            "millis": int(round(seconds[j] * 1000)),
             "report_only": t.report_only,
         })
     return VerifyReport(corpus=corpus_label, theorems=theorems)

@@ -110,6 +110,20 @@ def ref_connected_domatic(g):
     return best, witness
 
 
+def ref_canonical_key(g):
+    """n and the least adjacency code over all n! vertex orders: equal exactly for isomorphic graphs.
+
+    The code of an order lists, pair by pair in lexicographic position
+    order, whether the two vertices at those positions are adjacent.
+    """
+    adj = ref_adjacency(g)
+    pairs = list(itertools.combinations(range(g.n), 2))
+    return g.n, min(
+        tuple((order[i], order[j]) in adj for i, j in pairs)
+        for order in itertools.permutations(range(g.n))
+    )
+
+
 def ref_closed_neighborhood(g, v):
     adj = ref_adjacency(g)
     return {v} | {w for w in range(g.n) if (v, w) in adj}

@@ -33,6 +33,8 @@ from coalitions.graphs import (
     subset_mask,
 )
 
+from reference import ref_canonical_key
+
 
 def random_graph(rng, n):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -49,6 +51,13 @@ def relabel(g, rng):
 def disjoint_copies(k, h):
     """k vertex-disjoint copies of h."""
     return Graph(k * h.n, [(u + i * h.n, v + i * h.n) for i in range(k) for u, v in h.edges])
+
+
+def complete_multipartite(*sizes):
+    """The complete multipartite graph whose parts have the given sizes, in order."""
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(part)
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]])
 
 
 class TestGraphBasics:
@@ -383,6 +392,11 @@ class TestCanonicalForm:
 
     def test_highly_symmetric_graphs(self):
         rng = random.Random(12)
+        petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                         + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                         + [(i, i + 5) for i in range(5)])
+        rook3 = Graph(9, [(u, v) for u in range(9) for v in range(u + 1, 9)
+                          if u // 3 == v // 3 or u % 3 == v % 3])
         graphs = [
             generate("complete", [12]),
             Graph(12, []),
@@ -390,10 +404,54 @@ class TestCanonicalForm:
             disjoint_copies(4, generate("complete", [3])),
             disjoint_copies(3, generate("cycle", [4])),
             generate("cycle", [12]),
+            # regular with twin classes: one individualized vertex leaves only twin cells, a leaf
+            complete_multipartite(6, 6),
+            complete_multipartite(3, 3, 3, 3),
+            # regular without twins: the root stays [V], and refinement starts from one vertex
+            petersen,
+            rook3,
+            generate("cycle", [30]),
             # 240,000 automorphisms and no twins: needs the orbit prune to finish quickly
             disjoint_copies(4, generate("cycle", [5])),
         ]
         forms = [canonical_form(g) for g in graphs]
         assert len(set(forms)) == len(graphs)
-        assert [n for n, _ in forms] == [12] * 6 + [20]
+        assert [n for n, _ in forms] == [12] * 8 + [10, 9, 30, 20]
         assert [canonical_form(relabel(g, rng)) for g in graphs] == forms
+
+    def test_agrees_with_the_reference_key_on_random_pairs(self):
+        # b has a's order and edge count; about half the b are relabeled copies of a
+        rng = random.Random(43)
+        isomorphic = 0
+        for _ in range(120):
+            n = rng.randint(1, 7)
+            a = random_graph(rng, n)
+            if rng.random() < 0.5:
+                b = relabel(a, rng)
+            else:
+                pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+                b = Graph(n, rng.sample(pairs, a.m))
+            same = ref_canonical_key(a) == ref_canonical_key(b)
+            isomorphic += same
+            assert (canonical_form(a) == canonical_form(b)) == same
+        assert 60 <= isomorphic < 120
+
+    def test_agrees_with_the_reference_key_on_twin_heavy_graphs(self):
+        rng = random.Random(44)
+        k2, k3 = generate("complete", [2]), generate("complete", [3])
+        graphs = [
+            complete_multipartite(2, 2, 2),
+            complete_multipartite(3, 3),
+            complete_multipartite(1, 5),
+            Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v != u + 3]),  # K_6 - 3K_2
+            disjoint_copies(3, k2),
+            disjoint_copies(2, k3),
+            Graph(6, [(u, v) for u in (1, 2) for v in (3, 4, 5)]),  # K_1 plus K_{2,3}
+        ]
+        graphs += [relabel(g, rng) for g in graphs]
+        keys = [ref_canonical_key(g) for g in graphs]
+        forms = [canonical_form(g) for g in graphs]
+        for i in range(len(graphs)):
+            for j in range(len(graphs)):
+                assert (forms[i] == forms[j]) == (keys[i] == keys[j])
+        assert forms[0] == forms[3]  # K_{2,2,2} is K_6 minus a perfect matching

@@ -19,6 +19,7 @@ from coalitions import (
     generate,
     is_connected,
 )
+from coalitions import matrices
 
 from conftest import connected_without_full_vertex
 from reference import ref_check_cc_equals_n, ref_check_cc_equals_n_minus_1
@@ -85,8 +86,13 @@ def max_degree(g):
     return max(m.bit_count() for m in g.nbr_masks)
 
 
+def cube():
+    # Q_3: 3-regular on 8 vertices, so 2(D + 1) = n
+    return Graph(8, [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit])
+
+
 def prism12():
-    # C_6 x K_2: 3-regular on 12 vertices, so 3(D + 1) = n
+    # C_6 x K_2, the hexagonal prism: 3-regular on 12 vertices, so 3(D + 1) = n
     return Graph(12, [(i, (i + 1) % 6) for i in range(6)]
                  + [(6 + i, 6 + (i + 1) % 6) for i in range(6)]
                  + [(i, i + 6) for i in range(6)])
@@ -262,18 +268,29 @@ class TestCheckCcEqualsNMinus1:
                 assert d.reason == "no qualifying vertex pair (u, v)"
 
     def test_matches_reference_where_the_degree_bound_answers(self):
-        # 3(D + 1) < n: no dominating triple exists, so no pair qualifies
+        # 2(D + 1) < n: no row is full, and N[u] | N[v] cannot hold every other vertex
         rng = random.Random(23)
         checked = 0
         while checked < 40:
             g = seeded_graph(rng, rng.choice(("tree", "cycle")), rng.randint(7, 16))
-            if g is None or 3 * (max_degree(g) + 1) >= g.n:
+            if g is None or 2 * (max_degree(g) + 1) >= g.n:
                 continue
             checked += 1
             for variant in ("paper", "strict"):
                 d = check_cc_equals_n_minus_1(g, variant)
                 assert d.as_dict() == ref_check_cc_equals_n_minus_1(g, variant)
                 assert d.reason == "no qualifying vertex pair (u, v)"
+
+    @pytest.mark.parametrize("g", [generate("cycle", [9]), prism12()], ids=["C9", "prism12"])
+    def test_degree_bound_refuses_before_partner_masks(self, g, monkeypatch):
+        # 2(D + 1) < n <= 3(D + 1): the triple bound lets these through, the row bound does not
+        def no_masks(*args):
+            raise AssertionError("partner masks built below the degree bound")
+
+        monkeypatch.setattr(matrices, "_partner_masks", no_masks)
+        for variant in ("paper", "strict"):
+            d = check_cc_equals_n_minus_1(g, variant)
+            assert (d.answer, d.reason) == (False, "no qualifying vertex pair (u, v)")
 
     def test_unknown_variant(self, house):
         with pytest.raises(PreconditionError, match=r"unknown variant"):
@@ -289,13 +306,14 @@ class TestCheckCcEqualsNMinus1:
 
 
 class TestDegreeBoundEdge:
-    """Graphs on the degree bounds themselves, where the scans must still run."""
+    """Graphs on the degree bound 2(D + 1) = n, where the scans must still run, and just past it."""
 
     @pytest.mark.parametrize("g", [
         generate("cycle", [6]),  # 2(D + 1) = n
-        generate("cycle", [9]),  # 3(D + 1) = n
-        prism12(),  # 3(D + 1) = n
-    ], ids=["C6", "C9", "prism12"])
+        cube(),  # 2(D + 1) = n
+        generate("cycle", [9]),  # 2(D + 1) < n = 3(D + 1)
+        prism12(),  # 2(D + 1) < n = 3(D + 1)
+    ], ids=["C6", "cube", "C9", "prism12"])
     def test_matches_both_references(self, g):
         assert check_cc_equals_n(g).as_dict() == ref_check_cc_equals_n(g)
         for variant in ("paper", "strict"):

@@ -14,6 +14,7 @@ from coalitions import (
     THEOREMS,
     corona_corpus,
     default_corpus,
+    emit_graph6,
     generate,
     is_corona_of_k1,
     is_tree,
@@ -133,6 +134,28 @@ class TestIsomorphismClassSharing:
             })
         assert any(t["counterexamples"] for t in merged)
         assert strip_millis(run_theorem_suite(default_corpus(5)))["theorems"] == merged
+
+    def test_suite_equals_a_graph_by_graph_run(self):
+        # each labeled graph n <= 5 through its own GraphRecord, no canonical form, no sharing
+        graphs = list(default_corpus(5))
+        assert len(graphs) == 1099
+        rows = [{"id": tid, "anchor": t.anchor, "checked": 0, "passed": 0,
+                 "counterexamples": [], "report_only": t.report_only}
+                for tid, t in THEOREMS.items()]
+        for g in graphs:
+            rec = GraphRecord(g)
+            for row, t in zip(rows, THEOREMS.values()):
+                if not t.applies(rec):
+                    continue
+                ok, detail = t.check(rec)
+                row["checked"] += 1
+                if ok:
+                    row["passed"] += 1
+                else:
+                    row["counterexamples"].append({"graph6": emit_graph6(g), "detail": detail})
+        assert any(row["counterexamples"] for row in rows)
+        report = run_theorem_suite(graphs, corpus_label="n <= 5")
+        assert strip_millis(report) == {"corpus": "n <= 5", "theorems": rows}
 
 
 class TestReplay:
