@@ -16,9 +16,6 @@ from .domination import (
     cds_table,
     connected_domatic_number,
     gamma_c,
-    is_connected_dominating_set,
-    is_dominating_set,
-    shrink_to_minimal_cds,
 )
 from .errors import (
     CoalitionExpansionError,
@@ -30,12 +27,10 @@ from .errors import (
 from .family import PeelTrace, in_family_f, replay_peel_trace
 from .graphs import (
     Graph,
-    build_graph,
     corona,
     emit_edgelist,
     emit_graph6,
     enumerate_labeled_graphs,
-    full_vertices,
     generate,
     is_connected,
     is_corona_of_k1,
@@ -53,12 +48,10 @@ from .matrices import (
     edge_domination_matrix,
 )
 from .oracle import (
-    CoalitionGraph,
     cc_number,
     cc_partition_search,
     coalition_graph,
     expand_domatic_to_cc_partition,
-    forms_connected_coalition,
     is_cc_partition,
 )
 from .verify import (
@@ -75,7 +68,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CoalitionExpansionError",
-    "CoalitionGraph",
     "CoalitionsError",
     "Decision",
     "EdgeDominationMatrix",
@@ -87,7 +79,6 @@ __all__ = [
     "PreconditionError",
     "THEOREMS",
     "VerifyReport",
-    "build_graph",
     "cc_number",
     "cc_partition_search",
     "cds_table",
@@ -103,16 +94,12 @@ __all__ = [
     "emit_graph6",
     "enumerate_labeled_graphs",
     "expand_domatic_to_cc_partition",
-    "forms_connected_coalition",
-    "full_vertices",
     "gamma_c",
     "generate",
     "in_family_f",
     "is_cc_partition",
     "is_connected",
-    "is_connected_dominating_set",
     "is_corona_of_k1",
-    "is_dominating_set",
     "is_tree",
     "iter_graph6_lines",
     "join",
@@ -121,6 +108,5 @@ __all__ = [
     "replay_counterexample",
     "replay_peel_trace",
     "run_theorem_suite",
-    "shrink_to_minimal_cds",
     "tree_corpus",
 ]

@@ -31,7 +31,7 @@ from .graphs import (
     iter_graph6_lines,
     parse_edgelist,
 )
-from .matrices import check_cc_equals_n, check_cc_equals_n_minus_1, edge_domination_matrix
+from .matrices import VARIANTS, check_cc_equals_n, check_cc_equals_n_minus_1, edge_domination_matrix
 from .oracle import cc_number, coalition_graph
 from .verify import default_corpus, run_theorem_suite
 
@@ -173,8 +173,7 @@ def _cmd_ccg(args):
         isinstance(p, list) and all(isinstance(v, int) for v in p) for p in raw
     ):
         raise GraphFormatError("partition file must hold an array of arrays of vertex ids")
-    cg = coalition_graph(graphs[0], [frozenset(p) for p in raw])
-    print(emit_graph6(cg.graph))
+    print(emit_graph6(coalition_graph(graphs[0], [frozenset(p) for p in raw])))
     return 0
 
 
@@ -239,7 +238,7 @@ def _build_parser():
 
     sp = sub.add_parser("check-n1", help="polynomial decider for CC = n-1")
     _add_io_flags(sp, status=True)
-    sp.add_argument("--variant", choices=("paper", "strict"), default="strict",
+    sp.add_argument("--variant", choices=VARIANTS, default="strict",
                     help="paper: the pair rule as stated; strict: adds the non-CDS pair "
                          "guard and requires the CC = n check to fail (default)")
     sp.set_defaults(func=_run_per_graph, answer=_check_n1)

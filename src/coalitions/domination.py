@@ -1,20 +1,21 @@
 """Dominating-set predicates and exact gamma_c / d_c computation at desk scale.
 
-The public predicates take frozensets.  The mask-level twins and the
-whole-subset table feed gamma_c and the partition searches here and in the
-coalition oracle; the table is the package's one exponential subset scan.
-Both searches enumerate set partitions as restricted-growth strings so
-witnesses are deterministic.
+The predicates take vertex bitmasks (subset_mask packs a vertex set).  They
+and the whole-subset table feed gamma_c and the partition searches here and
+in the coalition oracle; the table is the package's one exponential subset
+scan.  Both searches enumerate set partitions as restricted-growth strings
+so witnesses are deterministic.
 """
 
 from .errors import GuardExceededError, PreconditionError
-from .graphs import induced_component, induced_connected, is_connected, iter_mask, set_from_mask, subset_mask
+from .graphs import induced_component, induced_connected, is_connected, iter_mask, set_from_mask
 
 PARTITION_GUARD_DEFAULT = 12
 _TABLE_LIMIT = 20
 
 
 def mask_is_dominating(g, mask):
+    """True iff every vertex of g lies in mask or has a neighbor in it."""
     # reads the stored neighbor masks: g.closed_masks would build a fresh n-tuple per call
     nbr = g.nbr_masks
     cover = mask
@@ -24,24 +25,8 @@ def mask_is_dominating(g, mask):
 
 
 def mask_is_cds(g, mask):
+    """True iff the nonempty mask dominates g and induces a connected subgraph."""
     return mask != 0 and mask_is_dominating(g, mask) and induced_connected(g, mask)
-
-
-def is_dominating_set(g, s):
-    """True iff every vertex of g lies in s or has a neighbor in s.
-
-    The empty set dominates only the empty graph.
-    """
-    return mask_is_dominating(g, subset_mask(g, s))
-
-
-def is_connected_dominating_set(g, s):
-    """True iff s dominates g and induces a connected subgraph.
-
-    The empty set never qualifies; a singleton qualifies exactly when its
-    vertex is full.
-    """
-    return mask_is_cds(g, subset_mask(g, s))
 
 
 def cds_table(g):
@@ -155,24 +140,18 @@ def connected_domatic_number(g, guard=PARTITION_GUARD_DEFAULT):
     return best, best_parts
 
 
-def shrink_to_minimal_cds(g, s):
-    """Greedily shrink a connected dominating set to a minimal one.
+def shrink_to_minimal_cds(g, mask):
+    """Greedily shrink a connected dominating set mask to a minimal one.
 
-    Repeatedly removes the lowest vertex whose removal leaves a CDS, until no
-    single removal works.  Because supersets of connected dominating sets are
-    again connected dominating sets, the fixed point is minimal in the strong
+    One ascending pass removes each vertex whose removal leaves a CDS.
+    Because supersets of connected dominating sets are again connected
+    dominating sets, a vertex that cannot go cannot go later either, so no
+    single removal works on the result, and it is minimal in the strong
     sense: no proper subset is a CDS.
     """
-    mask = s if isinstance(s, int) else subset_mask(g, s)
     if not mask_is_cds(g, mask):
         raise PreconditionError("shrink_to_minimal_cds needs a connected dominating set")
-    shrunk = True
-    while shrunk:
-        shrunk = False
-        for v in iter_mask(mask):
-            cand = mask ^ (1 << v)
-            if cand and mask_is_cds(g, cand):
-                mask = cand
-                shrunk = True
-                break
-    return mask if isinstance(s, int) else set_from_mask(mask)
+    for v in iter_mask(mask):
+        if mask_is_cds(g, mask ^ (1 << v)):
+            mask ^= 1 << v
+    return mask

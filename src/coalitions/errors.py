@@ -19,7 +19,10 @@ class GuardExceededError(CoalitionsError):
     The guard exists because the exact routines enumerate vertex subsets or
     set partitions; past a dozen vertices the running time stops being a
     nuisance and becomes a mistake.  Callers that really mean it can raise
-    the guard explicitly.
+    the partition-search guard (n <= 12 by default) through the guard
+    argument, or --guard and CC_GUARD_N on the command line.  Two guards are
+    fixed: cds_table's n <= 20, which gamma_c and every search reading the
+    table share, and labeled enumeration's n <= 7.
     """
 
 

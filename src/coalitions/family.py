@@ -33,10 +33,6 @@ class PeelTrace:
     steps: tuple
     terminal: str
 
-    @property
-    def member(self):
-        return self.terminal == TERMINAL_DISCONNECTED
-
 
 def _peel_step(g, rest):
     """Classify G[rest], the graph left once every vertex outside rest is peeled.

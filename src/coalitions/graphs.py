@@ -31,12 +31,7 @@ def subset_mask(g, s, what="vertex set"):
 
 def set_from_mask(mask):
     """Unpack a bitmask into a frozenset of vertex ids."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
+    return frozenset(iter_mask(mask))
 
 
 def iter_mask(mask):
@@ -53,6 +48,8 @@ class Graph:
     Instances are immutable.  ``nbr_masks`` and ``closed_masks`` expose the
     adjacency as bitmasks for the exhaustive-search kernels.  Equality is
     vertex-by-vertex (same order, same adjacency), not isomorphism.
+    ``Graph(n, edges)`` deduplicates repeated edges; out-of-range ids and
+    self-loops raise a PreconditionError naming the offending pair.
     """
 
     __slots__ = ("n", "_nbr", "_edges")
@@ -125,15 +122,6 @@ class Graph:
         return f"Graph(n={self.n}, edges={shown}{tail})"
 
 
-def build_graph(n, edges):
-    """Build a simple graph from a vertex count and an edge list.
-
-    Duplicate edges are tolerated and deduplicated.  Out-of-range ids and
-    self-loops raise a PreconditionError naming the offending pair.
-    """
-    return Graph(n, edges)
-
-
 def induced_component(g, start_bit, within):
     """Bitmask of the component of ``start_bit`` inside the induced subgraph on ``within``."""
     nbr = g._nbr
@@ -165,15 +153,11 @@ def is_connected(g):
     return induced_connected(g, g.full_mask)
 
 
-def full_vertices(g):
-    """The set of vertices adjacent to every other vertex (degree n-1).
+def full_vertex_mask(g):
+    """Bitmask of the vertices adjacent to every other vertex (degree n-1).
 
     For n=1 the single vertex counts as full: its degree 0 equals n-1.
     """
-    return set_from_mask(full_vertex_mask(g))
-
-
-def full_vertex_mask(g):
     want = g.n - 1
     m = 0
     for v, nb in enumerate(g._nbr):
@@ -406,7 +390,7 @@ def parse_edgelist(text):
     if n is None:
         raise GraphFormatError("edge-list input contains no vertex count line")
     try:
-        return build_graph(n, edges)
+        return Graph(n, edges)
     except PreconditionError as exc:
         raise GraphFormatError(str(exc))
 

@@ -29,8 +29,6 @@ maximum partition in restricted-growth order is the one the unpruned
 enumeration finds.
 """
 
-from dataclasses import dataclass
-
 from .domination import PARTITION_GUARD_DEFAULT, cds_table, mask_is_cds, shrink_to_minimal_cds
 from .errors import CoalitionExpansionError, GuardExceededError, PreconditionError
 from .graphs import (
@@ -60,23 +58,6 @@ def _partition_masks(g, parts):
         missing = sorted(set_from_mask(g.full_mask ^ union))
         raise PreconditionError(f"partition misses vertices {missing}")
     return masks
-
-
-def forms_connected_coalition(g, a, b):
-    """True iff neither a nor b is a CDS of g but their union is.
-
-    Symmetric in its two set arguments.  Empty or overlapping sets are
-    rejected.
-    """
-    am = subset_mask(g, a, "first set")
-    bm = subset_mask(g, b, "second set")
-    if am == 0 or bm == 0:
-        raise PreconditionError("coalition sets must be nonempty")
-    if am & bm:
-        raise PreconditionError(
-            f"coalition sets overlap on {sorted(set_from_mask(am & bm))}"
-        )
-    return not mask_is_cds(g, am) and not mask_is_cds(g, bm) and mask_is_cds(g, am | bm)
 
 
 def _diagnose(g, parts):
@@ -305,23 +286,15 @@ def expand_domatic_to_cc_partition(g, parts):
     return result
 
 
-@dataclass(frozen=True)
-class CoalitionGraph:
-    """Coalition structure of a valid partition: vertex i stands for part i."""
-
-    parts: tuple
-    graph: Graph
-
-
 def coalition_graph(g, parts):
     """Graph on the parts of a valid coalition partition, with edges at coalition pairs.
 
-    Full-vertex singleton parts are CDSs, so they can never belong to a
-    coalition pair and end up isolated.
+    Vertex i stands for part i.  Full-vertex singleton parts are CDSs, so
+    they can never belong to a coalition pair and end up isolated.
     """
     valid, diagnostics, pairs = _diagnose(g, parts)
     if not valid:
         raise PreconditionError(
             f"not a valid coalition partition (diagnostics: {diagnostics})"
         )
-    return CoalitionGraph(tuple(frozenset(p) for p in parts), Graph(len(parts), pairs))
+    return Graph(len(parts), pairs)

@@ -103,7 +103,8 @@ class GraphRecord:
 
     @property
     def complete(self):
-        return self.graph.m == self.graph.n * (self.graph.n - 1) // 2
+        # complete exactly when every vertex is full, K_1 included
+        return self.fulls == self.graph.full_mask
 
     @property
     def min_degree(self):
@@ -140,7 +141,8 @@ def _t2(rec):
     return rec.cc >= 2 * dc, {"cc": rec.cc, "d_c": dc}
 
 
-def _t3(rec):
+def _cc_two(rec):
+    """t3 (trees) and t7 (coronas) both claim CC = 2."""
     return rec.cc == 2, {"cc": rec.cc}
 
 
@@ -161,10 +163,6 @@ def _t6(rec):
     ok = (paper == oracle) and not strict_violation
     return ok, {"cc": rec.cc, "paper_answer": paper, "strict_answer": strict,
                 "strict_violation": strict_violation}
-
-
-def _t7(rec):
-    return rec.cc == 2, {"cc": rec.cc}
 
 
 def _t8(rec):
@@ -200,7 +198,7 @@ THEOREMS = {
     "t3": TheoremCheck(
         "t3", "trees_cc_two",
         "trees without a full vertex have CC = 2",
-        lambda rec: rec.tree and not rec.fulls, _t3),
+        lambda rec: rec.tree and not rec.fulls, _cc_two),
     "t4": TheoremCheck(
         "t4", "pendant_lt_n",
         "connected, minimum degree 1, no full vertex: CC < n",
@@ -217,7 +215,7 @@ THEOREMS = {
     "t7": TheoremCheck(
         "t7", "corona_cc_two",
         "pendant-doubled graphs (H corona K_1) have CC = 2",
-        lambda rec: rec.corona_form, _t7),
+        lambda rec: rec.corona_form, _cc_two),
     "t8": TheoremCheck(
         "t8", "full_vertex_lower",
         "connected, outside the peel family, not complete, k >= 1 full vertices: CC >= k + 2",

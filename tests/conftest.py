@@ -3,29 +3,29 @@ import functools
 import pytest
 
 from coalitions import (
-    build_graph,
+    Graph,
     connected_domatic_number,
     enumerate_labeled_graphs,
-    full_vertices,
     generate,
 )
+from coalitions.graphs import full_vertex_mask
 
 
 @pytest.fixture
 def house():
     # C_5 plus the chord (1, 4): the classic house shape
-    return build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)])
+    return Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)])
 
 
 @pytest.fixture
 def paw():
     # triangle with a pendant hanging off vertex 0
-    return build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
+    return Graph(4, [(0, 1), (0, 2), (1, 2), (0, 3)])
 
 
 @pytest.fixture
 def two_k2():
-    return build_graph(4, [(0, 1), (2, 3)])
+    return Graph(4, [(0, 1), (2, 3)])
 
 
 def small_connected(n_max=5):
@@ -45,7 +45,7 @@ def connected_without_full_vertex():
         g
         for n in range(2, 7)
         for g in enumerate_labeled_graphs(n, connected_only=True)
-        if not full_vertices(g)
+        if not full_vertex_mask(g)
     )
 
 

@@ -18,7 +18,6 @@ import pytest
 
 from coalitions import (
     Graph,
-    build_graph,
     cc_number,
     check_cc_equals_n,
     cli,
@@ -27,23 +26,21 @@ from coalitions import (
     default_corpus,
     expand_domatic_to_cc_partition,
     emit_graph6,
-    forms_connected_coalition,
-    full_vertices,
     gamma_c,
     generate,
     in_family_f,
     is_cc_partition,
     is_connected,
-    is_dominating_set,
     parse_graph6,
     replay_counterexample,
     replay_peel_trace,
     run_theorem_suite,
     tree_corpus,
 )
-from coalitions.domination import mask_is_cds
+from coalitions.domination import mask_is_cds, mask_is_dominating
+from coalitions.graphs import full_vertex_mask
 from conftest import domatic_sweep
-from reference import ref_peel
+from reference import ref_peel, ref_valid_cc_partition
 
 # sha256 of json.dumps(theorem rows without millis, sort_keys=True) for the
 # n <= 6 report, taken when every labeled graph still ran every check itself
@@ -93,7 +90,7 @@ def random_graph(rng, n_min, n_max):
 
 
 def test_criterion_01_exact_values_each_under_a_second():
-    house = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)])
+    house = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)])
     cases = [
         ("K_1", generate("complete", [1]), 1),
         ("K_5", generate("complete", [5]), 5),
@@ -187,7 +184,7 @@ def test_criterion_07_domatic_expansion_doubles():
 
 
 def test_criterion_08_randomized_property_sweeps():
-    # coalition predicate symmetry
+    # coalition validity ignores which of two parts comes first; the rest stay singletons
     rng = random.Random(80831)
     for _ in range(10_000):
         g = random_graph(rng, 2, 7)
@@ -195,8 +192,11 @@ def test_criterion_08_randomized_property_sweeps():
         rng.shuffle(order)
         cut = rng.randint(1, g.n - 1)
         tail = rng.randint(1, g.n - cut)
-        a, b = set(order[:cut]), set(order[cut:cut + tail])
-        assert forms_connected_coalition(g, a, b) == forms_connected_coalition(g, b, a)
+        a, b = frozenset(order[:cut]), frozenset(order[cut:cut + tail])
+        rest = [frozenset((v,)) for v in order[cut + tail:]]
+        valid, _ = is_cc_partition(g, [a, b, *rest])
+        assert is_cc_partition(g, [b, a, *rest])[0] == valid
+        assert valid == ref_valid_cc_partition(g, [a, b, *rest])
 
     # graph6 round trip
     rng = random.Random(6364)
@@ -210,9 +210,8 @@ def test_criterion_08_randomized_property_sweeps():
         g = random_graph(rng, 1, 8)
         s_mask = rng.getrandbits(g.n)
         extra = rng.getrandbits(g.n)
-        s = {v for v in range(g.n) if s_mask >> v & 1}
-        if is_dominating_set(g, s):
-            assert is_dominating_set(g, s | {v for v in range(g.n) if extra >> v & 1})
+        if mask_is_dominating(g, s_mask):
+            assert mask_is_dominating(g, s_mask | extra)
         if s_mask and is_connected(g) and mask_is_cds(g, s_mask):
             assert mask_is_cds(g, s_mask | extra)
 
@@ -244,7 +243,7 @@ def test_criterion_08_randomized_property_sweeps():
         assert len(parts) == dc
         assert sorted(v for part in parts for v in part) == list(range(g.n))
         assert all(mask_is_cds(g, sum(1 << v for v in part)) for part in parts)
-        if not full_vertices(g):
+        if not full_vertex_mask(g):
             decision = check_cc_equals_n(g)
             if decision.answer:
                 closed = g.closed_masks

@@ -1,4 +1,4 @@
-"""Domination predicates, the CDS table, gamma_c, d_c, and minimal shrinking.
+"""Domination predicates on vertex masks, the CDS table, gamma_c, d_c, and minimal shrinking.
 
 The exact searches are cross-checked against the unpruned references in
 reference.py, witness-for-witness, over every connected labeled graph up to
@@ -8,7 +8,7 @@ n = 5 and seeded samples at n = 6 to 8.
 import random
 
 import pytest
-from reference import ref_connected_domatic, ref_gamma_c, ref_is_cds
+from reference import ref_connected_domatic, ref_gamma_c, ref_is_cds, ref_is_dominating
 
 from coalitions import (
     Graph,
@@ -18,11 +18,9 @@ from coalitions import (
     connected_domatic_number,
     gamma_c,
     generate,
-    is_connected_dominating_set,
-    is_dominating_set,
-    shrink_to_minimal_cds,
 )
-from coalitions.graphs import set_from_mask
+from coalitions.domination import mask_is_cds, mask_is_dominating, shrink_to_minimal_cds
+from coalitions.graphs import set_from_mask, subset_mask
 from conftest import small_connected
 
 
@@ -38,29 +36,30 @@ def random_connected(rng, n, p=0.5):
 
 class TestPredicates:
     def test_dominating_basics(self, c5, two_k2):
-        assert is_dominating_set(c5, {0, 2})
-        assert not is_dominating_set(c5, {0})
-        assert is_dominating_set(two_k2, {0, 2})
-        assert not is_dominating_set(two_k2, {0, 1})
+        assert mask_is_dominating(c5, 0b00101)
+        assert not mask_is_dominating(c5, 0b00001)
+        assert mask_is_dominating(two_k2, 0b0101)
+        assert not mask_is_dominating(two_k2, 0b0011)
 
     def test_empty_set_dominates_only_the_empty_graph(self):
-        assert is_dominating_set(Graph(0, []), frozenset())
-        assert not is_dominating_set(Graph(1, []), frozenset())
+        assert mask_is_dominating(Graph(0, []), 0)
+        assert not mask_is_dominating(Graph(1, []), 0)
 
     def test_cds_needs_both_halves(self, c6):
-        assert is_connected_dominating_set(c6, {1, 2, 3, 4})
-        assert not is_connected_dominating_set(c6, {0, 2, 4})  # dominates, disconnected
-        assert not is_connected_dominating_set(c6, {0, 1, 2})  # connected, misses 4
-        assert not is_connected_dominating_set(c6, set())
+        assert mask_is_cds(c6, 0b011110)
+        assert not mask_is_cds(c6, 0b010101)  # dominates, disconnected
+        assert not mask_is_cds(c6, 0b000111)  # connected, misses 4
+        assert not mask_is_cds(c6, 0)
 
     def test_singleton_cds_iff_full_vertex(self):
-        assert is_connected_dominating_set(generate("star", [4]), {0})
-        assert not is_connected_dominating_set(generate("star", [4]), {1})
-        assert is_connected_dominating_set(Graph(1, []), {0})
+        assert mask_is_cds(generate("star", [4]), 0b00001)
+        assert not mask_is_cds(generate("star", [4]), 0b00010)
+        assert mask_is_cds(Graph(1, []), 0b1)
 
     def test_out_of_range_vertex(self, c5):
+        # a vertex set reaches the predicates through subset_mask, which checks its ids
         with pytest.raises(PreconditionError, match=r"vertex 9"):
-            is_dominating_set(c5, {0, 9})
+            subset_mask(c5, {0, 9})
 
 
 class TestCdsTable:
@@ -75,7 +74,9 @@ class TestCdsTable:
         g = maker()
         table = cds_table(g)
         for mask in range(1 << g.n):
-            assert table[mask] == ref_is_cds(g, set_from_mask(mask))
+            s = set_from_mask(mask)
+            assert table[mask] == mask_is_cds(g, mask) == ref_is_cds(g, s)
+            assert mask_is_dominating(g, mask) == ref_is_dominating(g, s)
 
     def test_guard(self):
         with pytest.raises(GuardExceededError, match=r"n <= 20"):
@@ -143,7 +144,7 @@ class TestConnectedDomatic:
             assert len(parts) == k
             assert set().union(*parts) == set(range(g.n))
             for p in parts:
-                assert is_connected_dominating_set(g, p)
+                assert mask_is_cds(g, subset_mask(g, p))
 
     def test_matches_reference_exhaustively(self):
         for g in small_connected(5):
@@ -169,7 +170,7 @@ class TestConnectedDomatic:
         assert k == 7 and len(parts) == 7
         assert set().union(*parts) == set(range(12)) and sum(map(len, parts)) == 12
         for p in parts:
-            assert is_connected_dominating_set(g, p)
+            assert mask_is_cds(g, subset_mask(g, p))
 
     def test_guard_and_override(self):
         with pytest.raises(GuardExceededError, match=r"n <= 12"):
@@ -183,27 +184,22 @@ class TestConnectedDomatic:
 
 class TestShrinkToMinimal:
     def test_known_shrink(self, c6):
-        assert shrink_to_minimal_cds(c6, frozenset(range(6))) == frozenset({2, 3, 4, 5})
-
-    def test_accepts_masks_too(self, c6):
-        got = shrink_to_minimal_cds(c6, (1 << 6) - 1)
-        assert isinstance(got, int)
-        assert set_from_mask(got) == frozenset({2, 3, 4, 5})
+        assert shrink_to_minimal_cds(c6, 0b111111) == 0b111100
 
     def test_result_is_minimal_in_the_strong_sense(self):
         # no proper nonempty subset of the fixed point is a CDS
         import itertools
 
         for g in small_connected(5):
-            core = shrink_to_minimal_cds(g, frozenset(range(g.n)))
-            assert is_connected_dominating_set(g, core)
-            for k in range(1, len(core)):
-                for sub in itertools.combinations(sorted(core), k):
+            core = shrink_to_minimal_cds(g, g.full_mask)
+            assert mask_is_cds(g, core)
+            for k in range(1, core.bit_count()):
+                for sub in itertools.combinations(sorted(set_from_mask(core)), k):
                     assert not ref_is_cds(g, set(sub))
 
     def test_rejects_non_cds_input(self, c6):
         with pytest.raises(PreconditionError, match=r"needs a connected dominating set"):
-            shrink_to_minimal_cds(c6, {0, 1})
+            shrink_to_minimal_cds(c6, 0b000011)
 
     def test_superset_of_cds_is_cds(self):
         # the structural fact behind both the shrink and the search prune

@@ -29,7 +29,6 @@ class TestVerdictsAndTerminals:
         assert member
         assert trace.terminal == TERMINAL_DISCONNECTED
         assert trace.steps == ((1, 2),)
-        assert trace.member
 
     def test_star_and_friendship_are_members(self):
         for g in (generate("star", [5]), generate("friendship", [2]), generate("friendship", [3])):

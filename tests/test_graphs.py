@@ -10,12 +10,10 @@ from coalitions import (
     GraphFormatError,
     GuardExceededError,
     PreconditionError,
-    build_graph,
     corona,
     emit_edgelist,
     emit_graph6,
     enumerate_labeled_graphs,
-    full_vertices,
     generate,
     is_connected,
     is_corona_of_k1,
@@ -27,6 +25,7 @@ from coalitions import (
 )
 from coalitions.graphs import (
     canonical_form,
+    full_vertex_mask,
     induced_connected,
     iter_mask,
     set_from_mask,
@@ -62,7 +61,7 @@ def complete_multipartite(*sizes):
 
 class TestGraphBasics:
     def test_edges_sorted_and_deduplicated(self):
-        g = build_graph(4, [(2, 1), (0, 3), (1, 2), (3, 0), (0, 1)])
+        g = Graph(4, [(2, 1), (0, 3), (1, 2), (3, 0), (0, 1)])
         assert g.edges == ((0, 1), (0, 3), (1, 2))
         assert g.m == 3
 
@@ -82,24 +81,24 @@ class TestGraphBasics:
                     assert (nbr[u] >> v & 1) == (nbr[v] >> u & 1) == edge
 
     def test_equality_and_hash(self):
-        a = build_graph(3, [(0, 1)])
-        b = build_graph(3, [(1, 0)])
-        c = build_graph(3, [(0, 2)])
+        a = Graph(3, [(0, 1)])
+        b = Graph(3, [(1, 0)])
+        c = Graph(3, [(0, 2)])
         assert a == b and hash(a) == hash(b)
         assert a != c
         assert a != "not a graph"
 
     def test_repr_truncates_long_edge_lists(self):
-        small = build_graph(3, [(0, 1)])
+        small = Graph(3, [(0, 1)])
         assert repr(small) == "Graph(n=3, edges=[(0, 1)])"
         big = generate("complete", [7])
         assert "..." in repr(big)
 
     def test_rejects_self_loops_and_bad_ids(self):
         with pytest.raises(PreconditionError, match=r"self-loop"):
-            build_graph(3, [(1, 1)])
+            Graph(3, [(1, 1)])
         with pytest.raises(PreconditionError, match=r"out of range"):
-            build_graph(3, [(0, 3)])
+            Graph(3, [(0, 3)])
         with pytest.raises(PreconditionError):
             Graph(-1, [])
 
@@ -136,11 +135,11 @@ class TestConnectivity:
 
 class TestFullVerticesAndProducts:
     def test_full_vertices(self, c4):
-        assert full_vertices(generate("path", [3])) == frozenset({1})
-        assert full_vertices(c4) == frozenset()
-        assert full_vertices(generate("complete", [4])) == frozenset({0, 1, 2, 3})
+        assert full_vertex_mask(generate("path", [3])) == 0b010
+        assert full_vertex_mask(c4) == 0
+        assert full_vertex_mask(generate("complete", [4])) == 0b1111
         # the one vertex of K_1 is full: degree 0 equals n - 1
-        assert full_vertices(Graph(1, [])) == frozenset({0})
+        assert full_vertex_mask(Graph(1, [])) == 0b1
 
     def test_join_shapes(self):
         k1, k2 = Graph(1, []), generate("complete", [2])
@@ -356,10 +355,10 @@ class TestShapeRecognizers:
         assert not is_corona_of_k1(two_k2)
         assert not is_corona_of_k1(generate("path", [5]))  # odd order
         # right leaf count, but one support carries two pendants
-        g = build_graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (1, 5)])
+        g = Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (1, 5)])
         assert not is_corona_of_k1(g)
         # right leaf count, but two leaves support each other (isolated edge)
-        g = build_graph(6, [(0, 1), (2, 3), (2, 4), (3, 4), (2, 5)])
+        g = Graph(6, [(0, 1), (2, 3), (2, 4), (3, 4), (2, 5)])
         assert not is_corona_of_k1(g)
 
 
@@ -378,9 +377,9 @@ class TestCanonicalForm:
                 assert canonical_form(relabel(g, rng)) == canonical_form(g)
 
     def test_same_degree_sequence_pairs_differ(self):
-        prism = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+        prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
                                 (0, 3), (1, 4), (2, 5)])
-        k3_k2 = build_graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+        k3_k2 = Graph(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
         pairs = [
             (generate("cycle", [6]), disjoint_copies(2, generate("complete", [3]))),
             (generate("complete_bipartite", [3, 3]), prism),

@@ -15,11 +15,11 @@ from coalitions import (
     edge_domination_matrix,
     emit_graph6,
     enumerate_labeled_graphs,
-    full_vertices,
     generate,
     is_connected,
 )
 from coalitions import matrices
+from coalitions.graphs import full_vertex_mask
 
 from conftest import connected_without_full_vertex
 from reference import ref_check_cc_equals_n, ref_check_cc_equals_n_minus_1
@@ -57,7 +57,7 @@ def seeded_graph(rng, kind, n):
         p = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
         edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     g = Graph(n, edges)
-    return g if is_connected(g) and not full_vertices(g) else None
+    return g if is_connected(g) and not full_vertex_mask(g) else None
 
 
 def seeded_graphs(rng, count, n_min, n_max, kinds):
@@ -154,7 +154,7 @@ class TestCheckCcEqualsN:
     def test_agrees_with_oracle_on_small_graphs(self):
         for n in range(2, 6):
             for g in enumerate_labeled_graphs(n, connected_only=True):
-                if full_vertices(g):
+                if full_vertex_mask(g):
                     continue
                 d = check_cc_equals_n(g)
                 assert d.answer == (cc_number(g)[0] == g.n)
@@ -220,14 +220,14 @@ class TestCheckCcEqualsNMinus1:
         # strict answers yes exactly when the oracle finds CC = n-1
         for n in range(3, 6):
             for g in enumerate_labeled_graphs(n, connected_only=True):
-                if full_vertices(g):
+                if full_vertex_mask(g):
                     continue
                 assert check_cc_equals_n_minus_1(g, "strict").answer == (cc_number(g)[0] == g.n - 1)
 
     def test_matches_reference_exhaustive_small(self):
         for n in range(3, 6):
             for g in enumerate_labeled_graphs(n, connected_only=True):
-                if full_vertices(g):
+                if full_vertex_mask(g):
                     continue
                 for variant in ("paper", "strict"):
                     assert check_cc_equals_n_minus_1(g, variant).as_dict() == ref_check_cc_equals_n_minus_1(g, variant)
@@ -239,7 +239,7 @@ class TestCheckCcEqualsNMinus1:
             n = rng.randint(6, 12)
             p = rng.choice((0.3, 0.5, 0.7, 0.85))
             g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
-            if not is_connected(g) or full_vertices(g):
+            if not is_connected(g) or full_vertex_mask(g):
                 continue
             checked += 1
             for variant in ("paper", "strict"):
@@ -253,7 +253,7 @@ class TestCheckCcEqualsNMinus1:
             n = rng.randint(13, 30)
             p = rng.choice((0.5, 0.6, 0.7, 0.8, 0.9, 0.95))
             g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
-            if not is_connected(g) or full_vertices(g):
+            if not is_connected(g) or full_vertex_mask(g):
                 continue
             checked += 1
             for variant in ("paper", "strict"):

@@ -26,11 +26,10 @@ from coalitions import (
     emit_graph6,
     enumerate_labeled_graphs,
     expand_domatic_to_cc_partition,
-    forms_connected_coalition,
-    full_vertices,
     generate,
     is_cc_partition,
 )
+from coalitions.graphs import full_vertex_mask
 from conftest import domatic_sweep, small_connected
 
 
@@ -142,19 +141,6 @@ class TestRawSearch:
 
 
 class TestPredicatesAndDiagnostics:
-    def test_forms_connected_coalition(self, c4):
-        assert forms_connected_coalition(c4, {0}, {1})
-        assert forms_connected_coalition(c4, {1}, {0})
-        assert not forms_connected_coalition(c4, {0}, {2})  # union disconnected
-        k3 = generate("complete", [3])
-        assert not forms_connected_coalition(k3, {0}, {1})  # each is already a CDS
-
-    def test_forms_connected_coalition_rejects_bad_pairs(self, c4):
-        with pytest.raises(PreconditionError, match=r"nonempty"):
-            forms_connected_coalition(c4, set(), {1})
-        with pytest.raises(PreconditionError, match=r"overlap"):
-            forms_connected_coalition(c4, {0, 1}, {1, 2})
-
     def test_diagnostics_roles(self, c4):
         valid, roles = is_cc_partition(generate("complete", [3]), parts({0}, {1}, {2}))
         assert valid and roles == ["full-singleton"] * 3
@@ -197,7 +183,7 @@ class TestExpansion:
 
     def test_output_contract_over_small_connected_graphs(self):
         for g in small_connected(5):
-            if g.n <= 1 or full_vertices(g):
+            if g.n <= 1 or full_vertex_mask(g):
                 continue
             dc, domatic = connected_domatic_number(g)
             out = expand_domatic_to_cc_partition(g, domatic)
@@ -235,18 +221,17 @@ class TestExpansion:
 class TestCoalitionGraph:
     def test_c4_singletons_reproduce_the_cycle(self, c4):
         cg = coalition_graph(c4, parts({0}, {1}, {2}, {3}))
-        assert cg.graph.n == 4
-        assert cg.graph.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
-        assert cg.parts == (frozenset({0}), frozenset({1}), frozenset({2}), frozenset({3}))
+        assert cg.n == 4
+        assert cg.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
 
     def test_full_singletons_stay_isolated(self):
         k3 = generate("complete", [3])
         cg = coalition_graph(k3, parts({0}, {1}, {2}))
-        assert cg.graph.m == 0
+        assert cg.m == 0
 
     def test_two_part_coalition(self, p6):
         cg = coalition_graph(p6, parts({0, 1, 2, 3, 5}, {4}))
-        assert cg.graph.edges == ((0, 1),)
+        assert cg.edges == ((0, 1),)
 
     def test_rejects_invalid_partitions(self, c4):
         with pytest.raises(PreconditionError, match=r"not a valid coalition partition"):

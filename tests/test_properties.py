@@ -14,18 +14,19 @@ from coalitions import (
     check_cc_equals_n,
     emit_edgelist,
     emit_graph6,
-    forms_connected_coalition,
-    full_vertices,
     in_family_f,
     is_cc_partition,
     is_connected,
-    is_dominating_set,
     join,
     parse_edgelist,
     parse_graph6,
     replay_peel_trace,
 )
-from reference import ref_peel
+from coalitions.domination import mask_is_dominating
+from coalitions.graphs import full_vertex_mask, subset_mask
+from reference import ref_peel, ref_valid_cc_partition
+
+
 def graph_from(n, mask):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return Graph(n, [pairs[k] for k in range(len(pairs)) if mask >> k & 1])
@@ -54,9 +55,9 @@ def test_edgelist_round_trip(g):
 @given(graphs(max_n=7), st.data())
 def test_dominating_sets_are_upward_closed(g, data):
     s = data.draw(st.sets(st.integers(0, g.n - 1), min_size=0, max_size=g.n))
-    assume(is_dominating_set(g, s))
+    assume(mask_is_dominating(g, subset_mask(g, s)))
     extra = data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
-    assert is_dominating_set(g, s | extra)
+    assert mask_is_dominating(g, subset_mask(g, s | extra))
 
 
 @given(graphs(min_n=2, max_n=7), st.data())
@@ -75,7 +76,11 @@ def test_coalition_predicate_is_symmetric(g, data):
     b = data.draw(
         st.sets(st.integers(0, g.n - 1).filter(lambda v: v not in a), min_size=1)
     )
-    assert forms_connected_coalition(g, a, b) == forms_connected_coalition(g, b, a)
+    # the vertices outside a and b stay singletons
+    rest = [{v} for v in range(g.n) if v not in a and v not in b]
+    valid, _ = is_cc_partition(g, [a, b, *rest])
+    assert is_cc_partition(g, [b, a, *rest])[0] == valid
+    assert valid == ref_valid_cc_partition(g, [a, b, *rest])
 
 
 @given(graphs(max_n=7), st.randoms(use_true_random=False))
@@ -113,7 +118,7 @@ def test_cc_witness_replays(g):
 @given(graphs(min_n=2, max_n=7))
 @settings(deadline=None)
 def test_check_n_witness_edges_really_work(g):
-    assume(is_connected(g) and not full_vertices(g))
+    assume(is_connected(g) and not full_vertex_mask(g))
     d = check_cc_equals_n(g)
     if d.answer:
         closed = g.closed_masks
