@@ -1,14 +1,15 @@
 """Dominating-set predicates and exact gamma_c / d_c computation at desk scale.
 
-The predicates take vertex bitmasks (subset_mask packs a vertex set).  They
-and the whole-subset table feed gamma_c and the partition searches here and
-in the coalition oracle; the table is the package's one exponential subset
-scan.  Both searches enumerate set partitions as restricted-growth strings
-so witnesses are deterministic.
+The predicates take vertex bitmasks (subset_mask packs a vertex set).  The
+whole-subset CDS table built from them is the package's one exponential
+subset scan: gamma_c is read off it, and the partition searches here and in
+the coalition oracle decide CDS-ness only by looking masks up in it.  Both
+searches enumerate set partitions as restricted-growth strings so witnesses
+are deterministic.
 """
 
 from .errors import GuardExceededError, PreconditionError
-from .graphs import induced_component, induced_connected, is_connected, iter_mask, set_from_mask
+from .graphs import induced_connected, is_connected, iter_mask, set_from_mask
 
 PARTITION_GUARD_DEFAULT = 12
 _TABLE_LIMIT = 20
@@ -74,15 +75,16 @@ def gamma_c(g):
 def connected_domatic_number(g, guard=PARTITION_GUARD_DEFAULT):
     """Maximum number of parts in a partition of V into connected dominating sets.
 
-    Exact search over set partitions in restricted-growth order.  A branch is
-    pruned when some part, even granted every unassigned vertex, could not
-    dominate the graph or would stay disconnected, and when the remaining
-    vertices cannot supply enough gamma_c-sized parts to beat the incumbent.
-    The last bound counts a deficit: every final part is a CDS of at least
-    gamma_c vertices, so each current part that is not yet a CDS must still
-    take max(1, gamma_c - |part|) of the unassigned vertices, and only what
-    is left over can open new parts.  Returns (d_c, witness) where the
-    witness is the first maximum partition in enumeration order.
+    Exact search over set partitions in restricted-growth order.  A part can
+    end only inside its own vertices plus the unassigned ones, and a superset
+    of a CDS is a CDS, so a branch is pruned when for some part that union is
+    no CDS in the table.  It is also pruned when the unassigned vertices
+    cannot supply enough gamma_c-sized parts to beat the incumbent.  That
+    bound counts a deficit: every final part is a CDS of at least gamma_c
+    vertices, so each current part that is not yet a CDS must still take
+    max(1, gamma_c - |part|) of the unassigned vertices, and only what is
+    left over can open new parts.  Returns (d_c, witness) where the witness
+    is the first maximum partition in enumeration order.
     """
     if g.n < 1:
         raise PreconditionError("connected_domatic_number needs a graph of order >= 1")
@@ -100,42 +102,35 @@ def connected_domatic_number(g, guard=PARTITION_GUARD_DEFAULT):
     best = 0
     best_parts = None
 
-    def feasible(block, reach):
-        # block can still become a CDS using only vertices of reach (its own plus unassigned)
-        if not mask_is_dominating(g, reach):
-            return False
-        return induced_component(g, block & -block, reach) & block == block
-
-    def rec(i, blocks, assigned):
+    def rec(i, blocks):
         nonlocal best, best_parts
         b = len(blocks)
         free = n - i
+        rest = full ^ ((1 << i) - 1)
         for blk in blocks:
             if not table[blk]:
+                if not table[blk | rest]:
+                    return
                 free -= max(1, gc - blk.bit_count())
         if free < 0 or b + free // gc <= best:
             return
         if i == n:
-            # free is 0 here, so every part is already a CDS
+            # rest is empty here, so every part is already a CDS
             best = b
             best_parts = [set_from_mask(p) for p in blocks]
             return
-        rest = full ^ assigned
-        for blk in blocks:
-            if not table[blk] and not feasible(blk, blk | rest):
-                return
         bit = 1 << i
         for j in range(b):
             blocks[j] |= bit
-            rec(i + 1, blocks, assigned | bit)
+            rec(i + 1, blocks)
             blocks[j] ^= bit
             if best == cap:
                 return
         blocks.append(bit)
-        rec(i + 1, blocks, assigned | bit)
+        rec(i + 1, blocks)
         blocks.pop()
 
-    rec(1, [1], 1)
+    rec(1, [1])
     assert best >= 1 and best_parts is not None
     return best, best_parts
 

@@ -19,8 +19,8 @@ _GRAPH6_TO_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
 ENUMERATION_GUARD = 7
 
 
-def subset_mask(g, s, what="vertex set"):
-    """Pack a vertex set of g into a bitmask, rejecting ids outside 0..n-1."""
+def subset_mask(g, s, what):
+    """Pack a vertex set of g into a bitmask, rejecting ids outside 0..n-1 with ``what`` named."""
     mask = 0
     for v in s:
         if not (0 <= v < g.n):
@@ -122,11 +122,12 @@ class Graph:
         return f"Graph(n={self.n}, edges={shown}{tail})"
 
 
-def induced_component(g, start_bit, within):
-    """Bitmask of the component of ``start_bit`` inside the induced subgraph on ``within``."""
+def induced_connected(g, mask):
+    """True iff the subgraph induced on the nonempty vertex mask is connected."""
+    if mask == 0:
+        return False
     nbr = g._nbr
-    comp = start_bit
-    frontier = start_bit
+    comp = frontier = mask & -mask
     while frontier:
         reach = 0
         m = frontier
@@ -134,16 +135,9 @@ def induced_component(g, start_bit, within):
             low = m & -m
             reach |= nbr[low.bit_length() - 1]
             m ^= low
-        frontier = reach & within & ~comp
+        frontier = reach & mask & ~comp
         comp |= frontier
-    return comp
-
-
-def induced_connected(g, mask):
-    """True iff the subgraph induced on the nonempty vertex mask is connected."""
-    if mask == 0:
-        return False
-    return induced_component(g, mask & -mask, mask) == mask
+    return comp == mask
 
 
 def is_connected(g):

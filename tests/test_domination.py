@@ -59,7 +59,7 @@ class TestPredicates:
     def test_out_of_range_vertex(self, c5):
         # a vertex set reaches the predicates through subset_mask, which checks its ids
         with pytest.raises(PreconditionError, match=r"vertex 9"):
-            subset_mask(c5, {0, 9})
+            subset_mask(c5, {0, 9}, "vertex set")
 
 
 class TestCdsTable:
@@ -144,7 +144,7 @@ class TestConnectedDomatic:
             assert len(parts) == k
             assert set().union(*parts) == set(range(g.n))
             for p in parts:
-                assert mask_is_cds(g, subset_mask(g, p))
+                assert mask_is_cds(g, subset_mask(g, p, "part"))
 
     def test_matches_reference_exhaustively(self):
         for g in small_connected(5):
@@ -156,13 +156,27 @@ class TestConnectedDomatic:
             g = random_connected(rng, 6)
             assert connected_domatic_number(g) == ref_connected_domatic(g)
 
-    def test_matches_reference_on_seeded_n7_n8(self):
+    def test_matches_reference_on_seeded_n7_to_n9(self):
         rng = random.Random(708)
-        for n in (7, 8):
+        for n in (7, 8, 9):
             for p in (0.3, 0.6, 0.9):
                 for _ in range(2):
                     g = random_connected(rng, n, p)
                     assert connected_domatic_number(g) == ref_connected_domatic(g)
+
+    def test_frozen_witnesses_on_seeded_n12(self):
+        rng = random.Random(1200)
+        frozen = [
+            (0.3, 1, [range(12)]),
+            (0.3, 1, [range(12)]),
+            (0.5, 3, [{0, 1, 2, 3, 4, 7}, {5, 8, 9}, {6, 10, 11}]),
+            (0.5, 4, [{0, 1, 5}, {2, 3, 10}, {4, 6, 8}, {7, 9, 11}]),
+            (0.7, 4, [{0, 1, 3, 7}, {2, 9}, {4, 5, 10}, {6, 8, 11}]),
+            (0.7, 5, [{0, 1, 6}, {2, 9}, {3, 7, 8}, {4, 10}, {5, 11}]),
+        ]
+        for p, dc, witness in frozen:
+            g = random_connected(rng, 12, p)
+            assert connected_domatic_number(g) == (dc, [frozenset(w) for w in witness])
 
     def test_dense_n12(self):
         g = random_connected(random.Random(12), 12, 0.9)
@@ -170,7 +184,7 @@ class TestConnectedDomatic:
         assert k == 7 and len(parts) == 7
         assert set().union(*parts) == set(range(12)) and sum(map(len, parts)) == 12
         for p in parts:
-            assert mask_is_cds(g, subset_mask(g, p))
+            assert mask_is_cds(g, subset_mask(g, p, "part"))
 
     def test_guard_and_override(self):
         with pytest.raises(GuardExceededError, match=r"n <= 12"):

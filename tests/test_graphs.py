@@ -103,7 +103,7 @@ class TestGraphBasics:
             Graph(-1, [])
 
     def test_mask_helpers_round_trip(self):
-        assert subset_mask(Graph(6, []), [0, 2, 5]) == 0b100101
+        assert subset_mask(Graph(6, []), [0, 2, 5], "vertex set") == 0b100101
         assert set_from_mask(0b100101) == frozenset({0, 2, 5})
         assert list(iter_mask(0b1101)) == [0, 2, 3]
         assert set_from_mask(0) == frozenset()
@@ -118,8 +118,8 @@ class TestConnectivity:
         assert not is_connected(Graph(2, []))
 
     def test_induced_connected_on_masks(self, c6):
-        assert induced_connected(c6, subset_mask(c6, {0, 1, 2}))
-        assert not induced_connected(c6, subset_mask(c6, {0, 2, 4}))
+        assert induced_connected(c6, subset_mask(c6, {0, 1, 2}, "vertex set"))
+        assert not induced_connected(c6, subset_mask(c6, {0, 2, 4}, "vertex set"))
         assert not induced_connected(c6, 0)
 
     def test_matches_networkx_on_random_graphs(self):

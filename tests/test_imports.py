@@ -1,5 +1,6 @@
-"""Every imported name is read somewhere in the module that imports it, and
-every module-level private name in the package is read somewhere in it.
+"""Every imported name is read somewhere in the module that imports it, every
+module-level private name in the package is read somewhere in it, and every
+module-level public name is exported or read somewhere in it.
 
 The repository has no linter, so these are its unused-import and dead-helper
 checks, written with the standard library's ast module.  A package
@@ -9,6 +10,8 @@ the import check.
 
 import ast
 import pathlib
+
+import coalitions
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -54,31 +57,40 @@ def _read_names(node):
     return out
 
 
-def _defined_private(stmt):
-    """Single-underscore names a top-level statement binds."""
+def _defined_names(stmt):
+    """Non-dunder names a top-level statement binds."""
     if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
         names = [stmt.name]
     elif isinstance(stmt, ast.Assign):
         names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
     else:
         names = []
-    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+    return [name for name in names if not name.startswith("__")]
 
 
-def _unread_private_names(sources):
-    """(module, line, name) for each module-level private name no other top-level statement reads.
+def _unread_names(sources, private, exported=()):
+    """(module, line, name) for each module-level name no other top-level statement reads.
 
-    sources maps a module name to its source text.  A read inside the
-    statement that defines the name, such as a recursive call, does not count.
+    sources maps a module name to its source text.  private picks the
+    single-underscore names or the public ones; names in exported are
+    skipped.  A read inside the statement that defines the name, such as a
+    recursive call, does not count.
     """
     stmts = [(module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body]
     reads = [_read_names(stmt) for _, stmt in stmts]
     found = []
     for k, (module, stmt) in enumerate(stmts):
-        for name in _defined_private(stmt):
+        for name in _defined_names(stmt):
+            if name.startswith("_") != private or name in exported:
+                continue
             if not any(name in r for j, r in enumerate(reads) if j != k):
                 found.append((module, stmt.lineno, name))
     return found
+
+
+def _src_sources():
+    return {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
+            for path in sorted((ROOT / "src").rglob("*.py"))}
 
 
 def test_private_name_checker_on_a_tiny_package():
@@ -86,10 +98,21 @@ def test_private_name_checker_on_a_tiny_package():
         "a": "_LIMIT = 3\n_dead = 1\ndef _rec(n):\n    return _rec(n - 1)\ndef _used():\n    return _LIMIT\n",
         "b": "from .a import _used\nprint(_used())\n",
     }
-    assert _unread_private_names(sources) == [("a", 2, "_dead"), ("a", 3, "_rec")]
+    assert _unread_names(sources, private=True) == [("a", 2, "_dead"), ("a", 3, "_rec")]
 
 
 def test_every_module_level_private_name_is_read():
-    sources = {str(path.relative_to(ROOT)): path.read_text(encoding="utf-8")
-               for path in sorted((ROOT / "src").rglob("*.py"))}
-    assert _unread_private_names(sources) == []
+    assert _unread_names(_src_sources(), private=True) == []
+
+
+def test_public_name_checker_on_a_tiny_package():
+    sources = {
+        "a": "LIMIT = 3\nDEAD = 1\ndef rec(n):\n    return rec(n - 1)\ndef used():\n    return LIMIT\n"
+             "def api():\n    return 0\n",
+        "b": "from .a import used\nprint(used())\n",
+    }
+    assert _unread_names(sources, private=False, exported={"api"}) == [("a", 2, "DEAD"), ("a", 3, "rec")]
+
+
+def test_every_module_level_public_name_is_exported_or_read():
+    assert _unread_names(_src_sources(), private=False, exported=set(coalitions.__all__)) == []

@@ -245,8 +245,7 @@ class TestReferenceEnumeratorSanity:
         got = [sum(1 for _ in iter_partitions(n)) for n in range(6)]
         assert got == [1, 1, 2, 5, 15, 52]
 
-    def test_reference_validator_agrees_with_package_on_random_partitions(self):
-        rng = random.Random(31)
+    def test_validators_agree_on_every_partition_to_n4(self):
         for g in small_connected(4):
             for partition in iter_partitions(g.n):
                 valid, _ = is_cc_partition(g, partition)

@@ -55,9 +55,9 @@ def test_edgelist_round_trip(g):
 @given(graphs(max_n=7), st.data())
 def test_dominating_sets_are_upward_closed(g, data):
     s = data.draw(st.sets(st.integers(0, g.n - 1), min_size=0, max_size=g.n))
-    assume(mask_is_dominating(g, subset_mask(g, s)))
+    assume(mask_is_dominating(g, subset_mask(g, s, "vertex set")))
     extra = data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
-    assert mask_is_dominating(g, subset_mask(g, s | extra))
+    assert mask_is_dominating(g, subset_mask(g, s | extra, "vertex set"))
 
 
 @given(graphs(min_n=2, max_n=7), st.data())
@@ -115,7 +115,10 @@ def test_cc_witness_replays(g):
         assert valid
 
 
-@given(graphs(min_n=2, max_n=7))
+# every connected graph of order 2 or 3 has a full vertex, so the assume() below
+# rejects all of them, and drawing them makes Hypothesis's filter health check fail
+# at random
+@given(graphs(min_n=4, max_n=7))
 @settings(deadline=None)
 def test_check_n_witness_edges_really_work(g):
     assume(is_connected(g) and not full_vertex_mask(g))
