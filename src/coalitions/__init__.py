@@ -36,7 +36,6 @@ from .graphs import (
     is_corona_of_k1,
     is_tree,
     iter_graph6_lines,
-    join,
     parse_edgelist,
     parse_graph6,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "is_corona_of_k1",
     "is_tree",
     "iter_graph6_lines",
-    "join",
     "parse_edgelist",
     "parse_graph6",
     "replay_counterexample",

@@ -83,7 +83,10 @@ def connected_domatic_number(g, guard=PARTITION_GUARD_DEFAULT):
     bound counts a deficit: every final part is a CDS of at least gamma_c
     vertices, so each current part that is not yet a CDS must still take
     max(1, gamma_c - |part|) of the unassigned vertices, and only what is
-    left over can open new parts.  Returns (d_c, witness) where the witness
+    left over can open new parts.  The bound never exceeds n // gamma_c (each
+    of b parts plus what it still needs holds gamma_c vertices or more, so
+    b * gamma_c <= i + deficit), so it alone stops the search once the
+    incumbent reaches n // gamma_c.  Returns (d_c, witness) where the witness
     is the first maximum partition in enumeration order.
     """
     if g.n < 1:
@@ -97,7 +100,6 @@ def connected_domatic_number(g, guard=PARTITION_GUARD_DEFAULT):
     n = g.n
     table = cds_table(g)
     gc, _ = _min_cds(table)
-    cap = n // gc
     full = g.full_mask
     best = 0
     best_parts = None
@@ -124,8 +126,6 @@ def connected_domatic_number(g, guard=PARTITION_GUARD_DEFAULT):
             blocks[j] |= bit
             rec(i + 1, blocks)
             blocks[j] ^= bit
-            if best == cap:
-                return
         blocks.append(bit)
         rec(i + 1, blocks)
         blocks.pop()

@@ -160,16 +160,6 @@ def full_vertex_mask(g):
     return m
 
 
-def join(g, h):
-    """Disjoint union of g and h plus every cross edge; h's ids are shifted by g.n."""
-    gn = g.n
-    cross_g = ((1 << h.n) - 1) << gn
-    cross_h = (1 << gn) - 1
-    nbr = [m | cross_g for m in g._nbr]
-    nbr += [(m << gn) | cross_h for m in h._nbr]
-    return Graph.from_neighbor_masks(gn + h.n, nbr)
-
-
 def corona(g, h):
     """Corona product: one copy of g, g.n copies of h, vertex i joined to copy i.
 

@@ -15,14 +15,15 @@ dominated, so it attaches to the connected core).
 
 - Growth: a non-singleton part that becomes a CDS stays one in every
   completion and can never be legal.
-- Partner feasibility: with the vertices below i placed and rest the mask
-  of those not yet placed, a part p can only end as some p' within p | rest.
-  Its partner q' is either a grown current part, so within q | rest, or a
-  part still to be opened, so within rest.  Either way p' | q' lies inside
-  p | q | rest for some current part q (q = p covers the second case), and
-  a subset of a non-CDS is no CDS.  So when no such mask is a CDS, p finds
-  no partner in any completion and the branch is cut.  A full-vertex
-  singleton is exempt without a test: it is a CDS, so p | rest is one too.
+- Partner test: with the vertices below i placed and rest the mask of
+  those not yet placed, every part p needs a current part q, p itself or
+  a non-CDS, with p | q | rest a CDS.  A part p can only end as some p'
+  within p | rest.  Its partner q' is a grown current part, so within
+  q | rest, or a part still to be opened, so within rest (q = p).  Either
+  way p' | q' lies inside p | q | rest, and a subset of a non-CDS is no
+  CDS.  A current part that is a CDS is a full-vertex singleton (growth
+  forbids larger ones): it never grows and partners no part, and as its
+  own q it passes.  At a leaf rest is empty and the test is the validity rule.
 
 Both prunes cut only branches holding no valid partition, so the first
 maximum partition in restricted-growth order is the one the unpruned
@@ -105,7 +106,8 @@ def cc_partition_search(g, guard=PARTITION_GUARD_DEFAULT):
     directly on disconnected graphs to confirm the shortcut they take.
     Returns (cc, witness) where the witness is the first maximum-size valid
     partition in restricted-growth-string order, or (0, None) if no valid
-    partition exists.
+    partition exists.  The module docstring's one partner test also decides
+    validity at the leaves, and tries the all-singleton partition first.
     """
     n = g.n
     if n < 1:
@@ -113,28 +115,7 @@ def cc_partition_search(g, guard=PARTITION_GUARD_DEFAULT):
     if n > guard:
         raise GuardExceededError(f"cc partition search guarded at n <= {guard}, got n={n}")
     table = cds_table(g)
-    fulls = full_vertex_mask(g)
     full = g.full_mask
-
-    def leaf_valid(blocks):
-        if fulls:
-            cands = [p for p in blocks if p & (p - 1) or not (p & fulls)]
-        else:
-            cands = blocks
-        # every candidate part is a non-CDS here; each needs a partner
-        for p in cands:
-            for q in cands:
-                if q != p and table[p | q]:
-                    break
-            else:
-                return False
-        return True
-
-    # The all-singleton partition is the unique one with n parts; if it is
-    # valid the answer is n and nothing larger exists.
-    if leaf_valid([1 << v for v in range(n)]):
-        return n, [frozenset((v,)) for v in range(n)]
-
     best = 0
     best_blocks = None
 
@@ -143,20 +124,19 @@ def cc_partition_search(g, guard=PARTITION_GUARD_DEFAULT):
         b = len(blocks)
         if b + n - i <= best:
             return
-        if i == n:
-            if leaf_valid(blocks):
-                best = b
-                best_blocks = blocks.copy()
-            return
         rest = full ^ ((1 << i) - 1)
         for p in blocks:
             reach = p | rest
-            # partner feasibility (module docstring); q = p tests p | rest itself
+            # partner test (module docstring); at a leaf rest is 0: the validity rule
             for q in blocks:
-                if table[reach | q]:
+                if table[reach | q] and (q == p or not table[q]):
                     break
             else:
                 return
+        if i == n:
+            best = b
+            best_blocks = blocks.copy()
+            return
         bit = 1 << i
         for j in range(b):
             grown = blocks[j] | bit
@@ -169,6 +149,9 @@ def cc_partition_search(g, guard=PARTITION_GUARD_DEFAULT):
         rec(i + 1, blocks)
         blocks.pop()
 
+    # The all-singleton partition is the only one with n parts; when it is
+    # valid, best = n and the bound stops the full search at its root.
+    rec(n, [1 << v for v in range(n)])
     rec(1, [1])
     if best == 0:
         return 0, None

@@ -34,6 +34,13 @@ def small_connected(n_max=5):
         yield from enumerate_labeled_graphs(n, connected_only=True)
 
 
+def cone(g, t=1):
+    """g with t new vertices 0..t-1, each adjacent to every other vertex; g's ids shift up by t."""
+    n = g.n + t
+    return Graph(n, [(u, v) for u in range(t) for v in range(u + 1, n)]
+                 + [(u + t, v + t) for u, v in g.edges])
+
+
 @functools.cache
 def connected_without_full_vertex():
     """Every connected labeled graph 2 <= n <= 6 with no full vertex, in enumeration order.

@@ -11,7 +11,6 @@ from coalitions import (
     enumerate_labeled_graphs,
     generate,
     in_family_f,
-    join,
     replay_peel_trace,
 )
 from coalitions.family import (
@@ -20,6 +19,7 @@ from coalitions.family import (
     TERMINAL_NO_FULL,
     PeelTrace,
 )
+from conftest import cone
 from reference import ref_peel
 
 
@@ -56,14 +56,14 @@ class TestVerdictsAndTerminals:
 
     def test_wheel_is_not_a_member(self, c4):
         # peeling the hub leaves C_4: connected, no fulls
-        wheel = join(Graph(1, []), c4)
+        wheel = cone(c4)
         member, trace = in_family_f(wheel)
         assert not member
         assert trace.terminal == TERMINAL_NO_FULL
         assert trace.steps == ((0, 4),)
 
     def test_cone_over_disconnected_is_a_member(self, two_k2):
-        member, _ = in_family_f(join(Graph(1, []), two_k2))
+        member, _ = in_family_f(cone(two_k2))
         assert member
 
     def test_rejects_empty_graph(self):

@@ -19,7 +19,6 @@ from coalitions import (
     is_corona_of_k1,
     is_tree,
     iter_graph6_lines,
-    join,
     parse_edgelist,
     parse_graph6,
 )
@@ -140,21 +139,6 @@ class TestFullVerticesAndProducts:
         assert full_vertex_mask(generate("complete", [4])) == 0b1111
         # the one vertex of K_1 is full: degree 0 equals n - 1
         assert full_vertex_mask(Graph(1, [])) == 0b1
-
-    def test_join_shapes(self):
-        k1, k2 = Graph(1, []), generate("complete", [2])
-        assert join(k2, k1) == generate("complete", [3])
-        # joining two edgeless pairs gives a 4-cycle in disguise
-        g = join(Graph(2, []), Graph(2, []))
-        assert g.edges == ((0, 2), (0, 3), (1, 2), (1, 3))
-        assert is_connected(g) and g.degree(0) == 2
-
-    def test_join_edge_count(self):
-        rng = random.Random(5)
-        for _ in range(20):
-            g = random_graph(rng, rng.randint(1, 6))
-            h = random_graph(rng, rng.randint(1, 6))
-            assert join(g, h).m == g.m + h.m + g.n * h.n
 
     def test_corona_layout_is_deterministic(self):
         g = corona(generate("cycle", [3]), Graph(1, []))

@@ -105,6 +105,31 @@ class TestAgainstReference:
                           if a in full or b in full or rng.random() < p])
             assert cc_partition_search(g) == ref_cc(g)
 
+    def test_outputs_pinned_over_n6_and_seeded_n7_to_n10(self):
+        # Digests of cc_partition_search's (value, witness) over all 32,768
+        # labeled graphs with n = 6, and over 120 seeded graphs n = 7-10 with
+        # 0-2 full vertices, taken before the search's partner tests were
+        # merged into one.
+        def rows(graphs):
+            out = []
+            for g in graphs:
+                cc, witness = cc_partition_search(g)
+                out.append([cc, None if witness is None else [sorted(p) for p in witness]])
+            return hashlib.sha256(json.dumps(out).encode()).hexdigest()
+
+        def seeded():
+            rng = random.Random(710)
+            for i in range(120):
+                n = 7 + i % 4
+                p = rng.choice((0.3, 0.5, 0.7))
+                full = set(rng.sample(range(n), i % 3))
+                yield Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                                if a in full or b in full or rng.random() < p])
+
+        assert rows(enumerate_labeled_graphs(6)) == (
+            "67191c67adcc00c008b0e6df1743a11689833bca851177c9166abbc12b7fd421")
+        assert rows(seeded()) == "e2467fc379437b167493452a49275e9fdb440625f907d139077f2f9a26a840a5"
+
     def test_witnesses_validate(self):
         for g in small_connected(5):
             cc, witness = cc_number(g)
@@ -131,9 +156,8 @@ class TestRawSearch:
         # the guard comes before the disconnected shortcut, so this is refused, not answered 0
         with pytest.raises(GuardExceededError):
             cc_number(Graph(13, []))
-        # an explicit override runs; complete graphs take the singleton fast path
-        cc, witness = cc_number(k13, guard=13)
-        assert cc == 13 and len(witness) == 13
+        # an explicit override runs; the all-singleton partition is tried first
+        assert cc_number(k13, guard=13) == (13, [{v} for v in range(13)])
 
     def test_rejects_empty_graph(self):
         with pytest.raises(PreconditionError):

@@ -1,9 +1,13 @@
 """Property-based tests over randomly drawn graphs.
 
-Each strategy draws an order and an adjacency bitmask, so shrinking moves
-toward small sparse graphs.  The acceptance suite runs larger seeded sweeps
-of the same properties; these stay quick and run on every test invocation.
+graphs() draws an order and an adjacency bitmask, so shrinking moves toward
+small sparse graphs; connected_graphs_without_full_vertex() builds its graphs
+from a spanning tree, so it filters out no draw.  The acceptance suite runs
+larger seeded sweeps of the same properties; these stay quick and run on
+every test invocation.
 """
+
+import itertools
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -14,16 +18,17 @@ from coalitions import (
     check_cc_equals_n,
     emit_edgelist,
     emit_graph6,
+    enumerate_labeled_graphs,
     in_family_f,
     is_cc_partition,
     is_connected,
-    join,
     parse_edgelist,
     parse_graph6,
     replay_peel_trace,
 )
 from coalitions.domination import mask_is_dominating
 from coalitions.graphs import full_vertex_mask, subset_mask
+from conftest import cone
 from reference import ref_peel, ref_valid_cc_partition
 
 
@@ -96,11 +101,11 @@ def test_peel_choice_does_not_change_the_verdict(g, rng):
 def test_joining_full_vertices_preserves_family_status(g, t):
     # joining K_t onto g adds t full vertices that peel straight back off
     assume(g.n >= 2)
-    cone = join(g, graph_from(t, (1 << (t * (t - 1) // 2)) - 1))
+    coned = cone(g, t)
     if not is_connected(g) and g.n >= 2:
-        assert in_family_f(cone)[0]
+        assert in_family_f(coned)[0]
     else:
-        assert in_family_f(cone)[0] == in_family_f(g)[0]
+        assert in_family_f(coned)[0] == in_family_f(g)[0]
 
 
 @given(graphs(max_n=7))
@@ -115,13 +120,56 @@ def test_cc_witness_replays(g):
         assert valid
 
 
-# every connected graph of order 2 or 3 has a full vertex, so the assume() below
-# rejects all of them, and drawing them makes Hypothesis's filter health check fail
-# at random
-@given(graphs(min_n=4, max_n=7))
+def without_full_vertex(n, parent, extra, perm):
+    """A connected graph on n >= 4 vertices with no full vertex, for any inputs.
+
+    Vertex v >= 1 hangs off parent[v - 1] < v, so the tree edges connect the
+    graph.  A star tree has its last vertex rehung onto the lowest other
+    leaf, which leaves no vertex full in the tree; bit k of extra adds the
+    k-th remaining pair, and each vertex the extra edges make full loses
+    its lowest extra edge.  perm relabels.  Every connected graph with no
+    full vertex arises: label it in breadth-first order and take that tree.
+    """
+    parent = [None, *parent]
+    degree = [0] * n
+    for v in range(1, n):
+        degree[v] += 1
+        degree[parent[v]] += 1
+    if max(degree) == n - 1:
+        center = degree.index(n - 1)
+        parent[n - 1] = min(u for u in range(n - 1) if u != center)
+    tree = {(parent[v], v) for v in range(1, n)}
+    others = [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) not in tree]
+    edges = tree | {others[k] for k in range(len(others)) if extra >> k & 1}
+    for v in range(n):
+        incident = [e for e in edges if v in e]
+        if len(incident) == n - 1:
+            edges.remove(min(e for e in incident if e not in tree))
+    return Graph(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+@st.composite
+def connected_graphs_without_full_vertex(draw):
+    n = draw(st.integers(4, 7))
+    parent = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    extra = draw(st.integers(0, (1 << (n * (n - 1) // 2 - (n - 1))) - 1))
+    return without_full_vertex(n, parent, extra, draw(st.permutations(range(n))))
+
+
+def test_without_full_vertex_reaches_exactly_the_connected_graphs_without_one_at_n4():
+    n = 4
+    built = {without_full_vertex(n, parent, extra, perm)
+             for parent in itertools.product(*(range(v) for v in range(1, n)))
+             for extra in range(1 << 3)
+             for perm in itertools.permutations(range(n))}
+    assert built == {g for g in enumerate_labeled_graphs(n, connected_only=True)
+                     if not full_vertex_mask(g)}
+
+
+@given(connected_graphs_without_full_vertex())
 @settings(deadline=None)
 def test_check_n_witness_edges_really_work(g):
-    assume(is_connected(g) and not full_vertex_mask(g))
+    assert is_connected(g) and not full_vertex_mask(g)
     d = check_cc_equals_n(g)
     if d.answer:
         closed = g.closed_masks
