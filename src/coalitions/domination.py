@@ -1,11 +1,14 @@
 """Dominating-set predicates and exact gamma_c / d_c computation at desk scale.
 
-The predicates take vertex bitmasks (subset_mask packs a vertex set).  The
-whole-subset CDS table built from them is the package's one exponential
-subset scan: gamma_c is read off it, and the partition searches here and in
-the coalition oracle decide CDS-ness only by looking masks up in it.  Both
-searches enumerate set partitions as restricted-growth strings so witnesses
-are deterministic.
+The predicates take vertex bitmasks (subset_mask packs a vertex set) and
+decide one mask at a time; they remain the validators of witnesses and the
+test of the minimal shrink.  The whole-subset CDS table is the package's one
+exponential subset scan, and it shares no code with them: cds_table builds
+it bit-parallel, as one int of 2^n bits updated by a few shifts and masks
+per vertex.  gamma_c is read off the table, and the partition searches here
+and in the coalition oracle decide CDS-ness only by looking masks up in it.
+Both searches enumerate set partitions as restricted-growth strings so
+witnesses are deterministic.
 """
 
 from .errors import GuardExceededError, PreconditionError
@@ -13,6 +16,7 @@ from .graphs import induced_connected, is_connected, iter_mask, set_from_mask
 
 PARTITION_GUARD_DEFAULT = 12
 _TABLE_LIMIT = 20
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # the digits of a bit string as bool bytes
 
 
 def mask_is_dominating(g, mask):
@@ -34,22 +38,54 @@ def cds_table(g):
     """Boolean table over all 2^n vertex masks: table[mask] iff the mask is a CDS.
 
     Bulk precomputation for the partition searches; guarded because the table
-    has 2^n entries.
+    has 2^n entries.  It is built as one int of 2^n bits, bit m for mask m,
+    by a few shifts, ANDs and ORs of such ints per vertex:
+
+    - avoiding(S), the masks that miss S, comes from z = 1 by doubling,
+      z |= z << 2^i for each vertex i outside S.  A mask dominates exactly
+      when it misses no closed neighborhood N[v].
+    - The connected masks start as the n singletons.  A sweep adds vertex v
+      to every connected mask that misses v and holds a neighbor of v, for
+      each v in turn; the direction alternates, and a sweep that adds
+      nothing ends the build.  A connected set of two or more vertices has a
+      vertex whose removal leaves it connected (a leaf of a spanning tree),
+      and that vertex has a neighbor in the rest.  So the connected sets are
+      exactly the closure of the singletons under adding an adjacent vertex.
+      After s sweeps every connected set of at most s + 1 vertices is in,
+      so sweep n adds nothing: at most n sweeps.
+
+    The CDS bits are the connected ones that dominate.  They are unpacked
+    into a list of bools, the container the searches index fastest.
     """
     n = g.n
     if n > _TABLE_LIMIT:
         raise GuardExceededError(f"cds_table supports n <= {_TABLE_LIMIT}, got {n}")
-    closed = g.closed_masks
-    full = g.full_mask
-    size = 1 << n
-    table = [False] * size
-    cover = [0] * size
-    for mask in range(1, size):
-        low = mask & -mask
-        cover[mask] = cover[mask ^ low] | closed[low.bit_length() - 1]
-        if cover[mask] == full:
-            table[mask] = induced_connected(g, mask)
-    return table
+
+    def avoiding(s):
+        z = 1
+        for i in range(n):
+            if not s >> i & 1:
+                z |= z << (1 << i)
+        return z
+
+    without = [avoiding(1 << v) for v in range(n)]  # the masks that miss v
+    undominated = 0
+    grow = []  # grow[v]: the masks that hold v and a neighbor of v
+    for v, nbr in enumerate(g.nbr_masks):
+        lonely = avoiding(nbr)  # the masks that hold no neighbor of v
+        undominated |= lonely & without[v]  # the masks that miss N[v]
+        grow.append(without[v] << (1 << v) & ~lonely)
+    conn = sum(1 << (1 << v) for v in range(n))
+    order = list(range(n))
+    while True:
+        before = conn
+        for v in order:
+            conn |= (conn & without[v]) << (1 << v) & grow[v]
+        if conn == before:
+            break
+        order.reverse()
+    bits = format(conn & ~undominated, "b").zfill(1 << n)[::-1].encode().translate(_BIT_BYTES)
+    return memoryview(bits).cast("?").tolist()
 
 
 def _min_cds(table):

@@ -130,15 +130,16 @@ def check_cc_equals_n(g):
     row sums to n.  The witness maps each vertex to the lowest such edge in
     sorted order; a no carries the first vertex with no qualifying edge.
 
-    The row of an edge xw is N[x] | N[w], which holds at most 2(D + 1)
-    vertices, D the maximum degree.  So when 2(D + 1) < n no row is full,
-    and vertex 0 is the first refusal; that answer needs no partner mask.
-    Otherwise the partner masks are built in vertex order and the scan
-    stops at the first vertex without one.
+    The row of an edge xw is N[x] | N[w].  Each closed neighborhood holds at
+    most D + 1 vertices, D the maximum degree, and x and w lie in both, so
+    the row holds at most 2D.  So when 2D < n no row is full, and vertex 0
+    is the first refusal; that answer needs no partner mask.  Otherwise the
+    partner masks are built in vertex order and the scan stops at the first
+    vertex without one.
     """
     top = _check_preconditions(g, "the CC = n check", 2)
     n = g.n
-    if 2 * (top + 1) < n:
+    if 2 * top < n:
         return Decision(False, reason=f"vertex 0 has no incident edge whose row sums to {n}")
     witness = {}
     for x, partners in enumerate(_partner_masks(g, g.closed_masks)):
@@ -165,14 +166,17 @@ def check_cc_equals_n_minus_1(g, variant="strict"):
     - Condition 1 for x holds exactly when partner[x] minus {u, v} is
       nonempty, where partner[x] holds the w whose edge xw has a full row
       (see _partner_masks); its lowest vertex gives the first such edge.
-    - When 2(D + 1) < n, D the maximum degree, no pair qualifies.  A row
-      N[x] | N[w] holds at most 2(D + 1) < n vertices, so no row is full
-      and condition 1 never holds.  Every x outside {u, v} (n >= 3, so one
-      exists) then needs condition 2, and a connected triple puts x in
-      N(u) | N(v).  So N[u] | N[v] would cover V, which needs
-      n <= 2(D + 1).  This is tested before any partner mask is built, in
-      both variants; the strict variant's earlier refusal, "the CC = n
-      check already succeeds", needs a full row and cannot apply there.
+    - When 2D < n, D the maximum degree, no pair qualifies.  A row
+      N[x] | N[w] holds at most 2D < n vertices (x and w lie in both
+      closed neighborhoods), so no row is full and condition 1 never
+      holds.  Every x outside {u, v} (n >= 3, so one exists) then needs
+      condition 2.  If uv is an edge, the triple is connected only when x
+      lies in N(u) | N(v), so the row of uv would cover V.  If uv is no
+      edge, every such x is adjacent to both u and v, so D >= n - 2, and
+      2(n - 2) < n forces n = 3, where x would be full.  This is tested
+      before any partner mask is built, in both variants; the strict
+      variant's earlier refusal, "the CC = n check already succeeds",
+      needs a full row and cannot apply there.
     - {z, u, v} dominates exactly when N[z] contains every vertex missed
       by N[u] | N[v], and three vertices induce a connected graph exactly
       when two of their pairs are edges: z adjacent to u or v if uv is an
@@ -189,7 +193,7 @@ def check_cc_equals_n_minus_1(g, variant="strict"):
     top = _check_preconditions(g, "the CC = n-1 check", 3)
     n = g.n
     no = Decision(False, reason="no qualifying vertex pair (u, v)", variant=variant)
-    if 2 * (top + 1) < n:
+    if 2 * top < n:
         return no
     strict = variant == "strict"
     closed = g.closed_masks

@@ -20,6 +20,7 @@ from coalitions import (
     Graph,
     cc_number,
     check_cc_equals_n,
+    check_cc_equals_n_minus_1,
     cli,
     connected_domatic_number,
     corona_corpus,
@@ -170,6 +171,21 @@ def test_criterion_06_cc_equals_n_minus_1_report_and_certificates(full_suite):
         assert replayed["applicable"]
         assert replayed["ok"] is False
         assert replayed["detail"] == ce["detail"]
+    # README's split of the paper rule's wrong answers: each is a false yes,
+    # either on a graph with CC = n or with a witness pair that is already a CDS
+    cc_n = pair_is_cds = 0
+    for ce in row["counterexamples"]:
+        detail = ce["detail"]
+        assert detail["paper_answer"] and not detail["strict_answer"]
+        g = parse_graph6(ce["graph6"])
+        if detail["cc"] == g.n:
+            cc_n += 1
+            continue
+        assert detail["cc"] < g.n - 1
+        witness = check_cc_equals_n_minus_1(g, "paper").witness
+        assert mask_is_cds(g, 1 << witness["u"] | 1 << witness["v"])
+        pair_is_cds += 1
+    assert (len(row["counterexamples"]), cc_n, pair_is_cds) == (13640, 1208, 12432)
 
 
 def test_criterion_07_domatic_expansion_doubles():
@@ -257,7 +273,7 @@ def check_n_scaling(sizes, repeats):
 
     Report only: the returned dict states whether the fitted slope stays at
     or below degree 4 (with slack for timer noise), but nothing here gates
-    on it.  On a cycle with n > 6, 2(D + 1) < n, so the decider answers no
+    on it.  On a cycle with n > 4, 2D < n, so the decider answers no
     from the degree bound without computing any edge row; its cost is the
     preconditions, a connectivity search and one pass over the degrees.
     """

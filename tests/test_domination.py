@@ -5,6 +5,7 @@ reference.py, witness-for-witness, over every connected labeled graph up to
 n = 5 and seeded samples at n = 6 to 8.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from coalitions import (
     PreconditionError,
     cds_table,
     connected_domatic_number,
+    enumerate_labeled_graphs,
     gamma_c,
     generate,
 )
@@ -32,6 +34,24 @@ def random_connected(rng, n, p=0.5):
         g = Graph(n, [e for e in pairs if rng.random() < p])
         if is_connected(g):
             return g
+
+
+def seeded_table_graphs():
+    """Three seeded G(n, p) graphs for each n = 6..14, disconnected ones included."""
+    rng = random.Random(1614)
+    return [
+        Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        for n in range(6, 15)
+        for p in (0.2, 0.5, 0.8)
+    ]
+
+
+def table_digest(graphs):
+    """sha256 over the graphs' CDS tables, each written as a line of 0/1 characters by mask."""
+    h = hashlib.sha256()
+    for g in graphs:
+        h.update("".join("01"[ok] for ok in cds_table(g)).encode() + b"\n")
+    return h.hexdigest()
 
 
 class TestPredicates:
@@ -78,6 +98,26 @@ class TestCdsTable:
             assert table[mask] == mask_is_cds(g, mask) == ref_is_cds(g, s)
             assert mask_is_dominating(g, mask) == ref_is_dominating(g, s)
 
+    def test_agrees_with_both_predicates_on_every_labeled_graph_n_le_5(self):
+        # the table is built without the predicates, so this is a cross-check
+        for n in range(1, 6):
+            for g in enumerate_labeled_graphs(n):
+                table = cds_table(g)
+                assert len(table) == 1 << n
+                for mask in range(1 << n):
+                    assert table[mask] == mask_is_cds(g, mask) == ref_is_cds(g, set_from_mask(mask))
+
+    # taken with the mask-by-mask build (a cover array and a BFS per dominating mask)
+    @pytest.mark.parametrize("graphs,digest", [
+        (seeded_table_graphs, "2a93418095df4aa3eccca696a0f0f09266b6ae1c3bf480fea2dc110afd913e6a"),
+        (lambda: [generate("cycle", [20]), generate("path", [20]), generate("star", [19])],
+         "d119ea5b23a0d23a8fc184cb507d33577e24a1c8bbc4a7e43a319b1f5d905364"),
+        # the digest of the one line "0": the empty graph's table is [False]
+        (lambda: [Graph(0, [])], "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+    ], ids=["seeded_n6_to_14", "C20_P20_K1_19", "empty"])
+    def test_tables_pinned(self, graphs, digest):
+        assert table_digest(graphs()) == digest
+
     def test_guard(self):
         with pytest.raises(GuardExceededError, match=r"n <= 20"):
             cds_table(Graph(21, []))
@@ -109,6 +149,14 @@ class TestGammaC:
                 for _ in range(5):
                     g = random_connected(rng, n, p)
                     assert gamma_c(g) == ref_gamma_c(g)
+
+    @pytest.mark.parametrize("maker,size,witness", [
+        (lambda: generate("cycle", [20]), 18, range(18)),
+        (lambda: generate("path", [20]), 18, range(1, 19)),
+        (lambda: generate("star", [19]), 1, {0}),
+    ], ids=["C20", "P20", "K1_19"])
+    def test_frozen_values_at_the_limit(self, maker, size, witness):
+        assert gamma_c(maker()) == (size, frozenset(witness))
 
     def test_refuses_more_than_20_vertices(self):
         # gamma_c reads the 2^n CDS table, so it shares the table's guard

@@ -87,7 +87,7 @@ def max_degree(g):
 
 
 def cube():
-    # Q_3: 3-regular on 8 vertices, so 2(D + 1) = n
+    # Q_3: 3-regular on 8 vertices, so 2D < n = 2(D + 1)
     return Graph(8, [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit])
 
 
@@ -161,12 +161,12 @@ class TestCheckCcEqualsN:
                 assert d.as_dict() == ref_check_cc_equals_n(g)  # witness and reason too
 
     def test_matches_reference_where_the_degree_bound_answers(self):
-        # 2(D + 1) < n: no row can be full, so vertex 0 is the first refusal
+        # 2D < n: no row can be full, so vertex 0 is the first refusal
         rng = random.Random(17)
         checked = 0
         while checked < 200:
             g = seeded_graph(rng, rng.choice(("tree", "cycle")), rng.randint(7, 40))
-            if g is None or 2 * (max_degree(g) + 1) >= g.n:
+            if g is None or 2 * max_degree(g) >= g.n:
                 continue
             checked += 1
             d = check_cc_equals_n(g)
@@ -268,12 +268,12 @@ class TestCheckCcEqualsNMinus1:
                 assert d.reason == "no qualifying vertex pair (u, v)"
 
     def test_matches_reference_where_the_degree_bound_answers(self):
-        # 2(D + 1) < n: no row is full, and N[u] | N[v] cannot hold every other vertex
+        # 2D < n: no row is full, and N[u] | N[v] cannot hold every other vertex
         rng = random.Random(23)
         checked = 0
         while checked < 40:
             g = seeded_graph(rng, rng.choice(("tree", "cycle")), rng.randint(7, 16))
-            if g is None or 2 * (max_degree(g) + 1) >= g.n:
+            if g is None or 2 * max_degree(g) >= g.n:
                 continue
             checked += 1
             for variant in ("paper", "strict"):
@@ -281,13 +281,16 @@ class TestCheckCcEqualsNMinus1:
                 assert d.as_dict() == ref_check_cc_equals_n_minus_1(g, variant)
                 assert d.reason == "no qualifying vertex pair (u, v)"
 
-    @pytest.mark.parametrize("g", [generate("cycle", [9]), prism12()], ids=["C9", "prism12"])
+    @pytest.mark.parametrize("g", [generate("cycle", [9]), prism12(), generate("cycle", [6]), cube()],
+                             ids=["C9", "prism12", "C6", "cube"])
     def test_degree_bound_refuses_before_partner_masks(self, g, monkeypatch):
-        # 2(D + 1) < n <= 3(D + 1): the triple bound lets these through, the row bound does not
+        # 2D < n: C9 and prism12 lie below the bound 2(D + 1) too, C6 and the cube only below 2D
         def no_masks(*args):
             raise AssertionError("partner masks built below the degree bound")
 
         monkeypatch.setattr(matrices, "_partner_masks", no_masks)
+        d = check_cc_equals_n(g)
+        assert (d.answer, d.reason) == (False, f"vertex 0 has no incident edge whose row sums to {g.n}")
         for variant in ("paper", "strict"):
             d = check_cc_equals_n_minus_1(g, variant)
             assert (d.answer, d.reason) == (False, "no qualifying vertex pair (u, v)")
@@ -306,18 +309,30 @@ class TestCheckCcEqualsNMinus1:
 
 
 class TestDegreeBoundEdge:
-    """Graphs on the degree bound 2(D + 1) = n, where the scans must still run, and just past it."""
+    """Graphs on the degree bound 2D = n, where the scans must still run, and just past it."""
 
     @pytest.mark.parametrize("g", [
-        generate("cycle", [6]),  # 2(D + 1) = n
-        cube(),  # 2(D + 1) = n
+        generate("cycle", [4]),  # 2D = n
+        generate("complete_bipartite", [3, 3]),  # 2D = n
+        generate("cycle", [6]),  # 2D < n = 2(D + 1)
+        cube(),  # 2D < n = 2(D + 1)
         generate("cycle", [9]),  # 2(D + 1) < n = 3(D + 1)
         prism12(),  # 2(D + 1) < n = 3(D + 1)
-    ], ids=["C6", "cube", "C9", "prism12"])
+    ], ids=["C4", "K3_3", "C6", "cube", "C9", "prism12"])
     def test_matches_both_references(self, g):
         assert check_cc_equals_n(g).as_dict() == ref_check_cc_equals_n(g)
         for variant in ("paper", "strict"):
             assert check_cc_equals_n_minus_1(g, variant).as_dict() == ref_check_cc_equals_n_minus_1(g, variant)
+
+    def test_band_between_the_two_bounds_says_no(self):
+        # 2D < n <= 2(D + 1): two closed neighborhoods could hold n vertices, but no edge row can
+        band = [g for g in connected_without_full_vertex() if 2 * max_degree(g) < g.n <= 2 * max_degree(g) + 2]
+        assert len(band) == 492
+        for g in band:
+            assert cc_number(g)[0] < g.n - 1
+            assert not check_cc_equals_n(g).answer
+            for variant in ("paper", "strict"):
+                assert not check_cc_equals_n_minus_1(g, variant).answer
 
 
 class TestDecisionSerialization:
