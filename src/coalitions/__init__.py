@@ -56,11 +56,9 @@ from .oracle import (
 from .verify import (
     THEOREMS,
     VerifyReport,
-    corona_corpus,
     default_corpus,
     replay_counterexample,
     run_theorem_suite,
-    tree_corpus,
 )
 
 __version__ = "0.1.0"
@@ -86,7 +84,6 @@ __all__ = [
     "coalition_graph",
     "connected_domatic_number",
     "corona",
-    "corona_corpus",
     "default_corpus",
     "edge_domination_matrix",
     "emit_edgelist",
@@ -106,5 +103,4 @@ __all__ = [
     "replay_counterexample",
     "replay_peel_trace",
     "run_theorem_suite",
-    "tree_corpus",
 ]

@@ -170,7 +170,7 @@ def _cmd_ccg(args):
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"partition file is not valid JSON: {exc}")
     if not isinstance(raw, list) or not all(
-        isinstance(p, list) and all(isinstance(v, int) for v in p) for p in raw
+        isinstance(p, list) and all(type(v) is int for v in p) for p in raw
     ):
         raise GraphFormatError("partition file must hold an array of arrays of vertex ids")
     print(emit_graph6(coalition_graph(graphs[0], [frozenset(p) for p in raw])))

@@ -11,6 +11,8 @@ Both searches enumerate set partitions as restricted-growth strings so
 witnesses are deterministic.
 """
 
+import itertools
+
 from .errors import GuardExceededError, PreconditionError
 from .graphs import induced_connected, is_connected, iter_mask, set_from_mask
 
@@ -90,7 +92,9 @@ def cds_table(g):
 
 def _min_cds(table):
     """(size, mask) of the least mask of least size that the table marks as a CDS."""
-    return min((mask.bit_count(), mask) for mask, ok in enumerate(table) if ok)
+    # masks come in ascending order and min keeps the first of equal keys
+    mask = min(itertools.compress(range(len(table)), table), key=int.bit_count)
+    return mask.bit_count(), mask
 
 
 def gamma_c(g):

@@ -83,7 +83,7 @@ def replay_peel_trace(g, trace):
     rest = g.full_mask
     for v, remaining in trace.steps:
         terminal, fulls = _peel_step(g, rest)
-        if terminal or not (isinstance(v, int) and v >= 0 and fulls >> v & 1):
+        if terminal or not (type(v) is int and v >= 0 and fulls >> v & 1):
             return False
         rest ^= 1 << v
         if rest.bit_count() != remaining:

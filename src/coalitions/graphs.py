@@ -332,11 +332,12 @@ def parse_graph6(text):
 def iter_graph6_lines(lines):
     """Parse the graph on each of an iterable of graph6 lines, skipping blanks and '>' headers.
 
-    An open text file is such an iterable, so a file streams one line at a
-    time; for a string in memory pass text.splitlines().
+    A ">>graph6<<" header may share its line with the first graph, as nauty
+    writes it.  An open text file is such an iterable, so a file streams one
+    line at a time; for a string in memory pass text.splitlines().
     """
     for line in lines:
-        stripped = line.strip()
+        stripped = line.strip().removeprefix(">>graph6<<")
         if not stripped or stripped.startswith(">"):
             continue
         yield parse_graph6(stripped)

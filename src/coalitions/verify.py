@@ -9,8 +9,6 @@ the oracle and is report-only: its counterexamples are measurements, not
 failures of this package.
 """
 
-import heapq
-import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -20,9 +18,7 @@ from .domination import PARTITION_GUARD_DEFAULT, connected_domatic_number
 from .errors import GuardExceededError, PreconditionError
 from .family import in_family_f
 from .graphs import (
-    Graph,
     canonical_form,
-    corona,
     emit_graph6,
     enumerate_labeled_graphs,
     full_vertex_mask,
@@ -353,44 +349,3 @@ def default_corpus(n_max=6, connected_only=False):
     """All labeled graphs of order 1..n_max, enumeration order, optionally connected only."""
     for n in range(1, n_max + 1):
         yield from enumerate_labeled_graphs(n, connected_only)
-
-
-def tree_from_prufer(seq, n):
-    """Decode a Prufer sequence over 0..n-1 into its labeled tree (n >= 2)."""
-    if n < 2:
-        raise PreconditionError("Prufer decoding needs n >= 2")
-    if len(seq) != n - 2:
-        raise PreconditionError(f"Prufer sequence for n={n} must have length {n - 2}")
-    degree = [1] * n
-    for s in seq:
-        degree[s] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for s in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, s), max(leaf, s)))
-        degree[s] -= 1
-        if degree[s] == 1:
-            heapq.heappush(leaves, s)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
-    return Graph(n, edges)
-
-
-def tree_corpus(n_max=7):
-    """Every labeled tree of order 1..n_max (n^(n-2) trees for each n >= 2)."""
-    if n_max >= 1:
-        yield Graph(1, [])
-    for n in range(2, n_max + 1):
-        for seq in itertools.product(range(n), repeat=n - 2):
-            yield tree_from_prufer(seq, n)
-
-
-def corona_corpus(h_order_max=5):
-    """corona(H, K_1) for every connected labeled H of order 1..h_order_max."""
-    k1 = Graph(1, [])
-    for n in range(1, h_order_max + 1):
-        for h in enumerate_labeled_graphs(n, connected_only=True):
-            yield corona(h, k1)

@@ -6,6 +6,7 @@ from coalitions import (
     Graph,
     connected_domatic_number,
     enumerate_labeled_graphs,
+    expand_domatic_to_cc_partition,
     generate,
 )
 from coalitions.graphs import full_vertex_mask
@@ -58,12 +59,17 @@ def connected_without_full_vertex():
 
 @functools.cache
 def domatic_sweep():
-    """(g, d_c, witness) for every graph of connected_without_full_vertex().
+    """(g, d_c, witness, expansion) for every graph of connected_without_full_vertex().
 
-    The expansion criterion and the pinned expansion digest both need
-    connected_domatic_number over the whole set; this computes it once.
+    The expansion is expand_domatic_to_cc_partition of the witness.  The
+    expansion criterion and the pinned expansion digest both need the
+    witness and its expansion over the whole set; this computes them once.
     """
-    return tuple((g, *connected_domatic_number(g)) for g in connected_without_full_vertex())
+    rows = []
+    for g in connected_without_full_vertex():
+        dc, witness = connected_domatic_number(g)
+        rows.append((g, dc, witness, expand_domatic_to_cc_partition(g, witness)))
+    return tuple(rows)
 
 
 @pytest.fixture

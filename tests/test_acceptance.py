@@ -14,6 +14,7 @@ import math
 import random
 import time
 
+import networkx as nx
 import pytest
 
 from coalitions import (
@@ -23,9 +24,8 @@ from coalitions import (
     check_cc_equals_n_minus_1,
     cli,
     connected_domatic_number,
-    corona_corpus,
+    corona,
     default_corpus,
-    expand_domatic_to_cc_partition,
     emit_graph6,
     gamma_c,
     generate,
@@ -36,10 +36,9 @@ from coalitions import (
     replay_counterexample,
     replay_peel_trace,
     run_theorem_suite,
-    tree_corpus,
 )
 from coalitions.domination import mask_is_cds, mask_is_dominating
-from coalitions.graphs import full_vertex_mask
+from coalitions.graphs import canonical_form, full_vertex_mask
 from conftest import domatic_sweep
 from reference import ref_peel, ref_valid_cc_partition
 
@@ -71,15 +70,36 @@ def full_suite():
     return report, time.perf_counter() - start
 
 
+def from_networkx(h):
+    """h as a Graph, its nodes relabelled onto 0..n-1 in node order."""
+    index = {v: i for i, v in enumerate(h)}
+    return Graph(len(index), [(index[u], index[v]) for u, v in h.edges])
+
+
+def tree_classes(n_max):
+    """One tree per isomorphism class of order 1..n_max, from networkx's own
+    generator, which shares no code with the canonical form that
+    run_theorem_suite groups by."""
+    return [from_networkx(t) for n in range(1, n_max + 1) for t in nx.nonisomorphic_trees(n)]
+
+
+def corona_classes(h_order_max):
+    """corona(H, K_1) for one H per class of connected graphs of order 1..h_order_max."""
+    hosts = [h for h in nx.graph_atlas_g() if 1 <= len(h) <= h_order_max and nx.is_connected(h)]
+    return [corona(from_networkx(h), Graph(1, [])) for h in hosts]
+
+
 @pytest.fixture(scope="module")
 def tree_suite():
-    return run_theorem_suite(tree_corpus(7), ["t3"], corpus_label="labeled trees n <= 7")
+    trees = tree_classes(10)
+    return trees, run_theorem_suite(trees, ["t3"], corpus_label="tree classes n <= 10")
 
 
 @pytest.fixture(scope="module")
 def corona_suite():
-    return run_theorem_suite(
-        corona_corpus(5), ["t7"], corpus_label="H corona K_1, connected H, |H| <= 5"
+    coronas = corona_classes(6)
+    return coronas, run_theorem_suite(
+        coronas, ["t7"], corpus_label="H corona K_1, connected H classes, |H| <= 6"
     )
 
 
@@ -146,11 +166,19 @@ def test_criterion_05_bound_theorems_trees_and_coronas(full_suite, tree_suite, c
         row = theorem_row(report, tid)
         assert row["checked"] == expected_checked
         assert row["counterexamples"] == [], f"{tid} found counterexamples"
-    t3 = theorem_row(tree_suite, "t3")
-    assert t3["checked"] == 18222  # trees n <= 7 minus those with a full vertex
+    trees, report = tree_suite
+    assert [sum(g.n == n for g in trees) for n in range(1, 11)] == [
+        1, 1, 1, 2, 3, 6, 11, 23, 47, 106]  # OEIS A000055
+    assert len({canonical_form(g) for g in trees}) == 201
+    t3 = theorem_row(report, "t3")
+    assert t3["checked"] == 191  # every class but the ten stars K_{1,n-1}
     assert t3["counterexamples"] == []
-    t7 = theorem_row(corona_suite, "t7")
-    assert t7["checked"] == 772  # one corona per connected labeled H, |H| <= 5
+    coronas, report = corona_suite
+    assert [sum(g.n == 2 * h for g in coronas) for h in range(1, 7)] == [
+        1, 1, 2, 6, 21, 112]  # OEIS A001349
+    assert len({canonical_form(g) for g in coronas}) == 143
+    t7 = theorem_row(report, "t7")
+    assert t7["checked"] == 143
     assert t7["counterexamples"] == []  # the check is literally cc == 2
 
 
@@ -190,8 +218,7 @@ def test_criterion_06_cc_equals_n_minus_1_report_and_certificates(full_suite):
 
 def test_criterion_07_domatic_expansion_doubles():
     checked = 0
-    for g, dc, parts in domatic_sweep():
-        expanded = expand_domatic_to_cc_partition(g, parts)
+    for g, dc, _, expanded in domatic_sweep():
         valid, _ = is_cc_partition(g, expanded)
         assert valid, f"invalid expansion on {emit_graph6(g)}"
         assert len(expanded) >= 2 * dc, f"too few parts on {emit_graph6(g)}"

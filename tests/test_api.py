@@ -30,7 +30,6 @@ PUBLIC_NAMES = [
     "coalition_graph",
     "connected_domatic_number",
     "corona",
-    "corona_corpus",
     "default_corpus",
     "edge_domination_matrix",
     "emit_edgelist",
@@ -50,7 +49,6 @@ PUBLIC_NAMES = [
     "replay_counterexample",
     "replay_peel_trace",
     "run_theorem_suite",
-    "tree_corpus",
 ]
 
 

@@ -262,6 +262,9 @@ class TestCoronaAndCcg:
         part.write_text('{"a": [0]}')
         code, _, err = run(["ccg", "-", "--partition", str(part)], stdin="Cl\n")
         assert code == 3 and "array of arrays" in err
+        part.write_text("[[true, 0], [2], [3]]")  # a boolean is no vertex id
+        code, _, err = run(["ccg", "-", "--partition", str(part)], stdin="Cl\n")
+        assert code == 3 and "array of arrays of vertex ids" in err
 
     def test_ccg_wants_exactly_one_graph(self, run, tmp_path):
         part = tmp_path / "partition.json"
@@ -285,6 +288,10 @@ class TestInputHandling:
     def test_empty_graph6_input_exits_3(self, run):
         code, _, err = run(["cc", "-"], stdin="\n")
         assert code == 3 and "no graphs" in err
+
+    def test_graph_on_the_header_line_is_read(self, run):
+        code, out, _ = run(["cc", "-"], stdin=">>graph6<<Cl\nCl\n")
+        assert code == 0 and out == "cc=4 witness=[[0], [1], [2], [3]]\n" * 2
 
     def test_malformed_graph6_exits_3(self, run):
         code, _, err = run(["cc", "-"], stdin="EhE\n")

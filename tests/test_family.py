@@ -118,6 +118,12 @@ class TestReplay:
         forged = PeelTrace(((1, trace.steps[0][1]),), trace.terminal)  # a leaf, not the hub
         assert not replay_peel_trace(g, forged)
 
+    def test_vertex_that_is_no_int_fails(self):
+        # P_3 (graph6 Bg) peels its centre 1; 1.0 and True equal 1 but are no vertex ids
+        g = generate("path", [3])
+        for v in (1.0, True):
+            assert not replay_peel_trace(g, PeelTrace(((v, 2),), TERMINAL_DISCONNECTED))
+
     def test_wrong_remaining_order_fails(self):
         g = generate("path", [3])
         forged = PeelTrace(((1, 5),), TERMINAL_DISCONNECTED)

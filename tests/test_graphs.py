@@ -256,6 +256,11 @@ class TestGraph6:
         graphs = list(iter_graph6_lines(text.splitlines()))
         assert [g.n for g in graphs] == [6, 4]
 
+    def test_iter_graph6_lines_reads_a_graph_on_the_header_line(self):
+        # nauty writes the header and the first graph on one line
+        graphs = list(iter_graph6_lines([">>graph6<<Cl", ">>sparse6<<", "EhEG"]))
+        assert [g.n for g in graphs] == [4, 6]
+
 
 class TestEdgeList:
     def test_round_trip(self, p6):

@@ -222,10 +222,10 @@ class TestExpansion:
         rows = [
             [
                 emit_graph6(g),
-                [sorted(p) for p in expand_domatic_to_cc_partition(g, domatic)],
+                [sorted(p) for p in expanded],
                 [sorted(p) for p in expand_domatic_to_cc_partition(g, parts(range(g.n)))],
             ]
-            for g, _, domatic in domatic_sweep()
+            for g, _, _, expanded in domatic_sweep()
         ]
         assert len(rows) == 21872
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()

@@ -1,10 +1,8 @@
 """Theorem suite runner, reports, replay, corpora, and the scaling report."""
 
-import itertools
 import json
 import random
 
-import networkx as nx
 import pytest
 
 from coalitions import (
@@ -12,7 +10,6 @@ from coalitions import (
     GuardExceededError,
     PreconditionError,
     THEOREMS,
-    corona_corpus,
     default_corpus,
     emit_graph6,
     generate,
@@ -20,10 +17,10 @@ from coalitions import (
     is_tree,
     replay_counterexample,
     run_theorem_suite,
-    tree_corpus,
 )
-from coalitions.verify import GraphRecord, tree_from_prufer
-from test_acceptance import check_n_scaling, theorem_row
+from coalitions.graphs import canonical_form
+from coalitions.verify import GraphRecord
+from test_acceptance import check_n_scaling, corona_classes, theorem_row, tree_classes
 
 
 def strip_millis(report):
@@ -183,37 +180,17 @@ class TestCorpora:
         assert sum(1 for _ in default_corpus(4, connected_only=True)) == 44
 
     def test_tree_corpus_counts_and_contents(self):
-        trees = list(tree_corpus(5))
-        # 1 + 1 + 3 + 16 + 125 labeled trees
-        assert len(trees) == 146
-        assert len(set(trees)) == 146
+        trees = tree_classes(5)
+        assert sorted(t.n for t in trees) == [1, 2, 3, 4, 4, 5, 5, 5]  # OEIS A000055
+        assert len({canonical_form(t) for t in trees}) == 8
         assert all(is_tree(t) for t in trees)
 
     def test_corona_corpus(self):
-        graphs = list(corona_corpus(3))
-        assert len(graphs) == 6  # one per connected labeled host with n <= 3
+        graphs = corona_classes(3)
+        assert len(graphs) == 4  # one per connected host class with n <= 3
         assert all(is_corona_of_k1(g) for g in graphs)
-        assert sorted(g.n for g in graphs) == [2, 4, 6, 6, 6, 6]
-
-    def test_prufer_matches_networkx(self):
-        rng = random.Random(12)
-        for n in range(3, 9):
-            for _ in range(30):
-                seq = [rng.randrange(n) for _ in range(n - 2)]
-                ours = tree_from_prufer(seq, n)
-                theirs = nx.from_prufer_sequence(seq)
-                assert set(ours.edges) == {tuple(sorted(e)) for e in theirs.edges}
-
-    def test_prufer_covers_all_labeled_trees(self):
-        n = 4
-        trees = {tree_from_prufer(seq, n) for seq in itertools.product(range(n), repeat=n - 2)}
-        assert len(trees) == 16
-
-    def test_prufer_validation(self):
-        with pytest.raises(PreconditionError, match=r"length"):
-            tree_from_prufer([0], 4)
-        with pytest.raises(PreconditionError, match=r"n >= 2"):
-            tree_from_prufer([], 1)
+        assert sorted(g.n for g in graphs) == [2, 4, 6, 6]
+        assert len({canonical_form(g) for g in graphs}) == 4
 
 
 class TestGraphRecord:
