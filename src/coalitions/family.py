@@ -2,19 +2,20 @@
 
 The family is built bottom-up from all disconnected graphs of order at least
 two by repeatedly joining one new universal vertex.  Membership is decided
-top-down by peeling full vertices.  The peel choice cannot change the verdict
-because any two full vertices have the same closed neighborhood (all of V),
-so swapping them is an automorphism; the lowest id is peeled for determinism
-and the tests compare other choices through a reference peel.
-
-Both the decision and the replay walk a mask ``rest`` of the vertices not yet
-peeled, over the original graph, so vertex ids never need relabeling.
+top-down by peeling full vertices, over a mask rest of the vertices not yet
+peeled.  A peel never creates a full vertex: if every vertex outside rest is
+full in G and x in rest is adjacent to all of rest, then the peeled vertices
+are adjacent to x too, so x is full in G.  So in any peel order the full
+vertices of G[rest] are F & rest, with F those of G, and the peel removes
+exactly F (all but the last vertex on K_n) before one classification of
+what is left: G is a member exactly when G is not complete and G - F is
+disconnected.  The trace peels F lowest id first.
 """
 
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .graphs import induced_connected, iter_mask
+from .graphs import full_vertex_mask, induced_connected, iter_mask
 
 TERMINAL_DISCONNECTED = "disconnected_ge2"
 TERMINAL_NO_FULL = "connected_no_full"
@@ -34,60 +35,57 @@ class PeelTrace:
     terminal: str
 
 
-def _peel_step(g, rest):
-    """Classify G[rest], the graph left once every vertex outside rest is peeled.
+def _terminal(g, rest, fulls):
+    """The state that ends the peel at the nonempty G[rest], or None while it goes on.
 
-    Returns (terminal, 0) when the peel ends at G[rest], else (None, fulls)
-    with fulls the nonempty mask of vertices of rest adjacent to every other
-    vertex of rest.  The empty mask counts as disconnected, as in is_connected.
+    fulls is full_vertex_mask(g) and holds every vertex outside rest, so by
+    the lemma the peel goes on while rest holds a full vertex and another.
     """
+    if rest & fulls and rest & (rest - 1):
+        return None
     if not induced_connected(g, rest):
-        return TERMINAL_DISCONNECTED, 0
-    if rest & (rest - 1) == 0:
-        return TERMINAL_K1, 0
-    nbr = g.nbr_masks
-    fulls = 0
-    for v in iter_mask(rest):
-        if nbr[v] & rest == rest ^ (1 << v):
-            fulls |= 1 << v
-    return (None, fulls) if fulls else (TERMINAL_NO_FULL, 0)
+        return TERMINAL_DISCONNECTED
+    return TERMINAL_NO_FULL if rest & (rest - 1) else TERMINAL_K1
 
 
 def in_family_f(g):
     """Decide membership in the peel family, returning (member, trace).
 
-    Repeatedly removes the lowest full vertex.  Reaching a disconnected graph
-    of order >= 2 proves membership; running out of full vertices while still
-    connected, or peeling all the way down to a single vertex, disproves it
-    (the one-vertex graph is not a member: its coalition number is 1).
+    Peels the full vertices in ascending order, stopping at a single vertex
+    on K_n.  Reaching a disconnected graph of order >= 2 proves membership;
+    a connected graph without full vertices, or a single vertex, disproves
+    it (the one-vertex graph is not a member: its coalition number is 1).
     """
     if g.n < 1:
         raise PreconditionError("family membership needs a graph of order >= 1")
-    rest = g.full_mask
-    steps = []
-    while True:
-        terminal, fulls = _peel_step(g, rest)
-        if terminal:
-            return terminal == TERMINAL_DISCONNECTED, PeelTrace(tuple(steps), terminal)
-        low = fulls & -fulls
-        rest ^= low
-        steps.append((low.bit_length() - 1, rest.bit_count()))
+    fulls = full_vertex_mask(g)
+    # zip stops after n - 1 peels, which keeps the last vertex of K_n
+    steps = tuple(zip(iter_mask(fulls), range(g.n - 1, 0, -1)))
+    rest = g.full_mask ^ fulls or 1 << (g.n - 1)
+    terminal = _terminal(g, rest, fulls)
+    return terminal == TERMINAL_DISCONNECTED, PeelTrace(steps, terminal)
 
 
 def replay_peel_trace(g, trace):
     """Re-run a peel trace against g, checking every step.
 
-    Returns True when each recorded vertex was full at its step, the
-    remaining orders match, and the terminal state is reproduced.
+    Returns True when each step is a pair of ints, each recorded vertex was
+    full at its step (in any order), the remaining orders match, and the
+    terminal state is reproduced.
     """
+    if not isinstance(trace.steps, (tuple, list)):
+        return False
+    fulls = full_vertex_mask(g)
     rest = g.full_mask
-    for v, remaining in trace.steps:
-        terminal, fulls = _peel_step(g, rest)
-        if terminal or not (type(v) is int and v >= 0 and fulls >> v & 1):
+    for step in trace.steps:
+        if not (isinstance(step, (tuple, list)) and len(step) == 2 and all(type(x) is int for x in step)):
+            return False
+        v, remaining = step
+        if _terminal(g, rest, fulls) or not (v >= 0 and (fulls & rest) >> v & 1):
             return False
         rest ^= 1 << v
         if rest.bit_count() != remaining:
             return False
-    terminal, _ = _peel_step(g, rest)
+    terminal = _terminal(g, rest, fulls)
     # a None terminal means the trace stopped while a full vertex was still available
     return terminal is not None and terminal == trace.terminal

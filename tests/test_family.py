@@ -1,6 +1,7 @@
 """Peel-family membership, trace replay, and equivalence with CC = 0."""
 
 import random
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from coalitions import (
     enumerate_labeled_graphs,
     generate,
     in_family_f,
+    parse_graph6,
     replay_peel_trace,
 )
 from coalitions.family import (
@@ -124,6 +126,23 @@ class TestReplay:
         for v in (1.0, True):
             assert not replay_peel_trace(g, PeelTrace(((v, 2),), TERMINAL_DISCONNECTED))
 
+    def test_count_that_is_no_int_fails(self):
+        # K_2 (A_) peels 0 leaving 1 vertex, P_3 (Bg) peels 1 leaving 2; True and 1.0 equal 1
+        k2, p3 = parse_graph6("A_"), parse_graph6("Bg")
+        for count in (True, 1.0):
+            assert not replay_peel_trace(k2, PeelTrace(((0, count),), TERMINAL_K1))
+        assert not replay_peel_trace(p3, PeelTrace(((1, 2.0),), TERMINAL_DISCONNECTED))
+
+    def test_malformed_steps_fail(self):
+        p3 = parse_graph6("Bg")
+        for steps in (((1,),), ((1, 2, 3),), None, 5, ({1, 2},)):
+            assert not replay_peel_trace(p3, PeelTrace(steps, TERMINAL_DISCONNECTED))
+
+    def test_list_steps_replay(self):
+        # a trace rebuilt from `family-f --json` holds lists
+        p3 = parse_graph6("Bg")
+        assert replay_peel_trace(p3, PeelTrace([[1, 2]], TERMINAL_DISCONNECTED))
+
     def test_wrong_remaining_order_fails(self):
         g = generate("path", [3])
         forged = PeelTrace(((1, 5),), TERMINAL_DISCONNECTED)
@@ -145,3 +164,38 @@ class TestReplay:
             for g in enumerate_labeled_graphs(n):
                 _, trace = in_family_f(g)
                 assert replay_peel_trace(g, trace)
+
+    def test_reference_traces_replay_in_any_order(self):
+        # the replay accepts every peel order, not only the lowest-first one in_family_f writes
+        for n in range(1, 7):
+            for g in enumerate_labeled_graphs(n):
+                for pick in (min, max):
+                    _, steps, terminal = ref_peel(g, pick)
+                    assert replay_peel_trace(g, PeelTrace(steps, terminal))
+
+
+def dense_graph(n, gap):
+    """K_n with the edges among its last gap vertices removed, built from neighbour masks."""
+    everyone = (1 << n) - 1
+    low = everyone ^ ((1 << gap) - 1) << (n - gap)
+    return Graph.from_neighbor_masks(n, [everyone ^ (1 << v) if v < n - gap else low for v in range(n)])
+
+
+class TestLargePeels:
+    """The peel reads the full vertices once, so n = 2000 takes milliseconds."""
+
+    @pytest.mark.parametrize(
+        "gap, member, steps, terminal",
+        [(0, False, 1999, TERMINAL_K1), (2, True, 1998, TERMINAL_DISCONNECTED)],
+        ids=["K2000", "K1998_join_2K1"],
+    )
+    def test_n_2000(self, gap, member, steps, terminal):
+        g = dense_graph(2000, gap)
+        start = time.perf_counter()
+        got, trace = in_family_f(g)
+        decided = time.perf_counter()
+        assert replay_peel_trace(g, trace)
+        replayed = time.perf_counter()
+        assert (got, len(trace.steps), trace.terminal) == (member, steps, terminal)
+        assert trace.steps[:2] == ((0, 1999), (1, 1998)) and trace.steps[-1] == (steps - 1, 2000 - steps)
+        assert decided - start < 0.25 and replayed - decided < 0.25

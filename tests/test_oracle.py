@@ -163,6 +163,20 @@ class TestRawSearch:
         with pytest.raises(PreconditionError):
             cc_number(Graph(0, []))
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (cc_partition_search, "cc search needs a graph of order >= 1"),
+            (lambda g: is_cc_partition(g, []), "partitions are only defined for graphs of order >= 1"),
+            (connected_domatic_number, "connected_domatic_number needs a graph of order >= 1"),
+        ],
+        ids=["cc_partition_search", "is_cc_partition", "connected_domatic_number"],
+    )
+    def test_order_zero_is_refused(self, call, message):
+        # cc_number and the CLI refuse n = 0 before reaching these, so only a direct call runs them
+        with pytest.raises(PreconditionError, match=message):
+            call(Graph(0, []))
+
 
 class TestPredicatesAndDiagnostics:
     def test_diagnostics_roles(self, c4):
