@@ -43,19 +43,24 @@ def _open_input(path):
     return open(path, encoding="utf-8")
 
 
+def _nonempty(graphs):
+    """Yield the graphs, then refuse an input that held none."""
+    g = None
+    for g in graphs:
+        yield g
+    if g is None:
+        raise GraphFormatError("input contains no graphs")
+
+
 def _load_graphs(path, fmt):
     """Yield the input graphs as they parse; graph6 unless the extension or --format says edge list."""
     if fmt is None:
         fmt = "edgelist" if path.endswith((".el", ".edgelist")) else "g6"
-    g = None
     with _open_input(path) as fh:
         if fmt == "edgelist":
             yield parse_edgelist(fh.read())
-            return
-        for g in iter_graph6_lines(fh):
-            yield g
-    if g is None:
-        raise GraphFormatError("input contains no graphs")
+        else:
+            yield from _nonempty(iter_graph6_lines(fh))
 
 
 def _resolve_guard(args):
@@ -187,15 +192,11 @@ def _cmd_verify(args):
     guard = _resolve_guard(args)
     ids = args.theorems.split(",") if args.theorems else None
     if args.corpus:
-        with _open_input(args.corpus) as fh:
-            report = run_theorem_suite(iter_graph6_lines(fh), ids,
-                                       corpus_label=f"graph6 file {args.corpus}", guard=guard)
+        graphs, label = _load_graphs(args.corpus, "g6"), f"graph6 file {args.corpus}"
     else:
-        label = f"labeled graphs n <= {args.n_max}"
-        if args.connected_only:
-            label += ", connected only"
-        report = run_theorem_suite(default_corpus(args.n_max, args.connected_only), ids,
-                                   corpus_label=label, guard=guard)
+        graphs = _nonempty(default_corpus(args.n_max, args.connected_only))
+        label = f"labeled graphs n <= {args.n_max}" + (", connected only" if args.connected_only else "")
+    report = run_theorem_suite(graphs, ids, corpus_label=label, guard=guard)
     print(report.summary_text())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -8,7 +8,7 @@ a partition can have, or 0 when none exists.
 
 The exact search enumerates set partitions as restricted-growth strings and
 returns the first maximum-size valid partition in that order, so witnesses
-are reproducible.  Its two structural prunes rest on a small fact used
+are reproducible.  Its three structural prunes rest on a small fact used
 throughout this module: any superset of a connected dominating set is again
 a connected dominating set (domination is monotone, and an added vertex is
 dominated, so it attaches to the connected core).
@@ -24,10 +24,17 @@ dominated, so it attaches to the connected core).
   CDS.  A current part that is a CDS is a full-vertex singleton (growth
   forbids larger ones): it never grows and partners no part, and as its
   own q it passes.  At a leaf rest is empty and the test is the validity rule.
+- New part: with b <= best parts open, a completion can only beat the
+  incumbent by opening a part N within rest.  N is a CDS, and then so is
+  rest, or N has a non-CDS partner M with N | M a CDS: M opens later
+  (N | M within rest) or grows from a current non-CDS part q (a CDS part
+  partners nothing), with N | M within q | rest.  So a node where neither
+  rest nor such a q | rest is a CDS is cut: the partner test for an empty
+  part, whose reach is rest.  No leaf meets it, as the bound returns there.
 
-Both prunes cut only branches holding no valid partition, so the first
-maximum partition in restricted-growth order is the one the unpruned
-enumeration finds.
+Like the bound b + n - i <= best, all three cut only branches with no
+valid partition of more than best parts, so the search returns the first
+maximum partition in restricted-growth order of the unpruned enumeration.
 """
 
 from .domination import PARTITION_GUARD_DEFAULT, cds_table, mask_is_cds, shrink_to_minimal_cds
@@ -125,6 +132,13 @@ def cc_partition_search(g, guard=PARTITION_GUARD_DEFAULT):
         if b + n - i <= best:
             return
         rest = full ^ ((1 << i) - 1)
+        # new-part test (module docstring): with b <= best a part must still open
+        if b <= best and not table[rest]:
+            for q in blocks:
+                if table[rest | q] and not table[q]:
+                    break
+            else:
+                return
         for p in blocks:
             reach = p | rest
             # partner test (module docstring); at a leaf rest is 0: the validity rule

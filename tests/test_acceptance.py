@@ -91,8 +91,8 @@ def corona_classes(h_order_max):
 
 @pytest.fixture(scope="module")
 def tree_suite():
-    trees = tree_classes(10)
-    return trees, run_theorem_suite(trees, ["t3"], corpus_label="tree classes n <= 10")
+    trees = tree_classes(12)
+    return trees, run_theorem_suite(trees, ["t3"], corpus_label="tree classes n <= 12")
 
 
 @pytest.fixture(scope="module")
@@ -167,11 +167,11 @@ def test_criterion_05_bound_theorems_trees_and_coronas(full_suite, tree_suite, c
         assert row["checked"] == expected_checked
         assert row["counterexamples"] == [], f"{tid} found counterexamples"
     trees, report = tree_suite
-    assert [sum(g.n == n for g in trees) for n in range(1, 11)] == [
-        1, 1, 1, 2, 3, 6, 11, 23, 47, 106]  # OEIS A000055
-    assert len({canonical_form(g) for g in trees}) == 201
+    assert [sum(g.n == n for g in trees) for n in range(1, 13)] == [
+        1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]  # OEIS A000055
+    assert len({canonical_form(g) for g in trees}) == 987
     t3 = theorem_row(report, "t3")
-    assert t3["checked"] == 191  # every class but the ten stars K_{1,n-1}
+    assert t3["checked"] == 975  # every class but the twelve stars K_{1,n-1}
     assert t3["counterexamples"] == []
     coronas, report = corona_suite
     assert [sum(g.n == 2 * h for g in coronas) for h in range(1, 7)] == [

@@ -362,3 +362,14 @@ class TestVerifyCommand:
     def test_connected_only_label(self, run):
         code, out, _ = run(["verify", "--n-max", "3", "--connected-only", "--theorems", "t10"])
         assert code == 0 and "connected only" in out
+
+    def test_empty_corpus_file_exits_3(self, run, tmp_path):
+        corpus = tmp_path / "empty.g6"
+        corpus.write_text("")
+        code, out, err = run(["verify", "--corpus", str(corpus), "--status-exit"])
+        assert (code, out) == (3, "") and "input contains no graphs" in err
+
+    @pytest.mark.parametrize("n_max", ["0", "-1"])
+    def test_empty_built_in_corpus_exits_3(self, run, n_max):
+        code, out, err = run(["verify", "--n-max", n_max])
+        assert (code, out) == (3, "") and "input contains no graphs" in err

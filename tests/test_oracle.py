@@ -11,6 +11,7 @@ import hashlib
 import json
 import random
 
+import networkx as nx
 import pytest
 from reference import iter_partitions, ref_cc, ref_valid_cc_partition
 
@@ -28,7 +29,9 @@ from coalitions import (
     expand_domatic_to_cc_partition,
     generate,
     is_cc_partition,
+    oracle,
 )
+from coalitions.domination import cds_table
 from coalitions.graphs import full_vertex_mask
 from conftest import domatic_sweep, small_connected
 
@@ -51,7 +54,8 @@ class TestFrozenValues:
         (lambda: generate("cycle", [6]), 3),
         (lambda: generate("friendship", [2]), 0),
         (lambda: generate("star", [4]), 0),
-        # n = 12 took seconds each before the partner-feasibility prune
+        # n = 12: the partner tests and the new-part prune cut P12, C12 and
+        # P6 corona K1 to a few hundred or thousand table reads (TestSearchWork)
         (lambda: generate("path", [12]), 2),
         (lambda: generate("cycle", [12]), 3),
         (lambda: corona(generate("path", [6]), Graph(1, [])), 2),
@@ -105,6 +109,19 @@ class TestAgainstReference:
                           if a in full or b in full or rng.random() < p])
             assert cc_partition_search(g) == ref_cc(g)
 
+    def test_tree_classes_and_cycle_at_n7_relabeled(self):
+        # The new-part prune fires mostly on sparse graphs, which the
+        # exhaustive n <= 5 sweep barely reaches: every tree class n = 7 and
+        # C7, each as generated and under one seeded relabeling.
+        rng = random.Random(77)
+        graphs = [Graph(7, list(t.edges)) for t in nx.nonisomorphic_trees(7)]
+        graphs.append(generate("cycle", [7]))
+        assert len(graphs) == 12
+        for g in graphs:
+            perm = rng.sample(range(7), 7)
+            for h in (g, Graph(7, [(perm[a], perm[b]) for a, b in g.edges])):
+                assert cc_partition_search(h) == ref_cc(h)
+
     def test_outputs_pinned_over_n6_and_seeded_n7_to_n10(self):
         # Digests of cc_partition_search's (value, witness) over all 32,768
         # labeled graphs with n = 6, and over 120 seeded graphs n = 7-10 with
@@ -139,6 +156,29 @@ class TestAgainstReference:
             assert len(witness) == cc
             valid, _ = is_cc_partition(g, witness)
             assert valid
+
+
+class TestSearchWork:
+    """Partner tests away from the leaves are speed-only: without them values
+    and witnesses stay the same, so only the table reads they save show them."""
+
+    @pytest.mark.parametrize("maker, cc, ceiling", [
+        (lambda: generate("path", [12]), 2, 2000),
+        (lambda: generate("cycle", [12]), 3, 8000),
+        (lambda: corona(generate("path", [6]), Graph(1, [])), 2, 2000),
+    ], ids=["P12", "C12", "P6-corona-K1"])
+    def test_table_lookups_under_ceiling(self, monkeypatch, maker, cc, ceiling):
+        # Without the new-part prune these read 25,497, 30,185 and 29,582 entries.
+        class Counted(list):
+            reads = 0
+
+            def __getitem__(self, mask):
+                Counted.reads += 1
+                return list.__getitem__(self, mask)
+
+        monkeypatch.setattr(oracle, "cds_table", lambda g: Counted(cds_table(g)))
+        assert cc_partition_search(maker())[0] == cc
+        assert Counted.reads <= ceiling
 
 
 class TestRawSearch:
