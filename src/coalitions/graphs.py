@@ -387,16 +387,21 @@ def emit_edgelist(g):
 
 
 def enumerate_labeled_graphs(n, connected_only=False):
-    """Yield every labeled graph on n vertices exactly once.
+    """An iterator over every labeled graph on n vertices, each exactly once.
 
     Order is ascending adjacency bitmask, where bit k of the mask is the k-th
     vertex pair in lexicographic order (0,1), (0,2), ..., (n-2,n-1).  The
-    guard stops at n=7 because the count is 2^(n(n-1)/2).
+    guard stops at n=7 because the count is 2^(n(n-1)/2); it is checked at
+    the call, before the first graph.
     """
     if not (1 <= n <= ENUMERATION_GUARD):
         raise GuardExceededError(
             f"labeled enumeration supports 1 <= n <= {ENUMERATION_GUARD}, got {n}"
         )
+    return _labeled_graphs(n, connected_only)
+
+
+def _labeled_graphs(n, connected_only):
     pairs = _pair_order(n)
     for mask in range(1 << len(pairs)):
         nbr = [0] * n

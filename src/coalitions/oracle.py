@@ -181,10 +181,8 @@ def cc_number(g, guard=PARTITION_GUARD_DEFAULT):
     """
     if g.n < 1:
         raise PreconditionError("cc_number needs a graph of order >= 1")
-    # before the disconnected shortcut, so an oversized input is refused whatever its shape
-    if g.n > guard:
-        raise GuardExceededError(f"cc partition search guarded at n <= {guard}, got n={g.n}")
-    if g.n >= 2 and not is_connected(g):
+    # an oversized input skips the shortcut, so the search's guard refuses it whatever its shape
+    if 2 <= g.n <= guard and not is_connected(g):
         return 0, None
     return cc_partition_search(g, guard)
 

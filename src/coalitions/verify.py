@@ -32,11 +32,15 @@ from .oracle import cc_number, cc_partition_search
 
 
 class GraphRecord:
-    """Lazy per-graph cache shared by every theorem check.
+    """Per-graph cache of the values that more than one check reads.
 
-    Values are computed on first touch and reused, so running several checks
-    over one corpus costs a single oracle call per isomorphism class in the
-    suite.
+    A value is cached here only when two or more checks, or a check and its
+    applies, read it: connectivity, the full vertices, the oracle's
+    (CC, witness) pair and the peel-family answer.  Each is computed on first
+    touch, so the suite makes one oracle call per isomorphism class.  A value
+    only one check reads (d_c, a decider answer, the raw search, tree or
+    corona shape, the minimum degree) is computed in that check, through this
+    module's globals at call time.
     """
 
     def __init__(self, graph, guard=PARTITION_GUARD_DEFAULT):
@@ -61,15 +65,6 @@ class GraphRecord:
         return self.cc_pair[0]
 
     @cached_property
-    def cc_raw_pair(self):
-        """The partition search run as-is, without the disconnected shortcut."""
-        return cc_partition_search(self.graph, self.guard)
-
-    @cached_property
-    def dc_pair(self):
-        return connected_domatic_number(self.graph, self.guard)
-
-    @cached_property
     def family_pair(self):
         return in_family_f(self.graph)
 
@@ -77,50 +72,21 @@ class GraphRecord:
     def family_member(self):
         return self.family_pair[0]
 
-    @cached_property
-    def decision_n(self):
-        return check_cc_equals_n(self.graph)
-
-    @cached_property
-    def decision_paper(self):
-        return check_cc_equals_n_minus_1(self.graph, "paper")
-
-    @cached_property
-    def decision_strict(self):
-        return check_cc_equals_n_minus_1(self.graph, "strict")
-
-    @cached_property
-    def tree(self):
-        return is_tree(self.graph)
-
-    @cached_property
-    def corona_form(self):
-        return is_corona_of_k1(self.graph)
-
-    @property
-    def complete(self):
-        # complete exactly when every vertex is full, K_1 included
-        return self.fulls == self.graph.full_mask
-
-    @property
-    def min_degree(self):
-        return min(self.graph.degree(v) for v in range(self.graph.n))
-
 
 @dataclass(frozen=True)
 class TheoremCheck:
     """One registry entry: applies(rec) -> bool and check(rec) -> (ok, detail).
 
-    Both must be isomorphism-invariant: a relabeled copy of the graph gets
-    the same applies answer and the same (ok, detail), so detail holds only
+    Its THEOREMS key is its id, README's theorem table states its claim, and
+    anchor is the stable name the report carries.  Both callables must be
+    isomorphism-invariant: a relabeled copy of the graph gets the same
+    applies answer and the same (ok, detail), so detail holds only
     invariants (CC, d_c, decider answers, counts) and never a witness.
     run_theorem_suite shares outcomes across each isomorphism class on that
     contract.
     """
 
-    id: str
     anchor: str
-    description: str
     applies: object
     check: object
     report_only: bool = False
@@ -133,7 +99,7 @@ def _t1(rec):
 
 
 def _t2(rec):
-    dc = rec.dc_pair[0]
+    dc = connected_domatic_number(rec.graph, rec.guard)[0]
     return rec.cc >= 2 * dc, {"cc": rec.cc, "d_c": dc}
 
 
@@ -147,13 +113,13 @@ def _t4(rec):
 
 
 def _t5(rec):
-    agree = rec.decision_n.answer == (rec.cc == rec.graph.n)
-    return agree, {"cc": rec.cc, "check_n": rec.decision_n.answer}
+    answer = check_cc_equals_n(rec.graph).answer
+    return answer == (rec.cc == rec.graph.n), {"cc": rec.cc, "check_n": answer}
 
 
 def _t6(rec):
-    paper = rec.decision_paper.answer
-    strict = rec.decision_strict.answer
+    paper = check_cc_equals_n_minus_1(rec.graph, "paper").answer
+    strict = check_cc_equals_n_minus_1(rec.graph, "strict").answer
     oracle = rec.cc == rec.graph.n - 1
     strict_violation = strict and not oracle
     ok = (paper == oracle) and not strict_violation
@@ -174,7 +140,7 @@ def _t9(rec):
     check confirms the superset-CDS fact, not an exhaustive enumeration.
     The unpruned search in tests/reference.py stays the exhaustive judge.
     """
-    raw = rec.cc_raw_pair[0]
+    raw = cc_partition_search(rec.graph, rec.guard)[0]
     return raw == 0 and rec.cc == 0, {"cc": rec.cc, "cc_raw_search": raw}
 
 
@@ -183,47 +149,27 @@ def _t10(rec):
 
 
 THEOREMS = {
-    "t1": TheoremCheck(
-        "t1", "cc_zero_iff_family_f",
-        "CC is zero exactly on the peel family",
-        lambda rec: rec.graph.n >= 1, _t1),
+    "t1": TheoremCheck("cc_zero_iff_family_f", lambda rec: rec.graph.n >= 1, _t1),
     "t2": TheoremCheck(
-        "t2", "cc_ge_two_dc",
-        "connected, no full vertex, order > 1: CC is at least twice d_c",
-        lambda rec: rec.graph.n > 1 and rec.connected and not rec.fulls, _t2),
-    "t3": TheoremCheck(
-        "t3", "trees_cc_two",
-        "trees without a full vertex have CC = 2",
-        lambda rec: rec.tree and not rec.fulls, _cc_two),
+        "cc_ge_two_dc", lambda rec: rec.graph.n > 1 and rec.connected and not rec.fulls, _t2),
+    "t3": TheoremCheck("trees_cc_two", lambda rec: is_tree(rec.graph) and not rec.fulls, _cc_two),
     "t4": TheoremCheck(
-        "t4", "pendant_lt_n",
-        "connected, minimum degree 1, no full vertex: CC < n",
-        lambda rec: rec.connected and not rec.fulls and rec.graph.n >= 2 and rec.min_degree == 1, _t4),
+        "pendant_lt_n",
+        lambda rec: rec.connected and not rec.fulls and rec.graph.n >= 2
+        and min(map(rec.graph.degree, range(rec.graph.n))) == 1, _t4),
     "t5": TheoremCheck(
-        "t5", "check_n_iff_oracle",
-        "the CC = n decider agrees with the oracle both ways",
-        lambda rec: rec.connected and not rec.fulls and rec.graph.n >= 2, _t5),
+        "check_n_iff_oracle", lambda rec: rec.connected and not rec.fulls and rec.graph.n >= 2, _t5),
     "t6": TheoremCheck(
-        "t6", "check_n1_vs_oracle",
-        "both CC = n-1 decider variants measured against the oracle (report only)",
-        lambda rec: rec.connected and not rec.fulls and rec.graph.n >= 3, _t6,
+        "check_n1_vs_oracle", lambda rec: rec.connected and not rec.fulls and rec.graph.n >= 3, _t6,
         report_only=True),
-    "t7": TheoremCheck(
-        "t7", "corona_cc_two",
-        "pendant-doubled graphs (H corona K_1) have CC = 2",
-        lambda rec: rec.corona_form, _cc_two),
+    "t7": TheoremCheck("corona_cc_two", lambda rec: is_corona_of_k1(rec.graph), _cc_two),
+    # not complete: some vertex is not full (K_1 counts as complete)
     "t8": TheoremCheck(
-        "t8", "full_vertex_lower",
-        "connected, outside the peel family, not complete, k >= 1 full vertices: CC >= k + 2",
-        lambda rec: rec.connected and rec.fulls and not rec.complete and not rec.family_member, _t8),
-    "t9": TheoremCheck(
-        "t9", "disconnected_zero",
-        "disconnected graphs of order >= 2 have CC = 0, by raw search",
-        lambda rec: rec.graph.n >= 2 and not rec.connected, _t9),
-    "t10": TheoremCheck(
-        "t10", "lower_upper_bounds",
-        "connected and outside the peel family: 1 <= CC <= n",
-        lambda rec: rec.connected and not rec.family_member, _t10),
+        "full_vertex_lower",
+        lambda rec: rec.connected and rec.fulls and rec.fulls != rec.graph.full_mask
+        and not rec.family_member, _t8),
+    "t9": TheoremCheck("disconnected_zero", lambda rec: rec.graph.n >= 2 and not rec.connected, _t9),
+    "t10": TheoremCheck("lower_upper_bounds", lambda rec: rec.connected and not rec.family_member, _t10),
 }
 
 
@@ -346,6 +292,10 @@ def replay_counterexample(theorem_id, graph6, guard=PARTITION_GUARD_DEFAULT):
 
 
 def default_corpus(n_max=6, connected_only=False):
-    """All labeled graphs of order 1..n_max, enumeration order, optionally connected only."""
-    for n in range(1, n_max + 1):
-        yield from enumerate_labeled_graphs(n, connected_only)
+    """All labeled graphs of order 1..n_max, enumeration order, optionally connected only.
+
+    Every order's enumeration guard is checked at the call, so n_max above it
+    is refused before the first graph.
+    """
+    corpora = [enumerate_labeled_graphs(n, connected_only) for n in range(1, n_max + 1)]
+    return (g for corpus in corpora for g in corpus)

@@ -373,3 +373,7 @@ class TestVerifyCommand:
     def test_empty_built_in_corpus_exits_3(self, run, n_max):
         code, out, err = run(["verify", "--n-max", n_max])
         assert (code, out) == (3, "") and "input contains no graphs" in err
+
+    def test_order_above_the_enumeration_guard_exits_4_at_once(self, run):
+        code, out, err = run(["verify", "--n-max", "8"])
+        assert (code, out, err) == (4, "", "error: labeled enumeration supports 1 <= n <= 7, got 8\n")

@@ -1,6 +1,8 @@
 """Every imported name is read somewhere in the module that imports it, every
 module-level private name in the package is read somewhere in it, and every
-module-level public name is exported or read somewhere in it.
+module-level public name is exported or read somewhere in it.  Every
+dataclass field and every property of a class in the package is read as an
+attribute somewhere in it.
 
 The repository has no linter, so these are its unused-import and dead-helper
 checks, written with the standard library's ast module.  A package
@@ -116,3 +118,56 @@ def test_public_name_checker_on_a_tiny_package():
 
 def test_every_module_level_public_name_is_exported_or_read():
     assert _unread_names(_src_sources(), private=False, exported=set(coalitions.__all__)) == []
+
+
+def _decorator_names(node):
+    """Plain names of a definition's decorators, called or not."""
+    names = set()
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if isinstance(target, ast.Name):
+            names.add(target.id)
+    return names
+
+
+def _unread_fields(sources):
+    """(module, line, Class.name) for each dataclass field or property no attribute read names.
+
+    A read is an attribute loaded anywhere in the sources, such as rec.cc or
+    self.cc_pair; a field that only its own class's constructor fills is
+    dead weight.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            is_dataclass = "dataclass" in _decorator_names(cls)
+            for stmt in cls.body:
+                if is_dataclass and isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    name = stmt.target.id
+                elif isinstance(stmt, ast.FunctionDef) and _decorator_names(stmt) & {"property", "cached_property"}:
+                    name = stmt.name
+                else:
+                    continue
+                if name not in read:
+                    found.append((module, stmt.lineno, f"{cls.name}.{name}"))
+    return found
+
+
+def test_field_checker_on_a_tiny_package():
+    sources = {
+        "a": "from dataclasses import dataclass\nfrom functools import cached_property\n"
+             "@dataclass(frozen=True)\nclass Row:\n    used: int\n    dead: str = ''\n"
+             "class Box:\n    size: int\n    @property\n    def area(self):\n        return self.size\n"
+             "    @cached_property\n    def stale(self):\n        return 2\n",
+        "b": "from .a import Box, Row\nprint(Row(1).used, Box().area)\n",
+    }
+    assert _unread_fields(sources) == [("a", 6, "Row.dead"), ("a", 13, "Box.stale")]
+
+
+def test_every_field_and_property_in_src_is_read():
+    assert _unread_fields(_src_sources()) == []

@@ -2,6 +2,8 @@
 
 import json
 import random
+from collections import Counter
+from functools import cached_property
 
 import pytest
 
@@ -18,6 +20,7 @@ from coalitions import (
     replay_counterexample,
     run_theorem_suite,
 )
+from coalitions import verify
 from coalitions.graphs import canonical_form
 from coalitions.verify import GraphRecord
 from test_acceptance import check_n_scaling, corona_classes, theorem_row, tree_classes
@@ -113,11 +116,11 @@ class TestIsomorphismClassSharing:
             rng.shuffle(perm)
             a = GraphRecord(g)
             b = GraphRecord(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
-            for t in THEOREMS.values():
+            for tid, t in THEOREMS.items():
                 applies = bool(t.applies(a))
-                assert applies == bool(t.applies(b)), (t.id, g)
+                assert applies == bool(t.applies(b)), (tid, g)
                 if applies:
-                    assert t.check(a) == t.check(b), (t.id, g)
+                    assert t.check(a) == t.check(b), (tid, g)
 
     def test_suite_equals_merge_of_one_graph_runs(self):
         singles = [strip_millis(run_theorem_suite([g]))["theorems"] for g in default_corpus(5)]
@@ -179,6 +182,11 @@ class TestCorpora:
         assert sum(1 for _ in default_corpus(4)) == 75
         assert sum(1 for _ in default_corpus(4, connected_only=True)) == 44
 
+    def test_default_corpus_refuses_an_order_above_the_guard_at_the_call(self):
+        with pytest.raises(GuardExceededError, match=r"^labeled enumeration supports 1 <= n <= 7, got 8$"):
+            default_corpus(8)
+        assert list(default_corpus(0)) == []
+
     def test_tree_corpus_counts_and_contents(self):
         trees = tree_classes(5)
         assert sorted(t.n for t in trees) == [1, 2, 3, 4, 4, 5, 5, 5]  # OEIS A000055
@@ -194,16 +202,41 @@ class TestCorpora:
 
 
 class TestGraphRecord:
+    def test_caches_only_the_shared_values(self):
+        cached = [name for name, v in vars(GraphRecord).items() if isinstance(v, cached_property)]
+        assert cached == ["connected", "fulls", "cc_pair", "family_pair"]
+
     def test_values_are_cached(self, c5):
         rec = GraphRecord(c5)
         assert rec.cc_pair is rec.cc_pair
         assert rec.cc == 3
-        assert rec.decision_strict is rec.decision_strict
-        assert rec.decision_paper is not rec.decision_strict
+        assert rec.family_pair is rec.family_pair
+        assert rec.family_member is False
+        assert (rec.connected, rec.fulls) == (True, 0)
 
     def test_raw_search_field(self, two_k2):
-        rec = GraphRecord(two_k2)
-        assert rec.cc_raw_pair == (0, None)
+        # t9 runs the raw search itself and reports its value in the detail
+        assert THEOREMS["t9"].check(GraphRecord(two_k2)) == (True, {"cc": 0, "cc_raw_search": 0})
+
+
+class TestKernelCalls:
+    def test_one_call_per_class_and_kernel_at_n5(self, monkeypatch):
+        # the 52 isomorphism classes n <= 5, 31 of them connected; counted through
+        # verify's module attributes, the names the checks resolve at call time
+        counts = Counter()
+        for name in ("cc_number", "cc_partition_search", "connected_domatic_number", "in_family_f",
+                     "check_cc_equals_n", "check_cc_equals_n_minus_1", "is_tree", "is_corona_of_k1",
+                     "is_connected", "full_vertex_mask"):
+            def counted(*args, _fn=getattr(verify, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(verify, name, counted)
+        run_theorem_suite(default_corpus(5))
+        assert counts == {
+            "cc_number": 52, "in_family_f": 52, "is_connected": 52, "is_tree": 52,
+            "is_corona_of_k1": 52, "full_vertex_mask": 31, "cc_partition_search": 21,
+            "connected_domatic_number": 12, "check_cc_equals_n": 12, "check_cc_equals_n_minus_1": 24,
+        }
 
 
 class TestScalingBenchmark:
