@@ -8,8 +8,7 @@ read, so a malformed line ends the run after the lines before it.  Exit
 codes: 0 for a computed answer, 1 for answer-no under --status-exit, 2 for
 usage errors, 3 for precondition or format errors, 4 for an exceeded search
 guard; a reader that closes standard output early ends the run quietly with
-0.  The CC_GUARD_N environment variable overrides the partition-search
-guard; an explicit --guard flag wins over it.
+0.  Input that is not UTF-8 text is bad input, exit 3.
 """
 
 import argparse
@@ -23,7 +22,6 @@ from .errors import CoalitionsError, GraphFormatError, GuardExceededError, Preco
 from .family import in_family_f
 from .graphs import (
     GENERATOR_FAMILIES,
-    Graph,
     corona,
     emit_edgelist,
     emit_graph6,
@@ -63,36 +61,12 @@ def _load_graphs(path, fmt):
             yield from _nonempty(iter_graph6_lines(fh))
 
 
-def _resolve_guard(args):
-    if args.guard is not None:
-        return args.guard
-    env = os.environ.get("CC_GUARD_N")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise PreconditionError(f"CC_GUARD_N must be an integer, got {env!r}")
-    return PARTITION_GUARD_DEFAULT
-
-
-def _write_lines(out, lines):
-    body = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
-
-
 def _run_per_graph(args):
     """Print args.answer's line for each input graph as it is read.
 
     answer(g, args) returns (payload, text, yes): --json prints the payload,
-    otherwise the text; --status-exit turns any no into exit code 1.  A
-    subcommand with --guard has it resolved once, before any input is read.
+    otherwise the text; --status-exit turns any no into exit code 1.
     """
-    if hasattr(args, "guard"):
-        args.guard = _resolve_guard(args)
     all_yes = True
     for g in _load_graphs(args.input, args.format):
         payload, text, yes = args.answer(g, args)
@@ -153,15 +127,13 @@ def _domatic(g, args):
 
 def _cmd_gen(args):
     g = generate(args.family, args.params)
-    text = emit_graph6(g) if args.format == "g6" else emit_edgelist(g)
-    _write_lines(args.out, [text])
+    print(emit_graph6(g) if args.format == "g6" else emit_edgelist(g))
     return 0
 
 
 def _cmd_corona(args):
-    k1 = Graph(1, [])
-    lines = [emit_graph6(corona(g, k1)) for g in _load_graphs(args.input, args.format)]
-    _write_lines(args.out, lines)
+    for g in _load_graphs(args.input, args.format):
+        print(emit_graph6(corona(g)))
     return 0
 
 
@@ -189,14 +161,13 @@ def _cmd_dump_matrix(args):
 
 
 def _cmd_verify(args):
-    guard = _resolve_guard(args)
     ids = args.theorems.split(",") if args.theorems else None
     if args.corpus:
         graphs, label = _load_graphs(args.corpus, "g6"), f"graph6 file {args.corpus}"
     else:
         graphs = _nonempty(default_corpus(args.n_max, args.connected_only))
         label = f"labeled graphs n <= {args.n_max}" + (", connected only" if args.connected_only else "")
-    report = run_theorem_suite(graphs, ids, corpus_label=label, guard=guard)
+    report = run_theorem_suite(graphs, ids, corpus_label=label, guard=args.guard)
     print(report.summary_text())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -217,8 +188,12 @@ def _add_io_flags(sp, status=False, guard=False):
         sp.add_argument("--status-exit", action="store_true",
                         help="exit 1 when any answer is no")
     if guard:
-        sp.add_argument("--guard", type=int, default=None,
-                        help=f"partition-search size guard (default {PARTITION_GUARD_DEFAULT}, or CC_GUARD_N)")
+        _add_guard(sp)
+
+
+def _add_guard(sp):
+    sp.add_argument("--guard", type=int, default=PARTITION_GUARD_DEFAULT,
+                    help=f"partition-search size guard (default {PARTITION_GUARD_DEFAULT})")
 
 
 def _build_parser():
@@ -259,7 +234,6 @@ def _build_parser():
     sp = sub.add_parser("gen", help="generate a standard family member")
     sp.add_argument("family", choices=GENERATOR_FAMILIES)
     sp.add_argument("params", nargs="+", type=int, help="family parameters")
-    sp.add_argument("--out", default=None, help="write to a file instead of standard output")
     sp.add_argument("--format", choices=("g6", "edgelist"), default="g6",
                     help="output format (default g6)")
     sp.set_defaults(func=_cmd_gen)
@@ -267,7 +241,6 @@ def _build_parser():
     sp = sub.add_parser("corona", help="attach one pendant to every vertex (corona with K_1)")
     _add_input(sp)
     sp.add_argument("attach", choices=("k1",), help="what to attach (only k1 is supported)")
-    sp.add_argument("--out", default=None, help="write to a file instead of standard output")
     sp.set_defaults(func=_cmd_corona)
 
     sp = sub.add_parser("ccg", help="coalition graph of a valid partition, as graph6")
@@ -292,8 +265,7 @@ def _build_parser():
     sp.add_argument("--out", default=None, help="write the JSON report to this file")
     sp.add_argument("--status-exit", action="store_true",
                     help="exit 1 when any asserted theorem has counterexamples")
-    sp.add_argument("--guard", type=int, default=None,
-                    help=f"partition-search size guard (default {PARTITION_GUARD_DEFAULT}, or CC_GUARD_N)")
+    _add_guard(sp)
     sp.set_defaults(func=_cmd_verify)
 
     return parser
@@ -317,7 +289,7 @@ def main(argv=None):
     except GuardExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (CoalitionsError, OSError) as exc:
+    except (CoalitionsError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

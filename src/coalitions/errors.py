@@ -20,7 +20,7 @@ class GuardExceededError(CoalitionsError):
     set partitions; past a dozen vertices the running time stops being a
     nuisance and becomes a mistake.  Callers that really mean it can raise
     the partition-search guard (n <= 12 by default) through the guard
-    argument, or --guard and CC_GUARD_N on the command line.  Two guards are
+    argument, or --guard on the command line.  Two guards are
     fixed: cds_table's n <= 20, which gamma_c and every search reading the
     table share, and labeled enumeration's n <= 7.
     """

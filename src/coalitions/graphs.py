@@ -160,24 +160,13 @@ def full_vertex_mask(g):
     return m
 
 
-def corona(g, h):
-    """Corona product: one copy of g, g.n copies of h, vertex i joined to copy i.
-
-    Layout is deterministic: g keeps ids 0..g.n-1, copy i occupies the next
-    h.n ids in order.
-    """
-    if g.n == 0:
-        raise PreconditionError("corona requires a nonempty first factor")
-    gn, hn = g.n, h.n
-    n = gn + gn * hn
-    nbr = [m for m in g._nbr] + [0] * (gn * hn)
-    for i in range(gn):
-        base = gn + i * hn
-        copy_mask = ((1 << hn) - 1) << base
-        nbr[i] |= copy_mask
-        for v in range(hn):
-            nbr[base + v] |= (h._nbr[v] << base) | (1 << i)
-    return Graph.from_neighbor_masks(n, nbr)
+def corona(g):
+    """Corona product with K_1: vertex i of g gains the pendant leaf g.n + i."""
+    n = g.n
+    if n == 0:
+        raise PreconditionError("corona requires a nonempty graph")
+    nbr = [m | (1 << (n + i)) for i, m in enumerate(g._nbr)] + [1 << i for i in range(n)]
+    return Graph.from_neighbor_masks(2 * n, nbr)
 
 
 def _gen_path(n):
@@ -348,7 +337,7 @@ def parse_edgelist(text):
 
     First non-comment line is the order n; each further line is "u v".
     Lines starting with '#' and blank lines are ignored; duplicate edges are
-    deduplicated.
+    deduplicated.  The order is capped at GRAPH6_MAX_N, as in graph6.
     """
     n = None
     edges = []
@@ -364,6 +353,8 @@ def parse_edgelist(text):
                 n = int(fields[0])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: vertex count {fields[0]!r} is not an integer")
+            if n > GRAPH6_MAX_N:
+                raise GraphFormatError(f"line {lineno}: vertex count {n} is above the supported {GRAPH6_MAX_N}")
             continue
         if len(fields) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v', got {line!r}")

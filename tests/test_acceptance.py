@@ -84,9 +84,9 @@ def tree_classes(n_max):
 
 
 def corona_classes(h_order_max):
-    """corona(H, K_1) for one H per class of connected graphs of order 1..h_order_max."""
+    """H corona K_1 for one H per class of connected graphs of order 1..h_order_max."""
     hosts = [h for h in nx.graph_atlas_g() if 1 <= len(h) <= h_order_max and nx.is_connected(h)]
-    return [corona(from_networkx(h), Graph(1, [])) for h in hosts]
+    return [corona(from_networkx(h)) for h in hosts]
 
 
 @pytest.fixture(scope="module")

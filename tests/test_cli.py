@@ -31,7 +31,6 @@ def run(capsys, monkeypatch):
     def _run(argv, stdin=None, env=None):
         if stdin is not None:
             monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-        monkeypatch.delenv("CC_GUARD_N", raising=False)
         for key, value in (env or {}).items():
             monkeypatch.setenv(key, value)
         code = cli.main(argv)
@@ -50,11 +49,9 @@ class TestGen:
         code, out, _ = run(["gen", "path", "3", "--format", "edgelist"])
         assert code == 0 and out == "3\n0 1\n1 2\n"
 
-    def test_out_file(self, run, tmp_path):
-        target = tmp_path / "c4.g6"
-        code, out, _ = run(["gen", "cycle", "4", "--out", str(target)])
-        assert code == 0 and out == ""
-        assert target.read_text() == "Cl\n"
+    def test_out_flag_is_a_usage_error(self, run, tmp_path):
+        # gen prints to standard output only
+        assert run(["gen", "cycle", "4", "--out", str(tmp_path / "c4.g6")])[0] == 2
 
     def test_constraint_violation_exits_3(self, run):
         code, _, err = run(["gen", "cycle", "2"])
@@ -116,15 +113,9 @@ class TestCc:
         assert code == 4 and "guarded at n <= 12" in err
         code, out, _ = run(["cc", "-", "--guard", "13"], stdin=k13 + "\n")
         assert code == 0 and out.startswith("cc=13 ")
-        code, out, _ = run(["cc", "-"], stdin=k13 + "\n", env={"CC_GUARD_N": "13"})
-        assert code == 0 and out.startswith("cc=13 ")
-        # an explicit flag beats the environment
-        code, _, _ = run(["cc", "-", "--guard", "12"], stdin=k13 + "\n", env={"CC_GUARD_N": "13"})
-        assert code == 4
-
-    def test_garbage_env_guard_exits_3(self, run):
-        code, _, err = run(["cc", "-"], stdin="Cl\n", env={"CC_GUARD_N": "many"})
-        assert code == 3 and "CC_GUARD_N" in err
+        # only the flag sets the guard: the environment does not
+        code, out, err = run(["cc", "-"], stdin=k13 + "\n", env={"CC_GUARD_N": "13"})
+        assert (code, out) == (4, "") and "guarded at n <= 12" in err
 
 
 class TestDeciders:
@@ -232,11 +223,22 @@ class TestFamilyAndDomination:
 
 class TestCoronaAndCcg:
     def test_corona_k1(self, run):
-        from coalitions import Graph, corona, emit_graph6, generate
+        from coalitions import corona, emit_graph6, generate
 
-        expected = emit_graph6(corona(generate("cycle", [4]), Graph(1, [])))
+        expected = emit_graph6(corona(generate("cycle", [4])))
         code, out, _ = run(["corona", "-", "k1"], stdin="Cl\n")
         assert code == 0 and out == expected + "\n"
+
+    def test_corona_streams_until_a_malformed_line(self, run):
+        from coalitions import corona, emit_graph6, generate
+
+        code, out, err = run(["corona", "-", "k1"], stdin="Cl\nEhE\n")
+        assert code == 3 and "truncated" in err
+        assert out == emit_graph6(corona(generate("cycle", [4]))) + "\n"
+
+    def test_out_flag_is_a_usage_error(self, run, tmp_path):
+        # corona prints to standard output only
+        assert run(["corona", "-", "k1", "--out", str(tmp_path / "x.g6")], stdin="Cl\n")[0] == 2
 
     def test_corona_rejects_other_attachments(self, run):
         code, _, _ = run(["corona", "-", "k2"], stdin="Cl\n")
@@ -303,6 +305,30 @@ class TestInputHandling:
         assert code == 3
         assert out == "cc=4 witness=[[0], [1], [2], [3]]\n"
         assert "truncated" in err
+
+    def test_non_utf8_graph6_file_exits_3(self, run, tmp_path):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"Cl\n\xff\n")
+        code, _, err = run(["cc", str(path)])
+        assert code == 3 and err.startswith("error: ") and "utf-8" in err
+
+    def test_non_utf8_edgelist_file_exits_3(self, run, tmp_path):
+        path = tmp_path / "bad.el"
+        path.write_bytes(b"3\n0 1\n\xff 2\n")
+        code, _, err = run(["family-f", str(path)])
+        assert code == 3 and err.startswith("error: ") and "utf-8" in err
+
+    def test_non_utf8_partition_file_exits_3(self, run, tmp_path):
+        part = tmp_path / "partition.json"
+        part.write_bytes(b"[[0, 1], [2, 3]]\xff")
+        code, _, err = run(["ccg", "-", "--partition", str(part)], stdin="Cl\n")
+        assert code == 3 and err.startswith("error: ") and "utf-8" in err
+
+    def test_edgelist_above_the_graph6_order_exits_3(self, run, tmp_path):
+        path = tmp_path / "huge.el"
+        path.write_text("258048\n")
+        code, out, err = run(["cc", str(path)])
+        assert (code, out) == (3, "") and "258047" in err
 
     def test_missing_file_exits_3(self, run):
         code, _, err = run(["cc", "/nonexistent/thing.g6"])

@@ -2,7 +2,8 @@
 module-level private name in the package is read somewhere in it, and every
 module-level public name is exported or read somewhere in it.  Every
 dataclass field and every property of a class in the package is read as an
-attribute somewhere in it.
+attribute somewhere in it.  No module in the package reads an environment
+variable.
 
 The repository has no linter, so these are its unused-import and dead-helper
 checks, written with the standard library's ast module.  A package
@@ -171,3 +172,31 @@ def test_field_checker_on_a_tiny_package():
 
 def test_every_field_and_property_in_src_is_read():
     assert _unread_fields(_src_sources()) == []
+
+
+_ENV_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(source):
+    """Lines that read an environment variable through os, as an attribute or an imported name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _ENV_READERS:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name in _ENV_READERS for alias in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_environment_checker_on_a_tiny_module():
+    source = ("import os\nfrom os import getenv\nos.environ.get('A')\nos.getenv('B')\n"
+              "os.dup2(1, 2)\nos.devnull\n")
+    assert _environment_reads(source) == [2, 3, 4]
+
+
+def test_no_src_module_reads_the_environment():
+    # configuration travels through flags and parameters only
+    found = [f"{module}:{line}" for module, source in _src_sources().items()
+             for line in _environment_reads(source)]
+    assert found == []

@@ -58,7 +58,7 @@ class TestFrozenValues:
         # P6 corona K1 to a few hundred or thousand table reads (TestSearchWork)
         (lambda: generate("path", [12]), 2),
         (lambda: generate("cycle", [12]), 3),
-        (lambda: corona(generate("path", [6]), Graph(1, [])), 2),
+        (lambda: corona(generate("path", [6])), 2),
     ])
     def test_values(self, maker, cc):
         g = maker()
@@ -165,7 +165,7 @@ class TestSearchWork:
     @pytest.mark.parametrize("maker, cc, ceiling", [
         (lambda: generate("path", [12]), 2, 2000),
         (lambda: generate("cycle", [12]), 3, 8000),
-        (lambda: corona(generate("path", [6]), Graph(1, [])), 2, 2000),
+        (lambda: corona(generate("path", [6])), 2, 2000),
     ], ids=["P12", "C12", "P6-corona-K1"])
     def test_table_lookups_under_ceiling(self, monkeypatch, maker, cc, ceiling):
         # Without the new-part prune these read 25,497, 30,185 and 29,582 entries.
