@@ -35,8 +35,10 @@ from .verify import default_corpus, run_theorem_suite
 
 
 def _open_input(path):
-    """The file at path opened for reading, or standard input (left open on exit) for '-'."""
+    """The file at path, or standard input (left open on exit) for '-', read as strict UTF-8."""
     if path == "-":
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(encoding="utf-8", errors="strict")
         return contextlib.nullcontext(sys.stdin)
     return open(path, encoding="utf-8")
 

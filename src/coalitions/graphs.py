@@ -52,7 +52,7 @@ class Graph:
     self-loops raise a PreconditionError naming the offending pair.
     """
 
-    __slots__ = ("n", "_nbr", "_edges")
+    __slots__ = ("n", "_nbr")
 
     def __init__(self, n, edges):
         if n < 0:
@@ -68,7 +68,6 @@ class Graph:
             nbr[v] |= 1 << u
         self.n = n
         self._nbr = tuple(nbr)
-        self._edges = None
 
     @classmethod
     def from_neighbor_masks(cls, n, nbr):
@@ -76,7 +75,6 @@ class Graph:
         g = object.__new__(cls)
         g.n = n
         g._nbr = tuple(nbr)
-        g._edges = None
         return g
 
     @property
@@ -94,18 +92,11 @@ class Graph:
     @property
     def edges(self):
         """All edges as (u, v) pairs with u < v, sorted."""
-        if self._edges is None:
-            out = []
-            for u in range(self.n):
-                rest = self._nbr[u] >> (u + 1)
-                for k in iter_mask(rest):
-                    out.append((u, u + 1 + k))
-            self._edges = tuple(out)
-        return self._edges
+        return tuple((u, v) for u, nb in enumerate(self._nbr) for v in iter_mask(nb) if v > u)
 
     @property
     def m(self):
-        return len(self.edges)
+        return sum(nb.bit_count() for nb in self._nbr) // 2
 
     def degree(self, v):
         return self._nbr[v].bit_count()
@@ -236,10 +227,6 @@ def generate(family, params):
     if len(params) != arity:
         raise PreconditionError(f"family {family} takes {arity} parameter(s), got {len(params)}")
     return fn(*params)
-
-
-def _pair_order(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 def emit_graph6(g):
@@ -393,7 +380,7 @@ def enumerate_labeled_graphs(n, connected_only=False):
 
 
 def _labeled_graphs(n, connected_only):
-    pairs = _pair_order(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     for mask in range(1 << len(pairs)):
         nbr = [0] * n
         m = mask
@@ -483,12 +470,6 @@ def _refine(nbr, cells, stack):
                 stack += [p for p in parts if p != keep]
 
 
-def _twins(nbr, cell):
-    """True iff the cell's vertices are pairwise twins: all N(v) equal, or all N[v] equal."""
-    vs = list(iter_mask(cell))
-    return len({nbr[v] for v in vs}) == 1 or len({nbr[v] | 1 << v for v in vs}) == 1
-
-
 def _orbit(mask, gens):
     """The vertex mask closed under the permutations gens."""
     while True:
@@ -507,17 +488,15 @@ def canonical_form(g):
     Individualization-refinement (McKay & Piperno, "Practical graph
     isomorphism, II", 2014): refine to an equitable partition, then for each
     vertex of the first non-singleton cell put it in a cell of its own ahead of
-    the rest, refine by that vertex alone and recurse.  A leaf's partition is
-    discrete, and its code is the adjacency read in that vertex order; the
-    least code over all leaves is the form.  A node whose non-singleton cells
-    are all classes of twins is a leaf too: individualizing a twin splits no
-    other cell, and every order inside those cells gives the same code, so
-    each is read ascending.  A child is skipped when an automorphism that fixes
-    the node's partition maps an already tried vertex onto it, since its
-    subtree then holds the same codes: a twin of a tried vertex (N(u) - v ==
-    N(v) - u, so swapping the two is one), or an image of a tried vertex under
-    the automorphisms found so far that fix every vertex individualized above
-    the node (two leaves with equal codes give one).
+    the rest, refine by that vertex alone and recurse.  A node is a leaf when
+    its partition is discrete, and its code is the adjacency read in that
+    vertex order; the least code over all leaves is the form.  A child is
+    skipped when an automorphism that fixes the node's partition maps an
+    already tried vertex onto it, since its subtree then holds the same codes:
+    a twin of a tried vertex (N(u) - v == N(v) - u, so swapping the two is
+    one), or an image of a tried vertex under the automorphisms found so far
+    that fix every vertex individualized above the node (two leaves with equal
+    codes give one).
     """
     nbr = g.nbr_masks
     best = None
@@ -527,18 +506,8 @@ def canonical_form(g):
     def search(cells, stack, fixed):
         nonlocal best, best_order
         _refine(nbr, cells, stack)
-        target = None
-        for i, cell in enumerate(cells):
-            if cell & (cell - 1):
-                if target is None:
-                    target = i
-                if not _twins(nbr, cell):
-                    break
-        else:
-            if len(cells) == g.n:
-                order = [cell.bit_length() - 1 for cell in cells]
-            else:
-                order = [v for cell in cells for v in iter_mask(cell)]
+        if len(cells) == g.n:
+            order = [cell.bit_length() - 1 for cell in cells]
             code = 0
             for k, u in enumerate(order):
                 nu = nbr[u]
@@ -552,6 +521,7 @@ def canonical_form(g):
                     perm[a] = b
                 autos.append(perm)
             return
+        target = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
         cell = cells[target]
         tried = 0
         for v in iter_mask(cell):

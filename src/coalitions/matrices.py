@@ -67,11 +67,12 @@ class EdgeDominationMatrix:
 
 def edge_domination_matrix(g):
     """The edge-domination matrix of a graph with at least one edge."""
-    if g.m == 0:
+    edges = g.edges
+    if not edges:
         raise PreconditionError("edge-domination matrix needs a graph with at least one edge")
     closed = g.closed_masks
-    rows = tuple(closed[p] | closed[q] for p, q in g.edges)
-    return EdgeDominationMatrix(g.n, g.edges, rows)
+    rows = tuple(closed[p] | closed[q] for p, q in edges)
+    return EdgeDominationMatrix(g.n, edges, rows)
 
 
 def _check_preconditions(g, op, minimum_order):

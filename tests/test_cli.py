@@ -2,7 +2,8 @@
 
 Everything runs in-process through cli.main so exit codes and streams can be
 asserted without spawning interpreters, except the closed-pipe case, which
-needs a real pipe.
+needs a real pipe, and the decoding of standard input, which needs a real
+stream.
 """
 
 import io
@@ -323,6 +324,16 @@ class TestInputHandling:
         part.write_bytes(b"[[0, 1], [2, 3]]\xff")
         code, _, err = run(["ccg", "-", "--partition", str(part)], stdin="Cl\n")
         assert code == 3 and err.startswith("error: ") and "utf-8" in err
+
+    def test_non_utf8_standard_input_exits_3_under_the_c_locale(self):
+        # the C locale reads standard input with surrogateescape, so a bad byte would reach the
+        # graph6 parser as the code point 0xDCFF; the CLI decodes it strictly, as it does a file
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+        env.update(LC_ALL="C", PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "coalitions", "cc", "-"], input=b"Cl\n\xff\n",
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(b"error: 'utf-8' codec can't decode byte 0xff")
 
     def test_edgelist_above_the_graph6_order_exits_3(self, run, tmp_path):
         path = tmp_path / "huge.el"

@@ -3,7 +3,8 @@ module-level private name in the package is read somewhere in it, and every
 module-level public name is exported or read somewhere in it.  Every
 dataclass field and every property of a class in the package is read as an
 attribute somewhere in it.  No module in the package reads an environment
-variable.
+variable, and every module parses as the oldest Python that pyproject.toml's
+requires-python admits.
 
 The repository has no linter, so these are its unused-import and dead-helper
 checks, written with the standard library's ast module.  A package
@@ -13,6 +14,9 @@ the import check.
 
 import ast
 import pathlib
+import re
+
+import pytest
 
 import coalitions
 
@@ -200,3 +204,23 @@ def test_no_src_module_reads_the_environment():
     found = [f"{module}:{line}" for module, source in _src_sources().items()
              for line in _environment_reads(source)]
     assert found == []
+
+
+def _python_floor():
+    """The (major, minor) that pyproject.toml's requires-python names as its lower bound."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"', text, re.M).groups()
+    return int(major), int(minor)
+
+
+def test_floor_check_rejects_newer_syntax():
+    # except* came in 3.11, one release above the floor
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+
+
+def test_every_src_module_parses_at_the_python_floor():
+    # the test interpreter may be newer than the floor, so importing the package cannot show this
+    floor = _python_floor()
+    for module, source in _src_sources().items():
+        ast.parse(source, filename=module, feature_version=floor)
