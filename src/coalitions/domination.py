@@ -7,8 +7,8 @@ exponential subset scan, and it shares no code with them: cds_table builds
 it bit-parallel, as one int of 2^n bits updated by a few shifts and masks
 per vertex.  gamma_c is read off the table, and the partition searches here
 and in the coalition oracle decide CDS-ness only by looking masks up in it.
-Both searches enumerate set partitions as restricted-growth strings so
-witnesses are deterministic.
+The d_c search enumerates set partitions as restricted-growth strings; both
+return the first maximum partition in that order, so witnesses are fixed.
 """
 
 import itertools

@@ -6,18 +6,19 @@ V where every part is either a singleton holding a full vertex or a non-CDS
 with a non-CDS coalition partner.  CC(G) is the largest number of parts such
 a partition can have, or 0 when none exists.
 
-The exact search enumerates set partitions as restricted-growth strings and
-returns the first maximum-size valid partition in that order, so witnesses
-are reproducible.  Its three structural prunes rest on a small fact used
-throughout this module: any superset of a connected dominating set is again
-a connected dominating set (domination is monotone, and an added vertex is
+The exact search returns the first maximum-size valid partition in
+restricted-growth order of the labels, so witnesses are reproducible.  One
+recursion places the vertices of a given order onto a partial partition of
+b parts; rest is the mask of the vertices not yet placed.  Beside the bound
+b + |rest| <= best, its three cuts rest on a small fact used throughout
+this module: any superset of a connected dominating set is again a
+connected dominating set (domination is monotone, and an added vertex is
 dominated, so it attaches to the connected core).
 
 - Growth: a non-singleton part that becomes a CDS stays one in every
   completion and can never be legal.
-- Partner test: with the vertices below i placed and rest the mask of
-  those not yet placed, every part p needs a current part q, p itself or
-  a non-CDS, with p | q | rest a CDS.  A part p can only end as some p'
+- Partner test: every part p needs a current part q, p itself or a
+  non-CDS, with p | q | rest a CDS.  A part p can only end as some p'
   within p | rest.  Its partner q' is a grown current part, so within
   q | rest, or a part still to be opened, so within rest (q = p).  Either
   way p' | q' lies inside p | q | rest, and a subset of a non-CDS is no
@@ -32,9 +33,19 @@ dominated, so it attaches to the connected core).
   rest nor such a q | rest is a CDS is cut: the partner test for an empty
   part, whose reach is rest.  No leaf meets it, as the bound returns there.
 
-Like the bound b + n - i <= best, all three cut only branches with no
-valid partition of more than best parts, so the search returns the first
-maximum partition in restricted-growth order of the unpruned enumeration.
+All four cuts read only rest and the parts, never the order the placed
+vertices came in, so they hold in any vertex order, and each cuts only
+branches with no valid partition of more than best parts.  The value is
+searched in descending degree order, ties by label, which empties rest of
+high-degree vertices, and so stops it being a CDS, sooner than label order
+does.  The witness comes from a lex-first walk over the labels: with the
+vertices below i fixed, i gets the least restricted-growth choice that
+still has a completion of CC parts.  Fixing the least feasible prefix at
+every step yields the first maximum partition of the unpruned label-order
+enumeration.  The walk keeps W, the last completion of CC parts it found.
+W extends the fixed prefix, so W's own choice t for i is feasible: only the
+open parts j < t need a search, and when none of them has a completion, t
+is the least feasible choice and W stands.
 """
 
 from .domination import PARTITION_GUARD_DEFAULT, cds_table, mask_is_cds, shrink_to_minimal_cds
@@ -106,32 +117,25 @@ def is_cc_partition(g, parts):
     return valid, diagnostics
 
 
-def cc_partition_search(g, guard=PARTITION_GUARD_DEFAULT):
-    """Exact CC(G) by partition search, with no disconnected-graph shortcut.
+def _place(table, n, blocks, order, best, cap):
+    """Complete the partial partition blocks by placing the vertices of order, in that order.
 
-    This is the raw engine behind cc_number; the harness also runs it
-    directly on disconnected graphs to confirm the shortcut they take.
-    Returns (cc, witness) where the witness is the first maximum-size valid
-    partition in restricted-growth-string order, or (0, None) if no valid
-    partition exists.  The module docstring's one partner test also decides
-    validity at the leaves, and tries the all-singleton partition first.
+    Returns a valid completion with the most parts if it has more than best,
+    else None.  The search stops at the first completion with cap parts, the
+    most any can have.  blocks is restored on return.
     """
-    n = g.n
-    if n < 1:
-        raise PreconditionError("cc search needs a graph of order >= 1")
-    if n > guard:
-        raise GuardExceededError(f"cc partition search guarded at n <= {guard}, got n={n}")
-    table = cds_table(g)
-    full = g.full_mask
-    best = 0
-    best_blocks = None
+    m = len(order)
+    rests = [0] * (m + 1)
+    for k in range(m - 1, -1, -1):
+        rests[k] = rests[k + 1] | 1 << order[k]
+    found = None
 
-    def rec(i, blocks):
-        nonlocal best, best_blocks
+    def rec(k, blocks):
+        nonlocal best, found
         b = len(blocks)
-        if b + n - i <= best:
+        if b + m - k <= best:
             return
-        rest = full ^ ((1 << i) - 1)
+        rest = rests[k]
         # new-part test (module docstring): with b <= best a part must still open
         if b <= best and not table[rest]:
             for q in blocks:
@@ -147,29 +151,72 @@ def cc_partition_search(g, guard=PARTITION_GUARD_DEFAULT):
                     break
             else:
                 return
-        if i == n:
-            best = b
-            best_blocks = blocks.copy()
+        if k == m:
+            # no partition has more than cap parts, so at cap the bound cuts every node left
+            best = b if b < cap else n
+            found = blocks.copy()
             return
-        bit = 1 << i
+        bit = 1 << order[k]
         for j in range(b):
             grown = blocks[j] | bit
             # growing a part into a non-singleton CDS dooms every completion
             if not table[grown]:
                 blocks[j] = grown
-                rec(i + 1, blocks)
+                rec(k + 1, blocks)
                 blocks[j] = grown ^ bit
         blocks.append(bit)
-        rec(i + 1, blocks)
+        rec(k + 1, blocks)
         blocks.pop()
 
-    # The all-singleton partition is the only one with n parts; when it is
-    # valid, best = n and the bound stops the full search at its root.
-    rec(n, [1 << v for v in range(n)])
-    rec(1, [1])
-    if best == 0:
+    rec(0, blocks)
+    return found
+
+
+def cc_partition_search(g, guard=PARTITION_GUARD_DEFAULT):
+    """Exact CC(G) by partition search, with no disconnected-graph shortcut.
+
+    This is the raw engine behind cc_number; the harness also runs it
+    directly on disconnected graphs to confirm the shortcut they take.
+    Returns (cc, witness) where the witness is the first maximum-size valid
+    partition in restricted-growth-string order, or (0, None) if no valid
+    partition exists.  The all-singleton partition is tried first; then the
+    value is found in degree order (the cuts hold in any vertex order), and
+    the witness by the lex-first walk of the module docstring, which fixes
+    the least feasible restricted-growth prefix at each step.  Its reuse of
+    W, a completion of CC parts that extends the fixed prefix, is sound:
+    when no open part j < t takes i, W's choice t is the least feasible.
+    """
+    n = g.n
+    if n < 1:
+        raise PreconditionError("cc search needs a graph of order >= 1")
+    if n > guard:
+        raise GuardExceededError(f"cc partition search guarded at n <= {guard}, got n={n}")
+    table = cds_table(g)
+    singletons = [1 << v for v in range(n)]
+    # the only partition with n parts; its leaf test is the validity rule
+    if _place(table, n, singletons, (), 0, n):
+        return n, [set_from_mask(p) for p in singletons]
+    nbr = g.nbr_masks
+    order = sorted(range(n), key=lambda v: -nbr[v].bit_count())
+    # with the singletons refused, no partition has more than n - 1 parts
+    found = _place(table, n, [1 << order[0]], order[1:], 0, n - 1)
+    if found is None:
         return 0, None
-    return best, [set_from_mask(p) for p in best_blocks]
+    cc = len(found)
+    witness = sorted(found, key=lambda p: p & -p)  # W, its parts numbered by lowest label
+    for i in range(1, n):
+        bit, low = 1 << i, (1 << i) - 1
+        fixed = [p & low for p in witness if p & low]
+        t = next(j for j, p in enumerate(witness) if p & bit)
+        later = [v for v in order if v > i]
+        for j in range(t):
+            grown = fixed[j] | bit
+            if not table[grown]:
+                hit = _place(table, n, fixed[:j] + [grown] + fixed[j + 1:], later, cc - 1, cc)
+                if hit:
+                    witness = sorted(hit, key=lambda p: p & -p)
+                    break
+    return cc, [set_from_mask(p) for p in witness]
 
 
 def cc_number(g, guard=PARTITION_GUARD_DEFAULT):

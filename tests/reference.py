@@ -2,10 +2,10 @@
 
 Everything here works with frozensets, an adjacency set read from g.edges,
 and unpruned enumeration; none of it touches the bitmask machinery it is
-meant to check.  The partition generator visits set partitions in the same
-restricted-growth order as the package searches (existing blocks in index
-order, then a new block), so witness identities can be compared exactly,
-not just the optimal values.
+meant to check.  The partition generator visits set partitions in
+restricted-growth order (existing blocks in index order, then a new block),
+the order whose first maximum partition the package's searches return, so
+witness identities can be compared exactly, not just the optimal values.
 """
 
 import functools

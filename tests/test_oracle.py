@@ -1,10 +1,12 @@
 """Exact CC oracle: frozen values, witness identity, expansion, coalition graphs.
 
 cc_number is compared against the unpruned reference witness-for-witness:
-the pruned search must visit partitions in the same restricted-growth order,
-so equal answers with different witnesses would mean a prune changed the
-semantics, not just the speed.  The raw search is compared the same way,
-disconnected graphs included, since cc_number never runs it on them.
+the pruned search must return the first maximum partition in the same
+restricted-growth order, whatever order it places the vertices in, so equal
+answers with different witnesses would mean a prune or the vertex order
+changed the semantics, not just the speed.  The raw search is compared the
+same way, disconnected graphs included, since cc_number never runs it on
+them.
 """
 
 import hashlib
@@ -29,7 +31,9 @@ from coalitions import (
     expand_domatic_to_cc_partition,
     generate,
     is_cc_partition,
+    is_connected,
     oracle,
+    parse_graph6,
 )
 from coalitions.domination import cds_table
 from coalitions.graphs import full_vertex_mask
@@ -38,6 +42,30 @@ from conftest import domatic_sweep, small_connected
 
 def parts(*sets):
     return [frozenset(s) for s in sets]
+
+
+def digest(graphs):
+    """sha256 of cc_partition_search's (value, witness) over graphs, parts as sorted lists."""
+    out = []
+    for g in graphs:
+        cc, witness = cc_partition_search(g)
+        out.append([cc, None if witness is None else [sorted(p) for p in witness]])
+    return hashlib.sha256(json.dumps(out).encode()).hexdigest()
+
+
+def readme_draws():
+    """README's 60 seeded connected G(12, p): draw i keeps each pair a < b
+    with p = 0.3 + 0.2 i / 59 under random.Random(1000 + i), redrawn until connected."""
+    draws = []
+    for i in range(60):
+        rng = random.Random(1000 + i)
+        p = 0.3 + 0.2 * i / 59
+        while True:
+            g = Graph(12, [(a, b) for a in range(12) for b in range(a + 1, 12) if rng.random() < p])
+            if is_connected(g):
+                break
+        draws.append(g)
+    return draws
 
 
 class TestFrozenValues:
@@ -77,6 +105,8 @@ class TestFrozenValues:
         assert cc_number(p6)[1] == parts({0, 1, 2, 3, 5}, {4})
         assert cc_number(c4)[1] == parts({0}, {1}, {2}, {3})
         assert cc_number(Graph(1, []))[1] == parts({0})
+        # both the all-singleton answer (C4) and the walk's (C5) hand out frozensets
+        assert all(type(p) is frozenset for p in cc_number(c4)[1] + cc_number(c5)[1])
 
     def test_zero_answers_carry_no_witness(self):
         assert cc_number(generate("path", [3])) == (0, None)
@@ -127,13 +157,6 @@ class TestAgainstReference:
         # labeled graphs with n = 6, and over 120 seeded graphs n = 7-10 with
         # 0-2 full vertices, taken before the search's partner tests were
         # merged into one.
-        def rows(graphs):
-            out = []
-            for g in graphs:
-                cc, witness = cc_partition_search(g)
-                out.append([cc, None if witness is None else [sorted(p) for p in witness]])
-            return hashlib.sha256(json.dumps(out).encode()).hexdigest()
-
         def seeded():
             rng = random.Random(710)
             for i in range(120):
@@ -143,9 +166,31 @@ class TestAgainstReference:
                 yield Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
                                 if a in full or b in full or rng.random() < p])
 
-        assert rows(enumerate_labeled_graphs(6)) == (
+        assert digest(enumerate_labeled_graphs(6)) == (
             "67191c67adcc00c008b0e6df1743a11689833bca851177c9166abbc12b7fd421")
-        assert rows(seeded()) == "e2467fc379437b167493452a49275e9fdb440625f907d139077f2f9a26a840a5"
+        assert digest(seeded()) == "e2467fc379437b167493452a49275e9fdb440625f907d139077f2f9a26a840a5"
+
+    def test_outputs_pinned_over_readme_draws_at_n12(self):
+        # Taken while the search still placed the vertices in label order:
+        # the value in degree order and the lex-first walk keep every witness.
+        graphs = readme_draws() + [parse_graph6("KpUgs?_Ae_Yj"), parse_graph6("KdD?GKdsKy{N")]
+        assert digest(graphs) == "2db1e9eb410f07e80432c70b5cfe1a831c6e2c404b164ee65e8d26fa158c722d"
+
+    def test_tree_classes_at_n12_relabeled(self):
+        # Every tree class n = 12 under one seeded relabeling: the search's
+        # cost depended on labels while it placed them in label order.  Every
+        # non-star tree has CC = 2 (t3); the digest was taken in label order.
+        rng = random.Random(5)
+        graphs = []
+        for t in nx.nonisomorphic_trees(12):
+            perm = rng.sample(range(12), 12)
+            graphs.append(Graph(12, [(perm[u], perm[v]) for u, v in t.edges]))
+        assert len(graphs) == 551
+        for g in graphs:
+            if not full_vertex_mask(g):
+                cc, witness = cc_partition_search(g)
+                assert cc == 2 and is_cc_partition(g, witness)[0], emit_graph6(g)
+        assert digest(graphs) == "ca276c19ef40d6ab04e731c0fe55dcc02b7fd2a39e9c95ca3256a346b8c31788"
 
     def test_witnesses_validate(self):
         for g in small_connected(5):
@@ -166,9 +211,14 @@ class TestSearchWork:
         (lambda: generate("path", [12]), 2, 2000),
         (lambda: generate("cycle", [12]), 3, 8000),
         (lambda: corona(generate("path", [6])), 2, 2000),
-    ], ids=["P12", "C12", "P6-corona-K1"])
+        (lambda: parse_graph6("K_??????@~g@"), 2, 2000),
+        (lambda: parse_graph6("KpUgs?_Ae_Yj"), 5, 200_000),
+    ], ids=["P12", "C12", "P6-corona-K1", "spider-tree", "G12-p0.4"])
     def test_table_lookups_under_ceiling(self, monkeypatch, maker, cc, ceiling):
-        # Without the new-part prune these read 25,497, 30,185 and 29,582 entries.
+        # Without the new-part prune the first three read 25,497, 30,185 and
+        # 29,582 entries.  Placed in label order rather than degree order,
+        # the spider tree (a hub of degree 9, labels reversed) reads
+        # 12,393,677 and the G(12, 0.4) draw 6,798,134.
         class Counted(list):
             reads = 0
 
