@@ -41,7 +41,6 @@ from .graphs import (
 )
 from .matrices import (
     Decision,
-    EdgeDominationMatrix,
     check_cc_equals_n,
     check_cc_equals_n_minus_1,
     edge_domination_matrix,
@@ -57,7 +56,6 @@ from .verify import (
     THEOREMS,
     VerifyReport,
     default_corpus,
-    replay_counterexample,
     run_theorem_suite,
 )
 
@@ -67,7 +65,6 @@ __all__ = [
     "CoalitionExpansionError",
     "CoalitionsError",
     "Decision",
-    "EdgeDominationMatrix",
     "Graph",
     "GraphFormatError",
     "GuardExceededError",
@@ -100,7 +97,6 @@ __all__ = [
     "iter_graph6_lines",
     "parse_edgelist",
     "parse_graph6",
-    "replay_counterexample",
     "replay_peel_trace",
     "run_theorem_suite",
 ]

@@ -72,7 +72,7 @@ def _run_per_graph(args):
     all_yes = True
     for g in _load_graphs(args.input, args.format):
         payload, text, yes = args.answer(g, args)
-        print(json.dumps(payload) if args.json else text)
+        print(json.dumps(payload) if getattr(args, "json", False) else text)
         all_yes = all_yes and yes
     return 1 if getattr(args, "status_exit", False) and not all_yes else 0
 
@@ -127,15 +127,21 @@ def _domatic(g, args):
     return {"d_c": k, "witness": wit}, f"d_c={k} witness={json.dumps(wit)}", True
 
 
+def _corona(g, args):
+    return None, emit_graph6(corona(g)), True
+
+
+def _dump_matrix(g, args):
+    rows = edge_domination_matrix(g)
+    lines = [f"{len(rows)} {g.n}"]
+    for mask in rows:
+        lines.append(" ".join(str(mask >> x & 1) for x in range(g.n)))
+    return None, "\n".join(lines), True
+
+
 def _cmd_gen(args):
     g = generate(args.family, args.params)
     print(emit_graph6(g) if args.format == "g6" else emit_edgelist(g))
-    return 0
-
-
-def _cmd_corona(args):
-    for g in _load_graphs(args.input, args.format):
-        print(emit_graph6(corona(g)))
     return 0
 
 
@@ -153,12 +159,6 @@ def _cmd_ccg(args):
     ):
         raise GraphFormatError("partition file must hold an array of arrays of vertex ids")
     print(emit_graph6(coalition_graph(graphs[0], [frozenset(p) for p in raw])))
-    return 0
-
-
-def _cmd_dump_matrix(args):
-    for g in _load_graphs(args.input, args.format):
-        print(edge_domination_matrix(g).to_text())
     return 0
 
 
@@ -243,7 +243,7 @@ def _build_parser():
     sp = sub.add_parser("corona", help="attach one pendant to every vertex (corona with K_1)")
     _add_input(sp)
     sp.add_argument("attach", choices=("k1",), help="what to attach (only k1 is supported)")
-    sp.set_defaults(func=_cmd_corona)
+    sp.set_defaults(func=_run_per_graph, answer=_corona)
 
     sp = sub.add_parser("ccg", help="coalition graph of a valid partition, as graph6")
     _add_input(sp)
@@ -253,7 +253,7 @@ def _build_parser():
 
     sp = sub.add_parser("dump-matrix", help="edge-domination matrix in the plain text dump format")
     _add_input(sp)
-    sp.set_defaults(func=_cmd_dump_matrix)
+    sp.set_defaults(func=_run_per_graph, answer=_dump_matrix)
 
     sp = sub.add_parser("verify", help="run the theorem suite over a corpus")
     sp.add_argument("--n-max", type=int, default=6,

@@ -52,7 +52,7 @@ class Graph:
     self-loops raise a PreconditionError naming the offending pair.
     """
 
-    __slots__ = ("n", "_nbr")
+    __slots__ = ("n", "nbr_masks")
 
     def __init__(self, n, edges):
         if n < 0:
@@ -67,23 +67,19 @@ class Graph:
             nbr[u] |= 1 << v
             nbr[v] |= 1 << u
         self.n = n
-        self._nbr = tuple(nbr)
+        self.nbr_masks = tuple(nbr)
 
     @classmethod
     def from_neighbor_masks(cls, n, nbr):
         """Trusted constructor for internal callers that already hold symmetric masks."""
         g = object.__new__(cls)
         g.n = n
-        g._nbr = tuple(nbr)
+        g.nbr_masks = tuple(nbr)
         return g
 
     @property
-    def nbr_masks(self):
-        return self._nbr
-
-    @property
     def closed_masks(self):
-        return tuple(m | (1 << v) for v, m in enumerate(self._nbr))
+        return tuple(m | (1 << v) for v, m in enumerate(self.nbr_masks))
 
     @property
     def full_mask(self):
@@ -92,20 +88,20 @@ class Graph:
     @property
     def edges(self):
         """All edges as (u, v) pairs with u < v, sorted."""
-        return tuple((u, v) for u, nb in enumerate(self._nbr) for v in iter_mask(nb) if v > u)
+        return tuple((u, v) for u, nb in enumerate(self.nbr_masks) for v in iter_mask(nb) if v > u)
 
     @property
     def m(self):
-        return sum(nb.bit_count() for nb in self._nbr) // 2
+        return sum(nb.bit_count() for nb in self.nbr_masks) // 2
 
     def degree(self, v):
-        return self._nbr[v].bit_count()
+        return self.nbr_masks[v].bit_count()
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self._nbr == other._nbr
+        return isinstance(other, Graph) and self.n == other.n and self.nbr_masks == other.nbr_masks
 
     def __hash__(self):
-        return hash((self.n, self._nbr))
+        return hash((self.n, self.nbr_masks))
 
     def __repr__(self):
         shown = list(self.edges[:12])
@@ -117,7 +113,7 @@ def induced_connected(g, mask):
     """True iff the subgraph induced on the nonempty vertex mask is connected."""
     if mask == 0:
         return False
-    nbr = g._nbr
+    nbr = g.nbr_masks
     comp = frontier = mask & -mask
     while frontier:
         reach = 0
@@ -145,7 +141,7 @@ def full_vertex_mask(g):
     """
     want = g.n - 1
     m = 0
-    for v, nb in enumerate(g._nbr):
+    for v, nb in enumerate(g.nbr_masks):
         if nb.bit_count() == want:
             m |= 1 << v
     return m
@@ -156,7 +152,7 @@ def corona(g):
     n = g.n
     if n == 0:
         raise PreconditionError("corona requires a nonempty graph")
-    nbr = [m | (1 << (n + i)) for i, m in enumerate(g._nbr)] + [1 << i for i in range(n)]
+    nbr = [m | (1 << (n + i)) for i, m in enumerate(g.nbr_masks)] + [1 << i for i in range(n)]
     return Graph.from_neighbor_masks(2 * n, nbr)
 
 
@@ -243,7 +239,7 @@ def emit_graph6(g):
         head = chr(63 + n)
     else:
         head = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
-    nbr = g._nbr
+    nbr = g.nbr_masks
     pairs = 0  # bit k is the k-th pair in column order
     k = 0
     for j in range(1, n):
@@ -419,7 +415,7 @@ def is_corona_of_k1(g):
     # n/2 leaves whose supports are exactly the n/2 non-leaves support one leaf each
     supports = 0
     for leaf in iter_mask(leaf_mask):
-        supports |= g._nbr[leaf]
+        supports |= g.nbr_masks[leaf]
     return supports == g.full_mask ^ leaf_mask and induced_connected(g, supports)
 
 

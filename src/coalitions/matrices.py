@@ -11,7 +11,8 @@ and that the CC = n test already failed.  The verification harness measures
 how the variants and the exact oracle relate instead of assuming it.
 """
 
-from dataclasses import dataclass, field
+import json
+from dataclasses import dataclass
 
 from .errors import PreconditionError
 from .graphs import is_connected, iter_mask
@@ -29,50 +30,26 @@ class Decision:
     variant: str | None = None
 
     def as_dict(self):
+        """The decision as JSON data: the witness's int keys become strings, its tuples lists."""
         return {
             "answer": self.answer,
-            "witness": _jsonable(self.witness),
+            "witness": json.loads(json.dumps(self.witness)),
             "reason": self.reason,
             "variant": self.variant,
         }
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-@dataclass(frozen=True)
-class EdgeDominationMatrix:
-    """Rows indexed by edges in sorted order, columns by vertices.
-
-    Bit x of row_masks[i] is set exactly when vertex x lies in the union of
-    the closed neighborhoods of row i's endpoints.  to_text renders the
-    byte-exact dump format.
-    """
-
-    n: int
-    edges: tuple
-    row_masks: tuple = field(repr=False)
-
-    def to_text(self):
-        lines = [f"{len(self.edges)} {self.n}"]
-        for mask in self.row_masks:
-            lines.append(" ".join(str(mask >> x & 1) for x in range(self.n)))
-        return "\n".join(lines)
-
-
 def edge_domination_matrix(g):
-    """The edge-domination matrix of a graph with at least one edge."""
+    """The edge-domination matrix of a graph with at least one edge, as a tuple of row masks.
+
+    Row i belongs to g.edges[i], and bit x of it is set exactly when vertex x
+    lies in the union of the closed neighborhoods of that edge's endpoints.
+    """
     edges = g.edges
     if not edges:
         raise PreconditionError("edge-domination matrix needs a graph with at least one edge")
     closed = g.closed_masks
-    rows = tuple(closed[p] | closed[q] for p, q in edges)
-    return EdgeDominationMatrix(g.n, edges, rows)
+    return tuple(closed[p] | closed[q] for p, q in edges)
 
 
 def _check_preconditions(g, op, minimum_order):

@@ -4,9 +4,9 @@ The registry maps short ids (t1..t10) to checks.  Each check declares the
 graphs it applies to and returns (ok, detail); the suite runner streams a
 corpus through the registry and collects counterexample certificates as
 graph6 strings plus the observed values, so any reported discrepancy can be
-replayed on its own.  t6 compares the two CC = n-1 decider variants against
-the oracle and is report-only: its counterexamples are measurements, not
-failures of this package.
+replayed on its own by running the suite on that one graph.  t6 compares
+the two CC = n-1 decider variants against the oracle and is report-only:
+its counterexamples are measurements, not failures of this package.
 """
 
 import json
@@ -25,7 +25,6 @@ from .graphs import (
     is_connected,
     is_corona_of_k1,
     is_tree,
-    parse_graph6,
 )
 from .matrices import check_cc_equals_n, check_cc_equals_n_minus_1
 from .oracle import cc_number, cc_partition_search
@@ -274,21 +273,6 @@ def run_theorem_suite(graphs, theorem_ids=None, corpus_label="custom",
             "report_only": t.report_only,
         })
     return VerifyReport(corpus=corpus_label, theorems=theorems)
-
-
-def replay_counterexample(theorem_id, graph6, guard=PARTITION_GUARD_DEFAULT):
-    """Re-run one theorem check on a certificate graph.
-
-    Returns {"applicable", "ok", "detail"}; a certificate replays when it is
-    applicable, not ok, and reproduces the recorded detail.
-    """
-    ids = _resolve_ids([theorem_id])
-    t = THEOREMS[ids[0]]
-    rec = GraphRecord(parse_graph6(graph6), guard)
-    if not t.applies(rec):
-        return {"applicable": False, "ok": None, "detail": None}
-    ok, detail = t.check(rec)
-    return {"applicable": True, "ok": ok, "detail": detail}
 
 
 def default_corpus(n_max=6, connected_only=False):

@@ -33,7 +33,6 @@ from coalitions import (
     is_cc_partition,
     is_connected,
     parse_graph6,
-    replay_counterexample,
     replay_peel_trace,
     run_theorem_suite,
 )
@@ -195,10 +194,9 @@ def test_criterion_06_cc_equals_n_minus_1_report_and_certificates(full_suite):
           f"{row['passed']}/{row['checked']} = {rate:.4f}")
     # every divergence certificate must replay from its graph6 string alone
     for ce in row["counterexamples"]:
-        replayed = replay_counterexample("t6", ce["graph6"])
-        assert replayed["applicable"]
-        assert replayed["ok"] is False
-        assert replayed["detail"] == ce["detail"]
+        replayed = theorem_row(run_theorem_suite([parse_graph6(ce["graph6"])], ["t6"]), "t6")
+        assert (replayed["checked"], replayed["passed"]) == (1, 0)
+        assert replayed["counterexamples"] == [ce]
     # README's split of the paper rule's wrong answers: each is a false yes,
     # either on a graph with CC = n or with a witness pair that is already a CDS
     cc_n = pair_is_cds = 0

@@ -13,7 +13,6 @@ PUBLIC_NAMES = [
     "CoalitionExpansionError",
     "CoalitionsError",
     "Decision",
-    "EdgeDominationMatrix",
     "Graph",
     "GraphFormatError",
     "GuardExceededError",
@@ -46,7 +45,6 @@ PUBLIC_NAMES = [
     "iter_graph6_lines",
     "parse_edgelist",
     "parse_graph6",
-    "replay_counterexample",
     "replay_peel_trace",
     "run_theorem_suite",
 ]

@@ -230,13 +230,6 @@ class TestCoronaAndCcg:
         code, out, _ = run(["corona", "-", "k1"], stdin="Cl\n")
         assert code == 0 and out == expected + "\n"
 
-    def test_corona_streams_until_a_malformed_line(self, run):
-        from coalitions import corona, emit_graph6, generate
-
-        code, out, err = run(["corona", "-", "k1"], stdin="Cl\nEhE\n")
-        assert code == 3 and "truncated" in err
-        assert out == emit_graph6(corona(generate("cycle", [4]))) + "\n"
-
     def test_out_flag_is_a_usage_error(self, run, tmp_path):
         # corona prints to standard output only
         assert run(["corona", "-", "k1", "--out", str(tmp_path / "x.g6")], stdin="Cl\n")[0] == 2
@@ -276,6 +269,31 @@ class TestCoronaAndCcg:
         assert code == 3 and "exactly one input graph" in err
 
 
+PER_GRAPH_COMMANDS = [
+    (["cc", "-"], True),
+    (["check-n", "-"], True),
+    (["check-n1", "-"], True),
+    (["family-f", "-"], True),
+    (["gamma-c", "-"], True),
+    (["domatic", "-"], True),
+    (["corona", "-", "k1"], False),
+    (["dump-matrix", "-"], False),
+]
+
+
+class TestPerGraphCommands:
+    @pytest.mark.parametrize("argv, takes_json", PER_GRAPH_COMMANDS,
+                             ids=[argv[0] for argv, _ in PER_GRAPH_COMMANDS])
+    def test_shared_runner_contract(self, run, argv, takes_json):
+        code, first, _ = run(argv, stdin="Cl\n")
+        assert code == 0 and first.endswith("\n")
+        # results stream as the input is read: the line before the bad one is already out
+        code, out, err = run(argv, stdin="Cl\nEhE\n")
+        assert (code, out) == (3, first)
+        assert err.startswith("error: ") and "truncated" in err
+        assert run(argv + ["--json"], stdin="Cl\n")[0] == (0 if takes_json else 2)
+
+
 class TestInputHandling:
     def test_edgelist_by_extension(self, run, tmp_path):
         path = tmp_path / "p6.el"
@@ -299,13 +317,6 @@ class TestInputHandling:
     def test_malformed_graph6_exits_3(self, run):
         code, _, err = run(["cc", "-"], stdin="EhE\n")
         assert code == 3 and "truncated" in err
-
-    def test_results_before_a_malformed_line_are_printed(self, run):
-        # results stream as the input is read: the line before the bad one is already out
-        code, out, err = run(["cc", "-"], stdin="Cl\nEhE\n")
-        assert code == 3
-        assert out == "cc=4 witness=[[0], [1], [2], [3]]\n"
-        assert "truncated" in err
 
     def test_non_utf8_graph6_file_exits_3(self, run, tmp_path):
         path = tmp_path / "bad.g6"

@@ -17,7 +17,7 @@ from coalitions import (
     generate,
     is_corona_of_k1,
     is_tree,
-    replay_counterexample,
+    parse_graph6,
     run_theorem_suite,
 )
 from coalitions import verify
@@ -159,22 +159,26 @@ class TestIsomorphismClassSharing:
 
 
 class TestReplay:
+    # a certificate replays when the suite, run on its graph6 string alone, fails the same way
+    @staticmethod
+    def replay(theorem_id, graph6):
+        return theorem_row(run_theorem_suite([parse_graph6(graph6)], [theorem_id]), theorem_id)
+
     def test_t6_certificates_replay(self, c4):
         report = run_theorem_suite([c4], ["t6"])
         (cex,) = theorem_row(report, "t6")["counterexamples"]
         assert cex["graph6"] == "Cl"
-        replayed = replay_counterexample("t6", cex["graph6"])
-        assert replayed["applicable"] and replayed["ok"] is False
-        assert replayed["detail"] == cex["detail"]
+        replayed = self.replay("t6", cex["graph6"])
+        assert (replayed["checked"], replayed["passed"]) == (1, 0)
+        assert replayed["counterexamples"] == [cex]
 
     def test_replay_reports_inapplicable_instances(self):
-        assert replay_counterexample("t3", "Cl") == {
-            "applicable": False, "ok": None, "detail": None,
-        }
+        replayed = self.replay("t3", "Cl")  # C_4 is no tree
+        assert (replayed["checked"], replayed["passed"], replayed["counterexamples"]) == (0, 0, [])
 
     def test_replay_of_a_passing_graph_reports_ok(self):
-        out = replay_counterexample("t5", "Cl")  # C_4: decider and oracle agree
-        assert out["applicable"] and out["ok"] is True
+        replayed = self.replay("t5", "Cl")  # C_4: decider and oracle agree
+        assert (replayed["checked"], replayed["passed"], replayed["counterexamples"]) == (1, 1, [])
 
 
 class TestCorpora:
