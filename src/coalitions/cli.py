@@ -163,7 +163,7 @@ def _cmd_ccg(args):
 
 
 def _cmd_verify(args):
-    ids = args.theorems.split(",") if args.theorems else None
+    ids = None if args.theorems is None else args.theorems.split(",")
     if args.corpus:
         graphs, label = _load_graphs(args.corpus, "g6"), f"graph6 file {args.corpus}"
     else:

@@ -478,7 +478,83 @@ def _orbit(mask, gens):
         mask = grown
 
 
-def canonical_form(g):
+def _descend(nbr, cells, stack, path):
+    """Refine, then individualize the lowest vertex of the first non-singleton cell, until discrete.
+
+    Each node passed on the way down appends its refined cells and the index
+    of that cell to path.  Returns the leaf's vertex order and its code, the
+    adjacency read in that order.
+    """
+    n = len(nbr)
+    _refine(nbr, cells, stack)
+    while len(cells) < n:
+        target = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
+        path.append((cells, target))
+        cell = cells[target]
+        bit = cell & -cell
+        cells = cells[:target] + [bit, cell ^ bit] + cells[target + 1:]
+        _refine(nbr, cells, [bit])
+    order = [cell.bit_length() - 1 for cell in cells]
+    code = 0
+    for k, u in enumerate(order):
+        nu = nbr[u]
+        for w in order[k + 1:]:
+            code = code << 1 | (nu >> w & 1)
+    return order, code
+
+
+def first_leaf(g):
+    """The first leaf of canonical_form's search: ((n, code), order, path).
+
+    (n, code) is a key for g's isomorphism class, as any leaf's is: equal
+    keys mean the same adjacency read in two vertex orders, so isomorphic
+    graphs.  A class can have several such keys.  path holds the cells and the
+    target index of each node above the leaf, which canonical_form(g, first)
+    resumes from.
+    """
+    full = g.full_mask
+    path = []
+    order, code = _descend(g.nbr_masks, [full] if full else [], [full], path)
+    return (g.n, code), order, path
+
+
+def _rest_of_search(nbr, path, fixed, best, best_order, autos):
+    """Try every child after the first of each path node, deepest node first; return (best, best_order).
+
+    fixed lists the vertices individualized above path[0].  Each child's
+    subtree is searched by a descent to its first leaf and a recursive call on
+    the nodes of that descent, so the order is depth-first and the leaves
+    are those a recursion over all children would visit.  autos collects the
+    automorphisms that leaves with equal codes give.
+    """
+    above = fixed + [(cells[target] & -cells[target]).bit_length() - 1 for cells, target in path]
+    for cells, target in reversed(path):
+        above.pop()  # now the vertices individualized above this node
+        cell = cells[target]
+        tried = cell & -cell
+        for v in iter_mask(cell ^ tried):
+            bit = 1 << v
+            if any(nbr[u] & ~bit == nbr[v] & ~(1 << u) for u in iter_mask(tried)):
+                continue
+            gens = [p for p in autos if all(p[x] == x for x in above)]
+            if bit & _orbit(tried, gens):
+                continue
+            tried |= bit
+            sub = []
+            order, code = _descend(nbr, cells[:target] + [bit, cell ^ bit] + cells[target + 1:], [bit], sub)
+            if code < best:
+                best, best_order = code, order
+            elif code == best:
+                perm = [0] * len(order)
+                for a, b in zip(best_order, order):
+                    perm[a] = b
+                autos.append(perm)
+            if sub:
+                best, best_order = _rest_of_search(nbr, sub, above + [v], best, best_order, autos)
+    return best, best_order
+
+
+def canonical_form(g, first=None):
     """A key equal for two graphs exactly when they are isomorphic: (n, min leaf code).
 
     Individualization-refinement (McKay & Piperno, "Practical graph
@@ -493,45 +569,16 @@ def canonical_form(g):
     one), or an image of a tried vertex under the automorphisms found so far
     that fix every vertex individualized above the node (two leaves with equal
     codes give one).
+
+    The first child of a node is never skipped, so the search starts with
+    first_leaf's descent.  A caller that already holds first = first_leaf(g)
+    passes it, and the search goes on from its path without descending
+    again; the theorem harness keys graphs by first_leaf and runs the rest
+    only for a key it has not met.
     """
-    nbr = g.nbr_masks
-    best = None
-    best_order = None
-    autos = []
-
-    def search(cells, stack, fixed):
-        nonlocal best, best_order
-        _refine(nbr, cells, stack)
-        if len(cells) == g.n:
-            order = [cell.bit_length() - 1 for cell in cells]
-            code = 0
-            for k, u in enumerate(order):
-                nu = nbr[u]
-                for w in order[k + 1:]:
-                    code = code << 1 | (nu >> w & 1)
-            if best is None or code < best:
-                best, best_order = code, order
-            elif code == best:
-                perm = [0] * len(order)
-                for a, b in zip(best_order, order):
-                    perm[a] = b
-                autos.append(perm)
-            return
-        target = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
-        cell = cells[target]
-        tried = 0
-        for v in iter_mask(cell):
-            bit = 1 << v
-            if tried:
-                if any(nbr[u] & ~bit == nbr[v] & ~(1 << u) for u in iter_mask(tried)):
-                    continue
-                gens = [p for p in autos if all(p[x] == x for x in fixed)]
-                if bit & _orbit(tried, gens):
-                    continue
-            tried |= bit
-            search(cells[:target] + [bit, cell ^ bit] + cells[target + 1:], [bit], fixed + [v])
-
-    full = g.full_mask
-    search([full] if full else [], [full], [])
-    del search  # search refers to itself; dropping it leaves no cycle for the garbage collector
-    return g.n, best
+    if first is None:
+        first = first_leaf(g)
+    (n, code), order, path = first
+    if path:
+        code = _rest_of_search(g.nbr_masks, path, [], code, order, [])[0]
+    return n, code

@@ -21,6 +21,7 @@ from .graphs import (
     canonical_form,
     emit_graph6,
     enumerate_labeled_graphs,
+    first_leaf,
     full_vertex_mask,
     is_connected,
     is_corona_of_k1,
@@ -223,28 +224,37 @@ def run_theorem_suite(graphs, theorem_ids=None, corpus_label="custom",
     passed + len(counterexamples) == checked.  Counterexamples carry the
     graph6 string of the labeled corpus graph and the observed values.
 
-    Every check is isomorphism-invariant (see TheoremCheck), so the checks
-    run once per isomorphism class: the first graph of a class is checked
-    through one GraphRecord, and later graphs whose canonical_form matches
-    cost one dict lookup.  Each class keeps the number of labeled graphs seen
-    and its failing (theorem, detail) pairs; a graph of a class with failures
-    adds its graph6 certificate to each, in corpus order, and checked and
-    passed are summed at the end as count times outcome.  That dict lives for
-    this one call, and its memory grows with the number of classes, not of
-    corpus graphs.  millis times each check on the first graph of each class,
+    Every check is isomorphism-invariant (see TheoremCheck), so the checks run
+    once per isomorphism class: the first graph of a class is checked through
+    one GraphRecord, and later graphs of the class cost one descent and a
+    lookup.  A graph is keyed in two levels: by the first leaf of
+    canonical_form's search (graphs.first_leaf, one descent), then by the
+    canonical form that leaf key maps to.  The rest of the search runs only
+    for a first-leaf key not met before; isomorphic graphs can have different
+    first-leaf keys, so a class may be reached through several.  Each class
+    keeps the number of labeled graphs seen and its failing (theorem, detail)
+    pairs; a graph of a class with failures adds its graph6 certificate to
+    each, in corpus order, and checked and passed are summed at the end as
+    count times outcome.  Both dicts live for this one call, and their memory
+    grows with the number of first-leaf keys and classes, not of corpus
+    graphs.  millis times each check on the first graph of each class,
     including the shared lazy values it was the first to touch.
     """
     ids = _resolve_ids(theorem_ids)
     checks = [THEOREMS[tid] for tid in ids]
     seconds = [0.0] * len(ids)
     found = [[] for _ in ids]  # each theorem's counterexamples
+    forms = {}  # first-leaf key -> canonical form
     by_class = {}  # canonical form -> [labeled graphs seen, outcomes, failures]
     for g in graphs:
         if g.n > guard:
             raise GuardExceededError(
                 f"corpus graph of order {g.n} exceeds the oracle guard {guard}"
             )
-        key = canonical_form(g)
+        first = first_leaf(g)
+        key = forms.get(first[0])
+        if key is None:
+            key = forms[first[0]] = canonical_form(g, first)
         seen = by_class.get(key)
         if seen is None:
             rec = GraphRecord(g, guard)

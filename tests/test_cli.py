@@ -406,6 +406,9 @@ class TestVerifyCommand:
     def test_unknown_theorem_exits_3(self, run):
         code, _, err = run(["verify", "--theorems", "t99", "--n-max", "3"])
         assert code == 3 and "unknown theorem id" in err
+        # an empty list names no theorem; only a missing flag means all ten
+        code, out, err = run(["verify", "--theorems", "", "--n-max", "3"])
+        assert code == 3 and out == "" and "unknown theorem id ''" in err
 
     def test_connected_only_label(self, run):
         code, out, _ = run(["verify", "--n-max", "3", "--connected-only", "--theorems", "t10"])

@@ -25,6 +25,7 @@ from coalitions import (
 )
 from coalitions.graphs import (
     canonical_form,
+    first_leaf,
     full_vertex_mask,
     induced_connected,
     iter_mask,
@@ -351,6 +352,16 @@ class TestCanonicalForm:
         for n, classes in [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)]:
             assert len({canonical_form(g) for g in enumerate_labeled_graphs(n)}) == classes
 
+    def test_equal_first_leaf_keys_mean_isomorphic_graphs(self):
+        # a first leaf's code is the adjacency read in one vertex order, so it keys the class
+        # soundly; over n <= 5 there is one first-leaf key per class
+        for n, classes in [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34)]:
+            judged = {}
+            for g in enumerate_labeled_graphs(n):
+                key = ref_canonical_key(g)
+                assert judged.setdefault(first_leaf(g)[0], key) == key
+            assert len(judged) == classes
+
     def test_invariant_under_relabeling(self):
         rng = random.Random(41)
         for n in range(1, 13):
@@ -399,7 +410,12 @@ class TestCanonicalForm:
         forms = [canonical_form(g) for g in graphs]
         assert len(set(forms)) == len(graphs)
         assert [n for n, _ in forms] == [12] * 8 + [10, 9, 30, 20]
-        assert [canonical_form(relabel(g, rng)) for g in graphs] == forms
+        copies = [relabel(g, rng) for g in graphs]
+        assert [canonical_form(g) for g in copies] == forms
+        # no first-leaf key is shared by two of these pairwise non-isomorphic shapes
+        shape_of = {}
+        for i, g in enumerate(graphs + copies):
+            assert shape_of.setdefault(first_leaf(g)[0], i % len(graphs)) == i % len(graphs)
 
     def test_agrees_with_the_reference_key_on_random_pairs(self):
         # b has a's order and edge count; about half the b are relabeled copies of a
@@ -433,9 +449,11 @@ class TestCanonicalForm:
         graphs += [relabel(g, rng) for g in graphs]
         keys = [ref_canonical_key(g) for g in graphs]
         forms = [canonical_form(g) for g in graphs]
+        leaves = [first_leaf(g)[0] for g in graphs]
         for i in range(len(graphs)):
             for j in range(len(graphs)):
                 assert (forms[i] == forms[j]) == (keys[i] == keys[j])
+                assert leaves[i] != leaves[j] or keys[i] == keys[j]
         assert forms[0] == forms[3]  # K_{2,2,2} is K_6 minus a perfect matching
 
     def test_twin_heavy_graphs_agree_with_networkx(self):
@@ -454,6 +472,7 @@ class TestCanonicalForm:
                    disjoint_copies(2, complete_multipartite(3, 3)), disjoint_copies(3, k4)]
         shapes += [relabel(g, rng) for g in shapes]
         forms = [canonical_form(g) for g in shapes]
+        leaves = [first_leaf(g)[0] for g in shapes]
         judged = []
         for g in shapes:
             h = nx.Graph()
@@ -462,7 +481,9 @@ class TestCanonicalForm:
             judged.append(h)
         for i in range(len(shapes)):
             for j in range(i):
-                assert (forms[i] == forms[j]) == nx.is_isomorphic(judged[i], judged[j])
+                isomorphic = nx.is_isomorphic(judged[i], judged[j])
+                assert (forms[i] == forms[j]) == isomorphic
+                assert leaves[i] != leaves[j] or isomorphic
 
     @pytest.mark.parametrize("graph, ceiling", [
         (disjoint_copies(3, generate("cycle", [5])), 100),

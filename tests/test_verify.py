@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from functools import cached_property
 
+import networkx as nx
 import pytest
 
 from coalitions import (
@@ -20,10 +21,14 @@ from coalitions import (
     parse_graph6,
     run_theorem_suite,
 )
-from coalitions import verify
-from coalitions.graphs import canonical_form
+from coalitions import graphs as graphs_module, verify
+from coalitions.graphs import canonical_form, first_leaf
 from coalitions.verify import GraphRecord
 from test_acceptance import check_n_scaling, corona_classes, theorem_row, tree_classes
+
+
+# two labelings of C3 + C4: one isomorphism class, two different first-leaf keys
+SPLIT_C3_C4 = ("FOTT?", "FGeR?")
 
 
 def strip_millis(report):
@@ -136,9 +141,10 @@ class TestIsomorphismClassSharing:
         assert strip_millis(run_theorem_suite(default_corpus(5)))["theorems"] == merged
 
     def test_suite_equals_a_graph_by_graph_run(self):
-        # each labeled graph n <= 5 through its own GraphRecord, no canonical form, no sharing
-        graphs = list(default_corpus(5))
-        assert len(graphs) == 1099
+        # each labeled graph n <= 5 through its own GraphRecord, no canonical form, no sharing;
+        # then two labelings of C3 + C4 whose first-leaf keys differ, one class reached by two keys
+        graphs = list(default_corpus(5)) + [parse_graph6(g6) for g6 in SPLIT_C3_C4]
+        assert len(graphs) == 1101
         rows = [{"id": tid, "anchor": t.anchor, "checked": 0, "passed": 0,
                  "counterexamples": [], "report_only": t.report_only}
                 for tid, t in THEOREMS.items()]
@@ -241,6 +247,41 @@ class TestKernelCalls:
             "is_corona_of_k1": 52, "full_vertex_mask": 31, "cc_partition_search": 21,
             "connected_domatic_number": 12, "check_cc_equals_n": 12, "check_cc_equals_n_minus_1": 24,
         }
+        # a class reached through two first-leaf keys is still checked once
+        a, b = map(parse_graph6, SPLIT_C3_C4)
+        assert first_leaf(a)[0] != first_leaf(b)[0] and canonical_form(a) == canonical_form(b)
+        counts.clear()
+        rows = {t["id"]: t for t in run_theorem_suite([a, b]).theorems}
+        assert counts["cc_number"] == 1
+        for tid in ("t1", "t9"):
+            assert (rows[tid]["checked"], rows[tid]["passed"]) == (2, 2)
+
+    def test_the_rest_of_the_search_runs_once_per_first_leaf_key(self, monkeypatch):
+        # every labeled graph n <= 6 costs one descent; its 208 first-leaf keys are its 208 classes
+        keys = []
+        form = verify.canonical_form
+
+        def counted(g, first):
+            keys.append(first[0])
+            return form(g, first)
+        monkeypatch.setattr(verify, "canonical_form", counted)
+        run_theorem_suite(default_corpus(6), ["t10"])
+        assert len(keys) == len(set(keys)) == 208
+
+    def test_a_new_first_leaf_is_descended_once(self, monkeypatch):
+        # an isomorph-free corpus (networkx's atlas, 1,252 graphs n = 1..7) misses on every graph:
+        # the suite must refine exactly as often as canonical_form does graph by graph
+        corpus = [Graph(h.number_of_nodes(), list(h.edges()))
+                  for h in nx.graph_atlas_g() if h.number_of_nodes()]
+        calls = []
+        refine = graphs_module._refine
+        monkeypatch.setattr(graphs_module, "_refine", lambda *args: calls.append(None) or refine(*args))
+        for g in corpus:
+            canonical_form(g)
+        alone = len(calls)
+        calls.clear()
+        run_theorem_suite(corpus, ["t10"])
+        assert len(calls) == alone == 4282
 
 
 class TestScalingBenchmark:
