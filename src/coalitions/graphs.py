@@ -1,9 +1,11 @@
-"""Immutable bitmask-backed graphs: construction, serialization, enumeration, canonical form.
+"""Immutable bitmask-backed graphs: construction, serialization, enumeration, isomorphism keys.
 
 Vertices of a graph of order n are the integers 0..n-1.  Vertex sets travel
 through the public API as frozensets of ids; the search kernels in the other
 modules work on integer bitmasks, so the packing helpers and the induced
-connectivity test live here where every module can share them.
+connectivity test live here where every module can share them.  first_leaf
+keys a graph for the theorem harness: isomorphic whenever keys are equal,
+though one isomorphism class may have several keys.
 """
 
 import binascii
@@ -466,33 +468,27 @@ def _refine(nbr, cells, stack):
                 stack += [p for p in parts if p != keep]
 
 
-def _orbit(mask, gens):
-    """The vertex mask closed under the permutations gens."""
-    while True:
-        grown = mask
-        for perm in gens:
-            for x in iter_mask(mask):
-                grown |= 1 << perm[x]
-        if grown == mask:
-            return mask
-        mask = grown
+def first_leaf(g):
+    """The first leaf of an individualization-refinement search: the key (n, code).
 
-
-def _descend(nbr, cells, stack, path):
-    """Refine, then individualize the lowest vertex of the first non-singleton cell, until discrete.
-
-    Each node passed on the way down appends its refined cells and the index
-    of that cell to path.  Returns the leaf's vertex order and its code, the
-    adjacency read in that order.
+    Refine to an equitable partition, then put the lowest vertex of the first
+    non-singleton cell in a cell of its own ahead of the rest and refine by
+    that vertex alone, until every cell is a singleton (McKay & Piperno,
+    "Practical graph isomorphism, II", 2014).  code is the adjacency read in
+    the leaf's vertex order, pair by pair.  Equal keys mean the same adjacency
+    read in two vertex orders, so isomorphic graphs.  An isomorphism class can
+    have several keys, since only the least code over all leaves is complete;
+    the theorem harness, whose checks are isomorphism-invariant, needs only
+    the soundness.
     """
-    n = len(nbr)
-    _refine(nbr, cells, stack)
+    n, nbr, full = g.n, g.nbr_masks, g.full_mask
+    cells = [full] if full else []
+    _refine(nbr, cells, [full])
     while len(cells) < n:
         target = next(i for i, cell in enumerate(cells) if cell & (cell - 1))
-        path.append((cells, target))
         cell = cells[target]
         bit = cell & -cell
-        cells = cells[:target] + [bit, cell ^ bit] + cells[target + 1:]
+        cells[target:target + 1] = bit, cell ^ bit
         _refine(nbr, cells, [bit])
     order = [cell.bit_length() - 1 for cell in cells]
     code = 0
@@ -500,85 +496,4 @@ def _descend(nbr, cells, stack, path):
         nu = nbr[u]
         for w in order[k + 1:]:
             code = code << 1 | (nu >> w & 1)
-    return order, code
-
-
-def first_leaf(g):
-    """The first leaf of canonical_form's search: ((n, code), order, path).
-
-    (n, code) is a key for g's isomorphism class, as any leaf's is: equal
-    keys mean the same adjacency read in two vertex orders, so isomorphic
-    graphs.  A class can have several such keys.  path holds the cells and the
-    target index of each node above the leaf, which canonical_form(g, first)
-    resumes from.
-    """
-    full = g.full_mask
-    path = []
-    order, code = _descend(g.nbr_masks, [full] if full else [], [full], path)
-    return (g.n, code), order, path
-
-
-def _rest_of_search(nbr, path, fixed, best, best_order, autos):
-    """Try every child after the first of each path node, deepest node first; return (best, best_order).
-
-    fixed lists the vertices individualized above path[0].  Each child's
-    subtree is searched by a descent to its first leaf and a recursive call on
-    the nodes of that descent, so the order is depth-first and the leaves
-    are those a recursion over all children would visit.  autos collects the
-    automorphisms that leaves with equal codes give.
-    """
-    above = fixed + [(cells[target] & -cells[target]).bit_length() - 1 for cells, target in path]
-    for cells, target in reversed(path):
-        above.pop()  # now the vertices individualized above this node
-        cell = cells[target]
-        tried = cell & -cell
-        for v in iter_mask(cell ^ tried):
-            bit = 1 << v
-            if any(nbr[u] & ~bit == nbr[v] & ~(1 << u) for u in iter_mask(tried)):
-                continue
-            gens = [p for p in autos if all(p[x] == x for x in above)]
-            if bit & _orbit(tried, gens):
-                continue
-            tried |= bit
-            sub = []
-            order, code = _descend(nbr, cells[:target] + [bit, cell ^ bit] + cells[target + 1:], [bit], sub)
-            if code < best:
-                best, best_order = code, order
-            elif code == best:
-                perm = [0] * len(order)
-                for a, b in zip(best_order, order):
-                    perm[a] = b
-                autos.append(perm)
-            if sub:
-                best, best_order = _rest_of_search(nbr, sub, above + [v], best, best_order, autos)
-    return best, best_order
-
-
-def canonical_form(g, first=None):
-    """A key equal for two graphs exactly when they are isomorphic: (n, min leaf code).
-
-    Individualization-refinement (McKay & Piperno, "Practical graph
-    isomorphism, II", 2014): refine to an equitable partition, then for each
-    vertex of the first non-singleton cell put it in a cell of its own ahead of
-    the rest, refine by that vertex alone and recurse.  A node is a leaf when
-    its partition is discrete, and its code is the adjacency read in that
-    vertex order; the least code over all leaves is the form.  A child is
-    skipped when an automorphism that fixes the node's partition maps an
-    already tried vertex onto it, since its subtree then holds the same codes:
-    a twin of a tried vertex (N(u) - v == N(v) - u, so swapping the two is
-    one), or an image of a tried vertex under the automorphisms found so far
-    that fix every vertex individualized above the node (two leaves with equal
-    codes give one).
-
-    The first child of a node is never skipped, so the search starts with
-    first_leaf's descent.  A caller that already holds first = first_leaf(g)
-    passes it, and the search goes on from its path without descending
-    again; the theorem harness keys graphs by first_leaf and runs the rest
-    only for a key it has not met.
-    """
-    if first is None:
-        first = first_leaf(g)
-    (n, code), order, path = first
-    if path:
-        code = _rest_of_search(g.nbr_masks, path, [], code, order, [])[0]
     return n, code

@@ -18,7 +18,6 @@ from .domination import PARTITION_GUARD_DEFAULT, connected_domatic_number
 from .errors import GuardExceededError, PreconditionError
 from .family import in_family_f
 from .graphs import (
-    canonical_form,
     emit_graph6,
     enumerate_labeled_graphs,
     first_leaf,
@@ -37,7 +36,7 @@ class GraphRecord:
     A value is cached here only when two or more checks, or a check and its
     applies, read it: connectivity, the full vertices, the oracle's
     (CC, witness) pair and the peel-family answer.  Each is computed on first
-    touch, so the suite makes one oracle call per isomorphism class.  A value
+    touch, so the suite makes one oracle call per first-leaf key.  A value
     only one check reads (d_c, a decider answer, the raw search, tree or
     corona shape, the minimum degree) is computed in that check, through this
     module's globals at call time.
@@ -82,8 +81,9 @@ class TheoremCheck:
     isomorphism-invariant: a relabeled copy of the graph gets the same
     applies answer and the same (ok, detail), so detail holds only
     invariants (CC, d_c, decider answers, counts) and never a witness.
-    run_theorem_suite shares outcomes across each isomorphism class on that
-    contract.
+    run_theorem_suite shares outcomes among the graphs of each first-leaf key
+    on that contract, so a class reached through two keys gets the same
+    outcome twice.
     """
 
     anchor: str
@@ -225,37 +225,30 @@ def run_theorem_suite(graphs, theorem_ids=None, corpus_label="custom",
     graph6 string of the labeled corpus graph and the observed values.
 
     Every check is isomorphism-invariant (see TheoremCheck), so the checks run
-    once per isomorphism class: the first graph of a class is checked through
-    one GraphRecord, and later graphs of the class cost one descent and a
-    lookup.  A graph is keyed in two levels: by the first leaf of
-    canonical_form's search (graphs.first_leaf, one descent), then by the
-    canonical form that leaf key maps to.  The rest of the search runs only
-    for a first-leaf key not met before; isomorphic graphs can have different
-    first-leaf keys, so a class may be reached through several.  Each class
-    keeps the number of labeled graphs seen and its failing (theorem, detail)
-    pairs; a graph of a class with failures adds its graph6 certificate to
-    each, in corpus order, and checked and passed are summed at the end as
-    count times outcome.  Both dicts live for this one call, and their memory
-    grows with the number of first-leaf keys and classes, not of corpus
-    graphs.  millis times each check on the first graph of each class,
+    once per first-leaf key (graphs.first_leaf, one descent): the first graph
+    of a key is checked through one GraphRecord, and later graphs with that
+    key cost one descent and a lookup.  Equal keys mean isomorphic graphs,
+    but an isomorphism class can have several keys, and it is then checked
+    once per key with the same outcome.  Each key keeps the number of labeled
+    graphs seen and its failing (theorem, detail) pairs; a graph of a key with
+    failures adds its graph6 certificate to each, in corpus order, and checked
+    and passed are summed at the end as count times outcome.  The dict lives
+    for this one call, and its memory grows with the number of keys, not of
+    corpus graphs.  millis times each check on the first graph of each key,
     including the shared lazy values it was the first to touch.
     """
     ids = _resolve_ids(theorem_ids)
     checks = [THEOREMS[tid] for tid in ids]
     seconds = [0.0] * len(ids)
     found = [[] for _ in ids]  # each theorem's counterexamples
-    forms = {}  # first-leaf key -> canonical form
-    by_class = {}  # canonical form -> [labeled graphs seen, outcomes, failures]
+    by_key = {}  # first-leaf key -> [labeled graphs seen, outcomes, failures]
     for g in graphs:
         if g.n > guard:
             raise GuardExceededError(
                 f"corpus graph of order {g.n} exceeds the oracle guard {guard}"
             )
-        first = first_leaf(g)
-        key = forms.get(first[0])
-        if key is None:
-            key = forms[first[0]] = canonical_form(g, first)
-        seen = by_class.get(key)
+        key = first_leaf(g)
+        seen = by_key.get(key)
         if seen is None:
             rec = GraphRecord(g, guard)
             outcomes = []
@@ -264,7 +257,7 @@ def run_theorem_suite(graphs, theorem_ids=None, corpus_label="custom",
                 outcomes.append(t.check(rec) if t.applies(rec) else None)
                 seconds[j] += time.perf_counter() - start
             failures = [(cex, o[1]) for cex, o in zip(found, outcomes) if o and not o[0]]
-            seen = by_class[key] = [0, outcomes, failures]
+            seen = by_key[key] = [0, outcomes, failures]
         seen[0] += 1
         if seen[2]:
             graph6 = emit_graph6(g)
@@ -272,7 +265,7 @@ def run_theorem_suite(graphs, theorem_ids=None, corpus_label="custom",
                 cex.append({"graph6": graph6, "detail": dict(detail)})
     theorems = []
     for j, (tid, t) in enumerate(zip(ids, checks)):
-        runs = [(count, o[0]) for count, outcomes, _ in by_class.values() if (o := outcomes[j])]
+        runs = [(count, o[0]) for count, outcomes, _ in by_key.values() if (o := outcomes[j])]
         theorems.append({
             "id": tid,
             "anchor": t.anchor,

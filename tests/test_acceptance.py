@@ -37,7 +37,7 @@ from coalitions import (
     run_theorem_suite,
 )
 from coalitions.domination import mask_is_cds, mask_is_dominating
-from coalitions.graphs import canonical_form, full_vertex_mask
+from coalitions.graphs import full_vertex_mask
 from conftest import domatic_sweep
 from reference import ref_peel, ref_valid_cc_partition
 
@@ -77,9 +77,24 @@ def from_networkx(h):
 
 def tree_classes(n_max):
     """One tree per isomorphism class of order 1..n_max, from networkx's own
-    generator, which shares no code with the canonical form that
+    generator, which shares no code with the first-leaf key that
     run_theorem_suite groups by."""
     return [from_networkx(t) for n in range(1, n_max + 1) for t in nx.nonisomorphic_trees(n)]
+
+
+def count_classes(graphs):
+    """The number of isomorphism classes among graphs, judged by networkx alone:
+    nx.is_isomorphic within each Weisfeiler-Lehman hash bucket.  The hash
+    starts from the degrees, passed as a node attribute."""
+    buckets = {}
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from((v, {"degree": g.degree(v)}) for v in range(g.n))
+        h.add_edges_from(g.edges)
+        reps = buckets.setdefault(nx.weisfeiler_lehman_graph_hash(h, node_attr="degree"), [])
+        if not any(nx.is_isomorphic(h, r) for r in reps):
+            reps.append(h)
+    return sum(map(len, buckets.values()))
 
 
 def corona_classes(h_order_max):
@@ -168,14 +183,14 @@ def test_criterion_05_bound_theorems_trees_and_coronas(full_suite, tree_suite, c
     trees, report = tree_suite
     assert [sum(g.n == n for g in trees) for n in range(1, 13)] == [
         1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235, 551]  # OEIS A000055
-    assert len({canonical_form(g) for g in trees}) == 987
+    assert count_classes(trees) == 987
     t3 = theorem_row(report, "t3")
     assert t3["checked"] == 975  # every class but the twelve stars K_{1,n-1}
     assert t3["counterexamples"] == []
     coronas, report = corona_suite
     assert [sum(g.n == 2 * h for g in coronas) for h in range(1, 7)] == [
         1, 1, 2, 6, 21, 112]  # OEIS A001349
-    assert len({canonical_form(g) for g in coronas}) == 143
+    assert count_classes(coronas) == 143
     t7 = theorem_row(report, "t7")
     assert t7["checked"] == 143
     assert t7["counterexamples"] == []  # the check is literally cc == 2

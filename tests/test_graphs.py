@@ -24,7 +24,6 @@ from coalitions import (
     parse_graph6,
 )
 from coalitions.graphs import (
-    canonical_form,
     first_leaf,
     full_vertex_mask,
     induced_connected,
@@ -46,6 +45,14 @@ def relabel(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def to_networkx(g):
+    """g as a networkx graph on the same vertex ids."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    return h
 
 
 def disjoint_copies(k, h):
@@ -127,10 +134,7 @@ class TestConnectivity:
         rng = random.Random(23)
         for _ in range(150):
             g = random_graph(rng, rng.randint(1, 10))
-            h = nx.Graph()
-            h.add_nodes_from(range(g.n))
-            h.add_edges_from(g.edges)
-            assert is_connected(g) == nx.is_connected(h)
+            assert is_connected(g) == nx.is_connected(to_networkx(g))
 
 
 
@@ -208,10 +212,7 @@ class TestGraph6:
         rng = random.Random(13)
         for _ in range(100):
             g = random_graph(rng, rng.randint(1, 12))
-            h = nx.Graph()
-            h.add_nodes_from(range(g.n))
-            h.add_edges_from(g.edges)
-            theirs = nx.to_graph6_bytes(h, header=False).decode().strip()
+            theirs = nx.to_graph6_bytes(to_networkx(g), header=False).decode().strip()
             assert emit_graph6(g) == theirs
 
     def test_optional_prefix_is_stripped(self, c6):
@@ -347,10 +348,17 @@ class TestShapeRecognizers:
 
 
 class TestCanonicalForm:
+    """first_leaf, the key the theorem harness groups graphs by.
+
+    Equal keys must mean isomorphic graphs (soundness).  A class may have
+    several keys, so relabeled copies need not share one.
+    """
+
     def test_one_form_per_isomorphism_class(self):
-        # OEIS A000088: graphs on n unlabeled vertices
+        # OEIS A000088: at n <= 6 each class has one first-leaf key, 208 in all; the per-key
+        # kernel counts of corpus6 and TestKernelCalls rest on these
         for n, classes in [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156)]:
-            assert len({canonical_form(g) for g in enumerate_labeled_graphs(n)}) == classes
+            assert len({first_leaf(g) for g in enumerate_labeled_graphs(n)}) == classes
 
     def test_equal_first_leaf_keys_mean_isomorphic_graphs(self):
         # a first leaf's code is the adjacency read in one vertex order, so it keys the class
@@ -359,16 +367,21 @@ class TestCanonicalForm:
             judged = {}
             for g in enumerate_labeled_graphs(n):
                 key = ref_canonical_key(g)
-                assert judged.setdefault(first_leaf(g)[0], key) == key
+                assert judged.setdefault(first_leaf(g), key) == key
             assert len(judged) == classes
 
-    def test_invariant_under_relabeling(self):
-        rng = random.Random(41)
-        for n in range(1, 13):
-            for _ in range(25):
-                g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
-                              if rng.random() < rng.random()])
-                assert canonical_form(relabel(g, rng)) == canonical_form(g)
+    def test_no_key_is_shared_by_two_atlas_classes(self):
+        # networkx's atlas lists one graph per class n <= 7 and shares no code with the key;
+        # each is keyed in its own labeling and in five shuffled ones
+        rng = random.Random(46)
+        atlas = [Graph(h.number_of_nodes(), list(h.edges()))
+                 for h in nx.graph_atlas_g() if h.number_of_nodes()]
+        assert len(atlas) == 1252
+        class_of = {}
+        for i, g in enumerate(atlas):
+            for h in [g] + [relabel(g, rng) for _ in range(5)]:
+                assert class_of.setdefault(first_leaf(h), i) == i
+        assert len(class_of) == 1254  # two classes have two keys each under this seed
 
     def test_same_degree_sequence_pairs_differ(self):
         prism = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
@@ -381,7 +394,7 @@ class TestCanonicalForm:
         ]
         for a, b in pairs:
             assert sorted(map(a.degree, range(a.n))) == sorted(map(b.degree, range(b.n)))
-            assert canonical_form(a) != canonical_form(b)
+            assert first_leaf(a) != first_leaf(b)
 
     def test_highly_symmetric_graphs(self):
         rng = random.Random(12)
@@ -397,25 +410,20 @@ class TestCanonicalForm:
             disjoint_copies(4, generate("complete", [3])),
             disjoint_copies(3, generate("cycle", [4])),
             generate("cycle", [12]),
-            # regular with twin classes: the twin-child prune keeps one child per class
+            # regular with twin classes
             complete_multipartite(6, 6),
             complete_multipartite(3, 3, 3, 3),
             # regular without twins: the root stays [V], and refinement starts from one vertex
             petersen,
             rook3,
             generate("cycle", [30]),
-            # 240,000 automorphisms and no twins: only the orbit prune cuts the search
             disjoint_copies(4, generate("cycle", [5])),
         ]
-        forms = [canonical_form(g) for g in graphs]
-        assert len(set(forms)) == len(graphs)
-        assert [n for n, _ in forms] == [12] * 8 + [10, 9, 30, 20]
-        copies = [relabel(g, rng) for g in graphs]
-        assert [canonical_form(g) for g in copies] == forms
+        assert [first_leaf(g)[0] for g in graphs] == [12] * 8 + [10, 9, 30, 20]
         # no first-leaf key is shared by two of these pairwise non-isomorphic shapes
         shape_of = {}
-        for i, g in enumerate(graphs + copies):
-            assert shape_of.setdefault(first_leaf(g)[0], i % len(graphs)) == i % len(graphs)
+        for i, g in enumerate(graphs + [relabel(g, rng) for g in graphs]):
+            assert shape_of.setdefault(first_leaf(g), i % len(graphs)) == i % len(graphs)
 
     def test_agrees_with_the_reference_key_on_random_pairs(self):
         # b has a's order and edge count; about half the b are relabeled copies of a
@@ -431,7 +439,7 @@ class TestCanonicalForm:
                 b = Graph(n, rng.sample(pairs, a.m))
             same = ref_canonical_key(a) == ref_canonical_key(b)
             isomorphic += same
-            assert (canonical_form(a) == canonical_form(b)) == same
+            assert first_leaf(a) != first_leaf(b) or same
         assert 60 <= isomorphic < 120
 
     def test_agrees_with_the_reference_key_on_twin_heavy_graphs(self):
@@ -448,13 +456,10 @@ class TestCanonicalForm:
         ]
         graphs += [relabel(g, rng) for g in graphs]
         keys = [ref_canonical_key(g) for g in graphs]
-        forms = [canonical_form(g) for g in graphs]
-        leaves = [first_leaf(g)[0] for g in graphs]
+        leaves = [first_leaf(g) for g in graphs]
         for i in range(len(graphs)):
             for j in range(len(graphs)):
-                assert (forms[i] == forms[j]) == (keys[i] == keys[j])
                 assert leaves[i] != leaves[j] or keys[i] == keys[j]
-        assert forms[0] == forms[3]  # K_{2,2,2} is K_6 minus a perfect matching
 
     def test_twin_heavy_graphs_agree_with_networkx(self):
         # a twin class is individualized one vertex at a time; the relabeled copies are the
@@ -471,32 +476,26 @@ class TestCanonicalForm:
                    disjoint_copies(3, complete_multipartite(2, 2)),
                    disjoint_copies(2, complete_multipartite(3, 3)), disjoint_copies(3, k4)]
         shapes += [relabel(g, rng) for g in shapes]
-        forms = [canonical_form(g) for g in shapes]
-        leaves = [first_leaf(g)[0] for g in shapes]
-        judged = []
-        for g in shapes:
-            h = nx.Graph()
-            h.add_nodes_from(range(g.n))
-            h.add_edges_from(g.edges)
-            judged.append(h)
+        leaves = [first_leaf(g) for g in shapes]
         for i in range(len(shapes)):
             for j in range(i):
-                isomorphic = nx.is_isomorphic(judged[i], judged[j])
-                assert (forms[i] == forms[j]) == isomorphic
-                assert leaves[i] != leaves[j] or isomorphic
+                if leaves[i] == leaves[j]:
+                    assert nx.is_isomorphic(to_networkx(shapes[i]), to_networkx(shapes[j]))
 
-    @pytest.mark.parametrize("graph, ceiling", [
-        (disjoint_copies(3, generate("cycle", [5])), 100),
-        (generate("complete", [12]), 24),
-        (complete_multipartite(6, 6), 42),
-        (generate("star", [11]), 22),
-    ], ids=["3C5", "K12", "K6,6", "K1,11"])
-    def test_refinements_under_ceiling(self, monkeypatch, graph, ceiling):
-        # Both prunes are speed-only, so only the refinements they save show them: without the
-        # orbit prune 3C5 takes 11,416, and without the twin-child prune K12, K6,6 and K1,11
-        # take 298, 166 and 231, against 50, 12, 21 and 11 with both
+    @pytest.mark.parametrize("graph", [
+        disjoint_copies(12, generate("complete", [2])),
+        disjoint_copies(4, generate("cycle", [5])),
+        disjoint_copies(3, generate("cycle", [5])),
+        generate("complete", [12]),
+        complete_multipartite(6, 6),
+        generate("cycle", [30]),
+        generate("star", [11]),
+    ], ids=["12K2", "4C5", "3C5", "K12", "K6,6", "C30", "K1,11"])
+    def test_refinements_under_ceiling(self, monkeypatch, graph):
+        # a key is one descent: one refinement at the root and one per individualized vertex,
+        # so at most n in all, however many automorphisms the graph has
         calls = []
         refine = graphs._refine
         monkeypatch.setattr(graphs, "_refine", lambda *args: calls.append(None) or refine(*args))
-        canonical_form(graph)
-        assert len(calls) <= ceiling
+        first_leaf(graph)
+        assert len(calls) <= graph.n

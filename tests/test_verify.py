@@ -22,8 +22,9 @@ from coalitions import (
     run_theorem_suite,
 )
 from coalitions import graphs as graphs_module, verify
-from coalitions.graphs import canonical_form, first_leaf
+from coalitions.graphs import first_leaf
 from coalitions.verify import GraphRecord
+from reference import ref_canonical_key
 from test_acceptance import check_n_scaling, corona_classes, theorem_row, tree_classes
 
 
@@ -112,7 +113,7 @@ class TestSuiteRuns:
 
 
 class TestIsomorphismClassSharing:
-    """run_theorem_suite shares outcomes by canonical form; these pin why that is sound."""
+    """run_theorem_suite shares outcomes by first-leaf key; these pin why that is sound."""
 
     def test_every_check_is_isomorphism_invariant(self):
         rng = random.Random(29)
@@ -141,7 +142,7 @@ class TestIsomorphismClassSharing:
         assert strip_millis(run_theorem_suite(default_corpus(5)))["theorems"] == merged
 
     def test_suite_equals_a_graph_by_graph_run(self):
-        # each labeled graph n <= 5 through its own GraphRecord, no canonical form, no sharing;
+        # each labeled graph n <= 5 through its own GraphRecord, no key, no sharing;
         # then two labelings of C3 + C4 whose first-leaf keys differ, one class reached by two keys
         graphs = list(default_corpus(5)) + [parse_graph6(g6) for g6 in SPLIT_C3_C4]
         assert len(graphs) == 1101
@@ -200,7 +201,7 @@ class TestCorpora:
     def test_tree_corpus_counts_and_contents(self):
         trees = tree_classes(5)
         assert sorted(t.n for t in trees) == [1, 2, 3, 4, 4, 5, 5, 5]  # OEIS A000055
-        assert len({canonical_form(t) for t in trees}) == 8
+        assert len({ref_canonical_key(t) for t in trees}) == 8
         assert all(is_tree(t) for t in trees)
 
     def test_corona_corpus(self):
@@ -208,7 +209,7 @@ class TestCorpora:
         assert len(graphs) == 4  # one per connected host class with n <= 3
         assert all(is_corona_of_k1(g) for g in graphs)
         assert sorted(g.n for g in graphs) == [2, 4, 6, 6]
-        assert len({canonical_form(g) for g in graphs}) == 4
+        assert len({ref_canonical_key(g) for g in graphs}) == 4
 
 
 class TestGraphRecord:
@@ -231,7 +232,7 @@ class TestGraphRecord:
 
 class TestKernelCalls:
     def test_one_call_per_class_and_kernel_at_n5(self, monkeypatch):
-        # the 52 isomorphism classes n <= 5, 31 of them connected; counted through
+        # the 52 first-leaf keys n <= 5, one per class, 31 of them connected; counted through
         # verify's module attributes, the names the checks resolve at call time
         counts = Counter()
         for name in ("cc_number", "cc_partition_search", "connected_domatic_number", "in_family_f",
@@ -247,41 +248,38 @@ class TestKernelCalls:
             "is_corona_of_k1": 52, "full_vertex_mask": 31, "cc_partition_search": 21,
             "connected_domatic_number": 12, "check_cc_equals_n": 12, "check_cc_equals_n_minus_1": 24,
         }
-        # a class reached through two first-leaf keys is still checked once
+        # a class reached through two first-leaf keys is checked once per key, with one outcome
         a, b = map(parse_graph6, SPLIT_C3_C4)
-        assert first_leaf(a)[0] != first_leaf(b)[0] and canonical_form(a) == canonical_form(b)
+        assert first_leaf(a) != first_leaf(b) and ref_canonical_key(a) == ref_canonical_key(b)
         counts.clear()
         rows = {t["id"]: t for t in run_theorem_suite([a, b]).theorems}
-        assert counts["cc_number"] == 1
+        assert counts["cc_number"] == 2
         for tid in ("t1", "t9"):
             assert (rows[tid]["checked"], rows[tid]["passed"]) == (2, 2)
 
-    def test_the_rest_of_the_search_runs_once_per_first_leaf_key(self, monkeypatch):
-        # every labeled graph n <= 6 costs one descent; its 208 first-leaf keys are its 208 classes
-        keys = []
-        form = verify.canonical_form
-
-        def counted(g, first):
-            keys.append(first[0])
-            return form(g, first)
-        monkeypatch.setattr(verify, "canonical_form", counted)
-        run_theorem_suite(default_corpus(6), ["t10"])
-        assert len(keys) == len(set(keys)) == 208
+    def test_one_oracle_call_per_first_leaf_key_at_n6(self, monkeypatch):
+        # the 33,867 labeled graphs n <= 6 have 208 first-leaf keys, one per class; t1 applies
+        # to every graph and reads CC
+        calls = []
+        oracle = verify.cc_number
+        monkeypatch.setattr(verify, "cc_number", lambda *args: calls.append(None) or oracle(*args))
+        run_theorem_suite(default_corpus(6), ["t1"])
+        assert len(calls) == 208
 
     def test_a_new_first_leaf_is_descended_once(self, monkeypatch):
         # an isomorph-free corpus (networkx's atlas, 1,252 graphs n = 1..7) misses on every graph:
-        # the suite must refine exactly as often as canonical_form does graph by graph
+        # the suite must refine exactly as often as first_leaf does graph by graph
         corpus = [Graph(h.number_of_nodes(), list(h.edges()))
                   for h in nx.graph_atlas_g() if h.number_of_nodes()]
         calls = []
         refine = graphs_module._refine
         monkeypatch.setattr(graphs_module, "_refine", lambda *args: calls.append(None) or refine(*args))
         for g in corpus:
-            canonical_form(g)
+            first_leaf(g)
         alone = len(calls)
         calls.clear()
         run_theorem_suite(corpus, ["t10"])
-        assert len(calls) == alone == 4282
+        assert len(calls) == alone == 3396
 
 
 class TestScalingBenchmark:
