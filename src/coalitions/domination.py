@@ -3,15 +3,15 @@
 The predicates take vertex bitmasks (subset_mask packs a vertex set) and
 decide one mask at a time; they remain the validators of witnesses and the
 test of the minimal shrink.  The whole-subset CDS table is the package's one
-exponential subset scan, and it shares no code with them: cds_table builds
-it bit-parallel, as one int of 2^n bits updated by a few shifts and masks
-per vertex.  gamma_c is read off the table, and the partition searches here
-and in the coalition oracle decide CDS-ness only by looking masks up in it.
-The d_c search enumerates set partitions as restricted-growth strings; both
+exponential subset scan, and it shares no code with them: it is built
+bit-parallel, as one int of 2^n bits, from masks made once per order n.
+gamma_c is read off that int size by size; the partition searches here and
+in the coalition oracle decide CDS-ness only from its unpacked table.  The
+d_c search enumerates set partitions as restricted-growth strings; both
 return the first maximum partition in that order, so witnesses are fixed.
 """
 
-import itertools
+import functools
 
 from .errors import GuardExceededError, PreconditionError
 from .graphs import induced_connected, is_connected, iter_mask, set_from_mask
@@ -36,16 +36,71 @@ def mask_is_cds(g, mask):
     return mask != 0 and mask_is_dominating(g, mask) and induced_connected(g, mask)
 
 
+@functools.cache
+def _order_masks(n):
+    """(without, layers) for order n: ints of 2^n bits, bit m for mask m.
+
+    without[v] marks the masks that miss v and layers[k] the masks of k
+    vertices; a mask that gains vertex i moves up 2^i bits.  Constants of n:
+    at most 21 orders pass the table guard, about 5 MB at n = 20.
+    """
+    without = [1] * n
+    layers = [1]
+    for i in range(n):
+        step = 1 << i
+        for v in range(n):
+            if v != i:
+                without[v] |= without[v] << step
+        layers.append(0)
+        for k in range(i + 1, 0, -1):
+            layers[k] |= layers[k - 1] << step
+    return without, layers
+
+
+def _cds_bits(g):
+    """The int of 2^n bits whose bit m is set iff mask m is a CDS of g (see cds_table)."""
+    n = g.n
+    if n > _TABLE_LIMIT:
+        raise GuardExceededError(f"cds_table supports n <= {_TABLE_LIMIT}, got {n}")
+    without, _ = _order_masks(n)
+    every = (1 << (1 << n)) - 1
+    undominated = 0
+    grow = []  # grow[v]: the masks that hold v and a neighbor of v
+    for v, nbr in enumerate(g.nbr_masks):
+        lonely = every  # the masks that hold no neighbor of v
+        for u in iter_mask(nbr):
+            lonely &= without[u]
+        undominated |= lonely & without[v]  # the masks that miss N[v]
+        grow.append(without[v] << (1 << v) & ~lonely)
+    conn = sum(1 << (1 << v) for v in range(n))
+    order = list(range(n))
+    while True:
+        before = conn
+        for v in order:
+            conn |= (conn & without[v]) << (1 << v) & grow[v]
+        if conn == before:
+            break
+        order.reverse()
+    return conn & ~undominated
+
+
+def _unpack(bits, n):
+    """The int of 2^n bits as a list of 2^n bools, bool m for bit m."""
+    digits = format(bits, "b").zfill(1 << n)[::-1].encode().translate(_BIT_BYTES)
+    return memoryview(digits).cast("?").tolist()
+
+
 def cds_table(g):
     """Boolean table over all 2^n vertex masks: table[mask] iff the mask is a CDS.
 
     Bulk precomputation for the partition searches; guarded because the table
     has 2^n entries.  It is built as one int of 2^n bits, bit m for mask m,
-    by a few shifts, ANDs and ORs of such ints per vertex:
+    by ANDs, ORs and shifts of such ints:
 
-    - avoiding(S), the masks that miss S, comes from z = 1 by doubling,
-      z |= z << 2^i for each vertex i outside S.  A mask dominates exactly
-      when it misses no closed neighborhood N[v].
+    - without[v], the masks that miss v, is made once per order n.  The
+      masks that hold no neighbor of v are the AND of without[u] over the
+      neighbors u of v.  A mask dominates exactly when it misses no closed
+      neighborhood N[v].
     - The connected masks start as the n singletons.  A sweep adds vertex v
       to every connected mask that misses v and holds a neighbor of v, for
       each v in turn; the direction alternates, and a sweep that adds
@@ -59,56 +114,30 @@ def cds_table(g):
     The CDS bits are the connected ones that dominate.  They are unpacked
     into a list of bools, the container the searches index fastest.
     """
-    n = g.n
-    if n > _TABLE_LIMIT:
-        raise GuardExceededError(f"cds_table supports n <= {_TABLE_LIMIT}, got {n}")
-
-    def avoiding(s):
-        z = 1
-        for i in range(n):
-            if not s >> i & 1:
-                z |= z << (1 << i)
-        return z
-
-    without = [avoiding(1 << v) for v in range(n)]  # the masks that miss v
-    undominated = 0
-    grow = []  # grow[v]: the masks that hold v and a neighbor of v
-    for v, nbr in enumerate(g.nbr_masks):
-        lonely = avoiding(nbr)  # the masks that hold no neighbor of v
-        undominated |= lonely & without[v]  # the masks that miss N[v]
-        grow.append(without[v] << (1 << v) & ~lonely)
-    conn = sum(1 << (1 << v) for v in range(n))
-    order = list(range(n))
-    while True:
-        before = conn
-        for v in order:
-            conn |= (conn & without[v]) << (1 << v) & grow[v]
-        if conn == before:
-            break
-        order.reverse()
-    bits = format(conn & ~undominated, "b").zfill(1 << n)[::-1].encode().translate(_BIT_BYTES)
-    return memoryview(bits).cast("?").tolist()
+    return _unpack(_cds_bits(g), g.n)
 
 
-def _min_cds(table):
-    """(size, mask) of the least mask of least size that the table marks as a CDS."""
-    # masks come in ascending order and min keeps the first of equal keys
-    mask = min(itertools.compress(range(len(table)), table), key=int.bit_count)
-    return mask.bit_count(), mask
+def _min_cds(bits, n):
+    """(size, mask) of the least CDS of least size: the lowest bit of the first nonzero bits & layers[size]."""
+    for size, layer in enumerate(_order_masks(n)[1]):
+        found = bits & layer
+        if found:
+            return size, (found & -found).bit_length() - 1
+    raise AssertionError("no connected dominating set")
 
 
 def gamma_c(g):
     """Minimum size of a connected dominating set, with a deterministic witness.
 
-    Read off cds_table, so it shares that table's guard of n <= 20.  Ties
-    break toward the smallest member bitmask, so repeated runs return the
-    same witness.
+    Read off the CDS bits that cds_table unpacks, without unpacking them, so
+    it shares that table's guard of n <= 20.  Ties break toward the smallest
+    member bitmask, so repeated runs return the same witness.
     """
     if g.n < 1:
         raise PreconditionError("gamma_c needs a graph of order >= 1")
     if not is_connected(g):
         raise PreconditionError("gamma_c undefined for disconnected graphs")
-    size, mask = _min_cds(cds_table(g))
+    size, mask = _min_cds(_cds_bits(g), g.n)
     return size, set_from_mask(mask)
 
 
@@ -138,8 +167,9 @@ def connected_domatic_number(g, guard=PARTITION_GUARD_DEFAULT):
             f"d_c partition search guarded at n <= {guard}, got n={g.n}"
         )
     n = g.n
-    table = cds_table(g)
-    gc, _ = _min_cds(table)
+    bits = _cds_bits(g)
+    table = _unpack(bits, n)
+    gc, _ = _min_cds(bits, n)
     full = g.full_mask
     best = 0
     best_parts = None

@@ -21,8 +21,9 @@ class GuardExceededError(CoalitionsError):
     nuisance and becomes a mistake.  Callers that really mean it can raise
     the partition-search guard (n <= 12 by default) through the guard
     argument, or --guard on the command line.  Two guards are
-    fixed: cds_table's n <= 20, which gamma_c and every search reading the
-    table share, and labeled enumeration's n <= 7.
+    fixed: the CDS table's n <= 20, checked before the masks of the order
+    are made and shared by cds_table, gamma_c and every search reading the
+    table, and labeled enumeration's n <= 7.
     """
 
 

@@ -21,6 +21,7 @@ from coalitions import (
     gamma_c,
     generate,
 )
+from coalitions import domination
 from coalitions.domination import mask_is_cds, mask_is_dominating, shrink_to_minimal_cds
 from coalitions.graphs import set_from_mask, subset_mask
 from conftest import small_connected
@@ -43,6 +44,15 @@ def seeded_table_graphs():
         Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
         for n in range(6, 15)
         for p in (0.2, 0.5, 0.8)
+    ]
+
+
+def seeded_dense_graphs():
+    """One seeded G(n, 0.9) for each of n = 15, 17 and 20, where most masks are CDSs."""
+    rng = random.Random(1520)
+    return [
+        Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.9])
+        for n in (15, 17, 20)
     ]
 
 
@@ -107,20 +117,43 @@ class TestCdsTable:
                 for mask in range(1 << n):
                     assert table[mask] == mask_is_cds(g, mask) == ref_is_cds(g, set_from_mask(mask))
 
-    # taken with the mask-by-mask build (a cover array and a BFS per dominating mask)
+    # the first two taken with the mask-by-mask build (a cover array and a BFS
+    # per dominating mask), the dense one with the build that made every
+    # avoiding set by doubling per graph
     @pytest.mark.parametrize("graphs,digest", [
         (seeded_table_graphs, "2a93418095df4aa3eccca696a0f0f09266b6ae1c3bf480fea2dc110afd913e6a"),
         (lambda: [generate("cycle", [20]), generate("path", [20]), generate("star", [19])],
          "d119ea5b23a0d23a8fc184cb507d33577e24a1c8bbc4a7e43a319b1f5d905364"),
         # the digest of the one line "0": the empty graph's table is [False]
         (lambda: [Graph(0, [])], "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
-    ], ids=["seeded_n6_to_14", "C20_P20_K1_19", "empty"])
+        (seeded_dense_graphs, "be74e8f518e887251b1959db9b72b500571873d867108567b12d77ed1248dd6a"),
+    ], ids=["seeded_n6_to_14", "C20_P20_K1_19", "empty", "dense_n15_17_20"])
     def test_tables_pinned(self, graphs, digest):
         assert table_digest(graphs()) == digest
 
-    def test_guard(self):
+    def test_orders_interleaved(self):
+        # the masks of each order are made once and reused, so revisit orders out of turn
+        rng = random.Random(906)
+        for n in (9, 2, 9, 0, 1, 6, 12, 3, 6):
+            g = random_connected(rng, n) if n else Graph(0, [])
+            before = gamma_c(g) if n else None
+            table = cds_table(g)
+            assert len(table) == 1 << n
+            for mask in range(1 << n):
+                assert table[mask] == mask_is_cds(g, mask) == ref_is_cds(g, set_from_mask(mask))
+            if n:
+                assert before == gamma_c(g) == ref_gamma_c(g)
+
+    def test_guard(self, monkeypatch):
+        # the guard fires before the masks of the order are made
+        monkeypatch.setattr(domination, "_order_masks", None)
+        star = generate("star", [20])
         with pytest.raises(GuardExceededError, match=r"n <= 20"):
             cds_table(Graph(21, []))
+        with pytest.raises(GuardExceededError, match=r"n <= 20"):
+            gamma_c(star)
+        with pytest.raises(GuardExceededError, match=r"n <= 20"):
+            connected_domatic_number(star, guard=21)
 
 
 class TestGammaC:
@@ -149,6 +182,19 @@ class TestGammaC:
                 for _ in range(5):
                     g = random_connected(rng, n, p)
                     assert gamma_c(g) == ref_gamma_c(g)
+
+    def test_matches_reference_on_dense_n10_to_14(self):
+        # gamma_c is 1 or 2 here and most masks are CDSs
+        rng = random.Random(1014)
+        sizes = set()
+        for n in range(10, 15):
+            for p in (0.75, 0.9):
+                for _ in range(3):
+                    g = random_connected(rng, n, p)
+                    size, witness = gamma_c(g)
+                    assert (size, witness) == ref_gamma_c(g)
+                    sizes.add(size)
+        assert sizes == {1, 2}
 
     @pytest.mark.parametrize("maker,size,witness", [
         (lambda: generate("cycle", [20]), 18, range(18)),
