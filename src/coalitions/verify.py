@@ -18,6 +18,7 @@ from .domination import PARTITION_GUARD_DEFAULT, connected_domatic_number
 from .errors import GuardExceededError, PreconditionError
 from .family import in_family_f
 from .graphs import (
+    degree_key,
     emit_graph6,
     enumerate_labeled_graphs,
     first_leaf,
@@ -36,9 +37,10 @@ class GraphRecord:
     A value is cached here only when two or more checks, or a check and its
     applies, read it: connectivity, the full vertices, the oracle's
     (CC, witness) pair and the peel-family answer.  Each is computed on first
-    touch, so the suite makes one oracle call per first-leaf key.  A value
-    only one check reads (d_c, a decider answer, the raw search, tree or
-    corona shape, the minimum degree) is computed in that check, through this
+    touch.  The suite makes one record per first-leaf key, not one per degree
+    key or per graph, so one oracle call per first-leaf key.  A value only
+    one check reads (d_c, a decider answer, the raw search, tree or corona
+    shape, the minimum degree) is computed in that check, through this
     module's globals at call time.
     """
 
@@ -226,15 +228,19 @@ def run_theorem_suite(graphs, theorem_ids=None, corpus_label="custom",
 
     Every check is isomorphism-invariant (see TheoremCheck), so the checks run
     once per first-leaf key (graphs.first_leaf, one descent): the first graph
-    of a key is checked through one GraphRecord, and later graphs with that
-    key cost one descent and a lookup.  Equal keys mean isomorphic graphs,
-    but an isomorphism class can have several keys, and it is then checked
-    once per key with the same outcome.  Each key keeps the number of labeled
-    graphs seen and its failing (theorem, detail) pairs; a graph of a key with
-    failures adds its graph6 certificate to each, in corpus order, and checked
-    and passed are summed at the end as count times outcome.  The dict lives
-    for this one call, and its memory grows with the number of keys, not of
-    corpus graphs.  millis times each check on the first graph of each key,
+    of a key is checked through one GraphRecord.  Each graph is keyed first
+    by graphs.degree_key, a sort, and descended only when its degree key is
+    new; a graph with a degree key seen before takes the first-leaf key of
+    the earlier graph, which is isomorphic to it, for the cost of a degree
+    key and two lookups.  Equal keys of either kind mean isomorphic
+    graphs, but an isomorphism class can have several first-leaf keys, and
+    it is then checked once per key with the same outcome.  Each first-leaf
+    key keeps the number of labeled graphs seen and its failing (theorem,
+    detail) pairs; a graph of a key with failures adds its graph6
+    certificate to each, in corpus order, and checked and passed are summed
+    at the end as count times outcome.  Both dicts live for this one call,
+    and their memory grows with the number of keys, not of corpus graphs.
+    millis times each check on the first graph of each first-leaf key,
     including the shared lazy values it was the first to touch.
     """
     ids = _resolve_ids(theorem_ids)
@@ -242,12 +248,16 @@ def run_theorem_suite(graphs, theorem_ids=None, corpus_label="custom",
     seconds = [0.0] * len(ids)
     found = [[] for _ in ids]  # each theorem's counterexamples
     by_key = {}  # first-leaf key -> [labeled graphs seen, outcomes, failures]
+    leaf_of = {}  # degree key -> first-leaf key of the first graph with it
     for g in graphs:
         if g.n > guard:
             raise GuardExceededError(
                 f"corpus graph of order {g.n} exceeds the oracle guard {guard}"
             )
-        key = first_leaf(g)
+        cheap = degree_key(g)
+        key = leaf_of.get(cheap)
+        if key is None:
+            key = leaf_of[cheap] = first_leaf(g)
         seen = by_key.get(key)
         if seen is None:
             rec = GraphRecord(g, guard)

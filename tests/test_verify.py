@@ -266,6 +266,28 @@ class TestKernelCalls:
         run_theorem_suite(default_corpus(6), ["t1"])
         assert len(calls) == 208
 
+    def test_one_descent_per_new_degree_key_at_n6(self, monkeypatch):
+        # the 33,867 labeled graphs n <= 6 have 1,043 degree keys; only a new one is descended,
+        # and the descents still reach the 208 first-leaf keys
+        counts = Counter()
+        for name in ("first_leaf", "cc_number"):
+            def counted(*args, _fn=getattr(verify, name), _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(verify, name, counted)
+        run_theorem_suite(default_corpus(6))
+        assert counts == {"first_leaf": 1043, "cc_number": 208}
+
+    def test_the_degree_key_memo_changes_no_report(self, monkeypatch):
+        # a degree key no two graphs share sends every graph through first_leaf
+        normal = strip_millis(run_theorem_suite(default_corpus(5)))
+        descents = []
+        leaf = verify.first_leaf
+        monkeypatch.setattr(verify, "degree_key", lambda g: (g.n, g.nbr_masks))
+        monkeypatch.setattr(verify, "first_leaf", lambda g: descents.append(None) or leaf(g))
+        assert strip_millis(run_theorem_suite(default_corpus(5))) == normal
+        assert len(descents) == 1 + 2 + 8 + 64 + 1024
+
     def test_a_new_first_leaf_is_descended_once(self, monkeypatch):
         # an isomorph-free corpus (networkx's atlas, 1,252 graphs n = 1..7) misses on every graph:
         # the suite must refine exactly as often as first_leaf does graph by graph
