@@ -32,7 +32,12 @@ def mask_is_dominating(g, mask):
 
 
 def mask_is_cds(g, mask):
-    """True iff the nonempty mask dominates g and induces a connected subgraph."""
+    """True iff the nonempty mask dominates g and induces a connected subgraph.
+
+    The superset fact: any superset of a CDS is again a CDS.  Domination is
+    monotone, and an added vertex is dominated, so it attaches to the
+    connected core.
+    """
     return mask != 0 and mask_is_dominating(g, mask) and induced_connected(g, mask)
 
 
@@ -145,9 +150,9 @@ def connected_domatic_number(g, guard=PARTITION_GUARD_DEFAULT):
     """Maximum number of parts in a partition of V into connected dominating sets.
 
     Exact search over set partitions in restricted-growth order.  A part can
-    end only inside its own vertices plus the unassigned ones, and a superset
-    of a CDS is a CDS, so a branch is pruned when for some part that union is
-    no CDS in the table.  It is also pruned when the unassigned vertices
+    end only inside its own vertices plus the unassigned ones, so a branch is
+    pruned when for some part that union is no CDS in the table (superset
+    fact, mask_is_cds).  It is also pruned when the unassigned vertices
     cannot supply enough gamma_c-sized parts to beat the incumbent.  That
     bound counts a deficit: every final part is a CDS of at least gamma_c
     vertices, so each current part that is not yet a CDS must still take
@@ -208,11 +213,10 @@ def connected_domatic_number(g, guard=PARTITION_GUARD_DEFAULT):
 def shrink_to_minimal_cds(g, mask):
     """Greedily shrink a connected dominating set mask to a minimal one.
 
-    One ascending pass removes each vertex whose removal leaves a CDS.
-    Because supersets of connected dominating sets are again connected
-    dominating sets, a vertex that cannot go cannot go later either, so no
-    single removal works on the result, and it is minimal in the strong
-    sense: no proper subset is a CDS.
+    One ascending pass removes each vertex whose removal leaves a CDS.  By
+    the superset fact (mask_is_cds) a vertex that cannot go cannot go later
+    either, so no single removal works on the result, and it is minimal in
+    the strong sense: no proper subset is a CDS.
     """
     if not mask_is_cds(g, mask):
         raise PreconditionError("shrink_to_minimal_cds needs a connected dominating set")

@@ -3,10 +3,7 @@
 Vertices of a graph of order n are the integers 0..n-1.  Vertex sets travel
 through the public API as frozensets of ids; the search kernels in the other
 modules work on integer bitmasks, so the packing helpers and the induced
-connectivity test live here where every module can share them.  first_leaf
-keys a graph for the theorem harness, and degree_key is the cheap key in
-front of it: for both, equal keys mean isomorphic graphs, though one
-isomorphism class may have several keys.
+connectivity test live here where every module can share them.
 """
 
 import binascii
@@ -476,11 +473,10 @@ def first_leaf(g):
     non-singleton cell in a cell of its own ahead of the rest and refine by
     that vertex alone, until every cell is a singleton (McKay & Piperno,
     "Practical graph isomorphism, II", 2014).  code is the adjacency read in
-    the leaf's vertex order, pair by pair.  Equal keys mean the same adjacency
-    read in two vertex orders, so isomorphic graphs.  An isomorphism class can
-    have several keys, since only the least code over all leaves is complete;
-    the theorem harness, whose checks are isomorphism-invariant, needs only
-    the soundness, and calls this only for a graph whose degree_key is new.
+    the leaf's vertex order, pair by pair.  What a key guarantees: equal keys
+    mean the same adjacency read in two vertex orders, so isomorphic graphs,
+    but an isomorphism class can have several keys, since only the least code
+    over all leaves is complete.
     """
     n, nbr, full = g.n, g.nbr_masks, g.full_mask
     cells = [full] if full else []
@@ -497,9 +493,9 @@ def first_leaf(g):
 def degree_key(g):
     """The key (n, code) read with the vertices sorted by ascending degree, ties by label.
 
-    A code like first_leaf's, so equal keys mean isomorphic graphs, for the
-    cost of a sort.  It splits classes far more (936 keys for the 156 classes
-    n = 6), so the theorem harness keys by it only to skip a first_leaf.
+    A code like first_leaf's, so it guarantees what first_leaf's key does,
+    for the cost of a sort; it splits classes far more (936 keys for the 156
+    classes n = 6).
     """
     nbr = g.nbr_masks
     degrees = [m.bit_count() for m in nbr]

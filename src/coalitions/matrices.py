@@ -144,17 +144,15 @@ def check_cc_equals_n_minus_1(g, variant="strict"):
     - Condition 1 for x holds exactly when partner[x] minus {u, v} is
       nonempty, where partner[x] holds the w whose edge xw has a full row
       (see _partner_masks); its lowest vertex gives the first such edge.
-    - When 2D < n, D the maximum degree, no pair qualifies.  A row
-      N[x] | N[w] holds at most 2D < n vertices (x and w lie in both
-      closed neighborhoods), so no row is full and condition 1 never
-      holds.  Every x outside {u, v} (n >= 3, so one exists) then needs
-      condition 2.  If uv is an edge, the triple is connected only when x
-      lies in N(u) | N(v), so the row of uv would cover V.  If uv is no
-      edge, every such x is adjacent to both u and v, so D >= n - 2, and
-      2(n - 2) < n forces n = 3, where x would be full.  This is tested
-      before any partner mask is built, in both variants; the strict
-      variant's earlier refusal, "the CC = n check already succeeds",
-      needs a full row and cannot apply there.
+    - When 2D < n, D the maximum degree, no pair qualifies.  No row is full
+      then (check_cc_equals_n), so condition 1 never holds.  Every x outside
+      {u, v} (n >= 3, so one exists) then needs condition 2.  If uv is an
+      edge, the triple is connected only when x lies in N(u) | N(v), so the
+      row of uv would cover V.  If uv is no edge, every such x is adjacent to
+      both u and v, so D >= n - 2, and 2(n - 2) < n forces n = 3, where x
+      would be full.  This is tested before any partner mask is built, in both
+      variants; the strict variant's earlier refusal, "the CC = n check
+      already succeeds", needs a full row and cannot apply there.
     - {z, u, v} dominates exactly when N[z] contains every vertex missed
       by N[u] | N[v], and three vertices induce a connected graph exactly
       when two of their pairs are edges: z adjacent to u or v if uv is an

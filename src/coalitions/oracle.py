@@ -10,10 +10,7 @@ The exact search returns the first maximum-size valid partition in
 restricted-growth order of the labels, so witnesses are reproducible.  One
 recursion places the vertices of a given order onto a partial partition of
 b parts; rest is the mask of the vertices not yet placed.  Beside the bound
-b + |rest| <= best, its three cuts rest on a small fact used throughout
-this module: any superset of a connected dominating set is again a
-connected dominating set (domination is monotone, and an added vertex is
-dominated, so it attaches to the connected core).
+b + |rest| <= best, its three cuts rest on the superset fact (mask_is_cds).
 
 - Growth: a non-singleton part that becomes a CDS stays one in every
   completion and can never be legal.
@@ -180,11 +177,8 @@ def cc_partition_search(g, guard=PARTITION_GUARD_DEFAULT):
     Returns (cc, witness) where the witness is the first maximum-size valid
     partition in restricted-growth-string order, or (0, None) if no valid
     partition exists.  The all-singleton partition is tried first; then the
-    value is found in degree order (the cuts hold in any vertex order), and
-    the witness by the lex-first walk of the module docstring, which fixes
-    the least feasible restricted-growth prefix at each step.  Its reuse of
-    W, a completion of CC parts that extends the fixed prefix, is sound:
-    when no open part j < t takes i, W's choice t is the least feasible.
+    value is found in degree order, and the witness by the lex-first walk of
+    the module docstring.
     """
     n = g.n
     if n < 1:
@@ -237,10 +231,10 @@ def cc_number(g, guard=PARTITION_GUARD_DEFAULT):
 def _split_minimal(g, core):
     """Split a minimal CDS into its lowest vertex and the rest, a connected coalition.
 
-    A proper nonempty subset of a minimal CDS is never a CDS (otherwise the
-    superset fact above would contradict minimality), and the core has at
-    least two vertices because the graph has no full vertex, so this split
-    always works.  It is verified anyway, and a failure is loud.
+    A proper nonempty subset of a minimal CDS is never a CDS
+    (shrink_to_minimal_cds), and the core has at least two vertices because
+    the graph has no full vertex, so this split always works.  It is
+    verified anyway, and a failure is loud.
     """
     a = core & -core
     b = core ^ a

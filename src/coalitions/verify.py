@@ -35,16 +35,16 @@ class GraphRecord:
     """Per-graph cache of the values that more than one check reads.
 
     A value is cached here only when two or more checks, or a check and its
-    applies, read it: connectivity, the full vertices, the oracle's
-    (CC, witness) pair and the peel-family answer.  Each is computed on first
-    touch.  The suite makes one record per first-leaf key, not one per degree
-    key or per graph, so one oracle call per first-leaf key.  A value only
-    one check reads (d_c, a decider answer, the raw search, tree or corona
-    shape, the minimum degree) is computed in that check, through this
-    module's globals at call time.
+    applies, read it: connectivity, the full vertices, the oracle's CC and
+    in_family_f's (member, trace) pair.  Each is computed on first touch, so
+    the order-0 graph, which no check applies to and cc_number and
+    in_family_f refuse, never computes them.  A value only one check reads
+    (d_c, a decider answer, the raw search, tree or corona shape, the minimum
+    degree) is computed in that check, through this module's globals at call
+    time.
     """
 
-    def __init__(self, graph, guard=PARTITION_GUARD_DEFAULT):
+    def __init__(self, graph, guard):
         self.graph = graph
         self.guard = guard
 
@@ -58,20 +58,12 @@ class GraphRecord:
         return full_vertex_mask(self.graph)
 
     @cached_property
-    def cc_pair(self):
-        return cc_number(self.graph, self.guard)
-
-    @property
     def cc(self):
-        return self.cc_pair[0]
+        return cc_number(self.graph, self.guard)[0]
 
     @cached_property
-    def family_pair(self):
+    def family(self):
         return in_family_f(self.graph)
-
-    @property
-    def family_member(self):
-        return self.family_pair[0]
 
 
 @dataclass(frozen=True)
@@ -83,9 +75,6 @@ class TheoremCheck:
     isomorphism-invariant: a relabeled copy of the graph gets the same
     applies answer and the same (ok, detail), so detail holds only
     invariants (CC, d_c, decider answers, counts) and never a witness.
-    run_theorem_suite shares outcomes among the graphs of each first-leaf key
-    on that contract, so a class reached through two keys gets the same
-    outcome twice.
     """
 
     anchor: str
@@ -95,9 +84,9 @@ class TheoremCheck:
 
 
 def _t1(rec):
-    ok = (rec.cc == 0) == rec.family_member
-    return ok, {"cc": rec.cc, "family_member": rec.family_member,
-                "peel_terminal": rec.family_pair[1].terminal}
+    member, trace = rec.family
+    return (rec.cc == 0) == member, {"cc": rec.cc, "family_member": member,
+                                     "peel_terminal": trace.terminal}
 
 
 def _t2(rec):
@@ -169,9 +158,9 @@ THEOREMS = {
     "t8": TheoremCheck(
         "full_vertex_lower",
         lambda rec: rec.connected and rec.fulls and rec.fulls != rec.graph.full_mask
-        and not rec.family_member, _t8),
+        and not rec.family[0], _t8),
     "t9": TheoremCheck("disconnected_zero", lambda rec: rec.graph.n >= 2 and not rec.connected, _t9),
-    "t10": TheoremCheck("lower_upper_bounds", lambda rec: rec.connected and not rec.family_member, _t10),
+    "t10": TheoremCheck("lower_upper_bounds", lambda rec: rec.connected and not rec.family[0], _t10),
 }
 
 
@@ -223,25 +212,17 @@ def run_theorem_suite(graphs, theorem_ids=None, corpus_label="custom",
     """Stream a corpus through the selected theorem checks.
 
     Returns a VerifyReport whose per-theorem entries satisfy
-    passed + len(counterexamples) == checked.  Counterexamples carry the
-    graph6 string of the labeled corpus graph and the observed values.
+    passed + len(counterexamples) == checked, counted over labeled graphs.
+    Counterexamples carry the graph6 string of the labeled corpus graph, in
+    corpus order, and the observed values.
 
-    Every check is isomorphism-invariant (see TheoremCheck), so the checks run
-    once per first-leaf key (graphs.first_leaf, one descent): the first graph
-    of a key is checked through one GraphRecord.  Each graph is keyed first
-    by graphs.degree_key, a sort, and descended only when its degree key is
-    new; a graph with a degree key seen before takes the first-leaf key of
-    the earlier graph, which is isomorphic to it, for the cost of a degree
-    key and two lookups.  Equal keys of either kind mean isomorphic
-    graphs, but an isomorphism class can have several first-leaf keys, and
-    it is then checked once per key with the same outcome.  Each first-leaf
-    key keeps the number of labeled graphs seen and its failing (theorem,
-    detail) pairs; a graph of a key with failures adds its graph6
-    certificate to each, in corpus order, and checked and passed are summed
-    at the end as count times outcome.  Both dicts live for this one call,
-    and their memory grows with the number of keys, not of corpus graphs.
-    millis times each check on the first graph of each first-leaf key,
-    including the shared lazy values it was the first to touch.
+    The checks run once per first-leaf key, on the key's first graph through
+    one GraphRecord, and every graph of the key shares that outcome: equal
+    keys mean isomorphic graphs (graphs.first_leaf) and every check is
+    isomorphism-invariant (TheoremCheck).  A graph is descended only when its
+    graphs.degree_key is new; otherwise it takes the first-leaf key of the
+    earlier graph with that degree key.  millis times each check on each
+    key's first graph, with the cached values it was the first to touch.
     """
     ids = _resolve_ids(theorem_ids)
     checks = [THEOREMS[tid] for tid in ids]

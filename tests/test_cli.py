@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from coalitions import cli, emit_graph6, generate
+from coalitions import Graph, cc_number, cli, emit_graph6, generate, in_family_f
 
 C6_MATRIX_BYTES = (
     "6 6\n"
@@ -362,6 +362,36 @@ class TestInputHandling:
         assert run(["cc"])[0] == 2  # missing the input argument
 
 
+class TestPlainStringStreams:
+    """cli.main with sys.stdin and sys.stdout set to plain io.StringIO, as an embedder sets them.
+
+    Such streams have no .buffer, .reconfigure or .fileno, unlike capsys's stdout and the
+    interpreter's own streams, so the run fixture cannot see a break on this path.
+    """
+
+    @staticmethod
+    def library_answer(cmd, g):
+        if cmd == "cc":
+            cc, witness = cc_number(g)
+            return {"cc": cc, "witness": None if witness is None else [sorted(p) for p in witness]}
+        member, trace = in_family_f(g)
+        steps = [list(step) for step in trace.steps]
+        return {"member": member, "terminal": trace.terminal, "steps": steps}
+
+    @pytest.mark.parametrize("cmd", ["cc", "family-f"])
+    def test_json_lines_match_the_library(self, cmd, monkeypatch):
+        # C6, P3, K4 and the disconnected 2K2
+        graphs = [generate("cycle", [6]), generate("path", [3]), generate("complete", [4]),
+                  Graph(4, [(0, 1), (2, 3)])]
+        text = "".join(emit_graph6(g) + "\n" for g in graphs)
+        out = io.StringIO()
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdout", out)
+        assert cli.main([cmd, "--json", "-"]) == 0
+        printed = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert printed == [self.library_answer(cmd, g) for g in graphs]
+
+
 class TestClosedStdout:
     def test_reader_closing_the_pipe_exits_0_quietly(self, tmp_path):
         # `coalitions family-f many.g6 | head -1`: far more output than the pipe buffers
@@ -424,6 +454,11 @@ class TestVerifyCommand:
     def test_empty_built_in_corpus_exits_3(self, run, n_max):
         code, out, err = run(["verify", "--n-max", n_max])
         assert (code, out) == (3, "") and "input contains no graphs" in err
+
+    def test_order_0_graph6_line_exits_0(self, run):
+        # "?" is the order-0 graph: no theorem applies, and nothing refuses it
+        code, out, err = run(["verify", "--corpus", "-"], stdin="?\n")
+        assert (code, err) == (0, "") and out.startswith("corpus: graph6 file -\n")
 
     def test_order_above_the_enumeration_guard_exits_4_at_once(self, run):
         code, out, err = run(["verify", "--n-max", "8"])

@@ -246,6 +246,27 @@ class TestCheckCcEqualsNMinus1:
             for variant in ("paper", "strict"):
                 assert check_cc_equals_n_minus_1(g, variant).as_dict() == ref_check_cc_equals_n_minus_1(g, variant)
 
+    @pytest.mark.parametrize("n, p, seed, pinned", [
+        (60, 0.5, 3, {"strict": (False, 120), "paper": (False, 120)}),
+        (60, 0.8, 4, {"strict": (True, 116), "paper": (True, 64)}),
+        (30, 0.7, 5, {"strict": (False, 117), "paper": (True, 34)}),
+    ])
+    def test_lonely_filter_work_is_pinned(self, n, p, seed, pinned, monkeypatch):
+        # (answer, _dominators calls) per variant.  The lonely filter (the docstring's fourth
+        # fact) changes no answer, only the pairs scanned: without it these graphs make 1,830,
+        # 196 and 445 strict calls
+        rng = random.Random(seed)
+        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        calls = []
+        dominators = matrices._dominators
+        monkeypatch.setattr(matrices, "_dominators",
+                            lambda *args: calls.append(None) or dominators(*args))
+        got = {}
+        for variant in ("strict", "paper"):
+            calls.clear()
+            got[variant] = (check_cc_equals_n_minus_1(g, variant).answer, len(calls))
+        assert got == pinned
+
     def test_large_cycle_and_path_say_no(self):
         # n = 2000: each answer takes milliseconds, so a per-pair slowdown shows as a stall
         for g in (generate("cycle", [2000]), generate("path", [2000])):

@@ -11,6 +11,7 @@ import pytest
 from coalitions import (
     Graph,
     GuardExceededError,
+    PARTITION_GUARD_DEFAULT,
     PreconditionError,
     THEOREMS,
     default_corpus,
@@ -74,6 +75,12 @@ class TestSuiteRuns:
         for t in n4_report.theorems:
             assert t["passed"] + len(t["counterexamples"]) == t["checked"]
 
+    def test_the_order_0_graph_is_checked_by_no_theorem(self):
+        # cc_number and in_family_f refuse n = 0: no applies lets the record compute them
+        report = run_theorem_suite([Graph(0, [])])
+        rows = [(t["id"], t["checked"], t["passed"], t["counterexamples"]) for t in report.theorems]
+        assert rows == [(tid, 0, 0, []) for tid in THEOREMS]
+
     def test_report_only_divergence_does_not_fail_the_suite(self, n4_report):
         assert theorem_row(n4_report, "t6")["counterexamples"]
         assert n4_report.failing() == []
@@ -120,8 +127,9 @@ class TestIsomorphismClassSharing:
         for g in default_corpus(5):
             perm = list(range(g.n))
             rng.shuffle(perm)
-            a = GraphRecord(g)
-            b = GraphRecord(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+            relabeled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+            a = GraphRecord(g, PARTITION_GUARD_DEFAULT)
+            b = GraphRecord(relabeled, PARTITION_GUARD_DEFAULT)
             for tid, t in THEOREMS.items():
                 applies = bool(t.applies(a))
                 assert applies == bool(t.applies(b)), (tid, g)
@@ -150,7 +158,7 @@ class TestIsomorphismClassSharing:
                  "counterexamples": [], "report_only": t.report_only}
                 for tid, t in THEOREMS.items()]
         for g in graphs:
-            rec = GraphRecord(g)
+            rec = GraphRecord(g, PARTITION_GUARD_DEFAULT)
             for row, t in zip(rows, THEOREMS.values()):
                 if not t.applies(rec):
                     continue
@@ -215,19 +223,23 @@ class TestCorpora:
 class TestGraphRecord:
     def test_caches_only_the_shared_values(self):
         cached = [name for name, v in vars(GraphRecord).items() if isinstance(v, cached_property)]
-        assert cached == ["connected", "fulls", "cc_pair", "family_pair"]
+        assert cached == ["connected", "fulls", "cc", "family"]
 
-    def test_values_are_cached(self, c5):
-        rec = GraphRecord(c5)
-        assert rec.cc_pair is rec.cc_pair
-        assert rec.cc == 3
-        assert rec.family_pair is rec.family_pair
-        assert rec.family_member is False
+    def test_values_are_cached(self, c5, monkeypatch):
+        calls = []
+        oracle = verify.cc_number
+        monkeypatch.setattr(verify, "cc_number", lambda *args: calls.append(args) or oracle(*args))
+        rec = GraphRecord(c5, 7)
+        assert (rec.cc, rec.cc) == (3, 3)
+        assert calls == [(c5, 7)]
+        assert rec.family is rec.family
+        assert rec.family[0] is False
         assert (rec.connected, rec.fulls) == (True, 0)
 
     def test_raw_search_field(self, two_k2):
         # t9 runs the raw search itself and reports its value in the detail
-        assert THEOREMS["t9"].check(GraphRecord(two_k2)) == (True, {"cc": 0, "cc_raw_search": 0})
+        rec = GraphRecord(two_k2, PARTITION_GUARD_DEFAULT)
+        assert THEOREMS["t9"].check(rec) == (True, {"cc": 0, "cc_raw_search": 0})
 
 
 class TestKernelCalls:
