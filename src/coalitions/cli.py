@@ -66,13 +66,13 @@ def _load_graphs(path, fmt):
 def _run_per_graph(args):
     """Print args.answer's line for each input graph as it is read.
 
-    answer(g, args) returns (payload, text, yes): --json prints the payload,
-    otherwise the text; --status-exit turns any no into exit code 1.
+    answer(g, args) returns (line, yes), building only the printed form: JSON
+    under --json, otherwise text; --status-exit turns any no into exit code 1.
     """
     all_yes = True
     for g in _load_graphs(args.input, args.format):
-        payload, text, yes = args.answer(g, args)
-        print(json.dumps(payload) if getattr(args, "json", False) else text)
+        line, yes = args.answer(g, args)
+        print(line)
         all_yes = all_yes and yes
     return 1 if getattr(args, "status_exit", False) and not all_yes else 0
 
@@ -80,55 +80,61 @@ def _run_per_graph(args):
 def _cc(g, args):
     cc, witness = cc_number(g, args.guard)
     wit = None if witness is None else [sorted(p) for p in witness]
-    text = f"cc={cc} witness={'none' if wit is None else json.dumps(wit)}"
-    return {"cc": cc, "witness": wit}, text, cc != 0
+    return (json.dumps({"cc": cc, "witness": wit}) if args.json
+            else f"cc={cc} witness={'none' if wit is None else json.dumps(wit)}"), cc != 0
 
 
-def _decision_line(decision):
-    """A decider's Decision as (payload, text, yes); check-n's carries no variant."""
-    payload = decision.as_dict()
+def _decision_line(decision, as_json):
+    """A decider's Decision as (line, yes); check-n's carries no variant."""
+    if as_json:
+        payload = decision.as_dict()
+        if decision.variant is None:
+            del payload["variant"]
+        return json.dumps(payload), decision.answer
     text = f"answer={'yes' if decision.answer else 'no'}"
-    if decision.variant is None:
-        del payload["variant"]
-    else:
+    if decision.variant is not None:
         text += f" variant={decision.variant}"
     if decision.answer:
-        text += f" witness={json.dumps(payload['witness'])}"
+        # dumps writes int keys as strings and tuples as lists, as as_dict's round trip does
+        text += f" witness={json.dumps(decision.witness)}"
     else:
         text += f" reason={decision.reason}"
-    return payload, text, decision.answer
+    return text, decision.answer
 
 
 def _check_n(g, args):
-    return _decision_line(check_cc_equals_n(g))
+    return _decision_line(check_cc_equals_n(g), args.json)
 
 
 def _check_n1(g, args):
-    return _decision_line(check_cc_equals_n_minus_1(g, args.variant))
+    return _decision_line(check_cc_equals_n_minus_1(g, args.variant), args.json)
 
 
 def _family_f(g, args):
     member, trace = in_family_f(g)
     steps = [[v, r] for v, r in trace.steps]
-    text = (f"member={'yes' if member else 'no'} terminal={trace.terminal} "
-            f"steps={json.dumps(steps)}")
-    return {"member": member, "terminal": trace.terminal, "steps": steps}, text, member
+    if args.json:
+        return json.dumps({"member": member, "terminal": trace.terminal, "steps": steps}), member
+    return (f"member={'yes' if member else 'no'} terminal={trace.terminal} "
+            f"steps={json.dumps(steps)}"), member
 
 
 def _gamma_c(g, args):
     size, witness = gamma_c(g)
     wit = sorted(witness)
-    return {"gamma_c": size, "witness": wit}, f"gamma_c={size} witness={json.dumps(wit)}", True
+    return (json.dumps({"gamma_c": size, "witness": wit}) if args.json
+            else f"gamma_c={size} witness={json.dumps(wit)}"), True
 
 
 def _domatic(g, args):
     k, parts = connected_domatic_number(g, args.guard)
     wit = [sorted(p) for p in parts]
-    return {"d_c": k, "witness": wit}, f"d_c={k} witness={json.dumps(wit)}", True
+    return (json.dumps({"d_c": k, "witness": wit}) if args.json
+            else f"d_c={k} witness={json.dumps(wit)}"), True
 
 
 def _corona(g, args):
-    return None, emit_graph6(corona(g)), True
+    return emit_graph6(corona(g)), True
 
 
 def _dump_matrix(g, args):
@@ -136,7 +142,7 @@ def _dump_matrix(g, args):
     lines = [f"{len(rows)} {g.n}"]
     for mask in rows:
         lines.append(" ".join(str(mask >> x & 1) for x in range(g.n)))
-    return None, "\n".join(lines), True
+    return "\n".join(lines), True
 
 
 def _cmd_gen(args):

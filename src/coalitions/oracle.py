@@ -119,20 +119,17 @@ def _place(table, n, blocks, order, best, cap):
 
     Returns a valid completion with the most parts if it has more than best,
     else None.  The search stops at the first completion with cap parts, the
-    most any can have.  blocks is restored on return.
+    most any can have.  Each call carries rest, the mask of the vertices it
+    has still to place, down to its children; blocks is restored on return.
     """
     m = len(order)
-    rests = [0] * (m + 1)
-    for k in range(m - 1, -1, -1):
-        rests[k] = rests[k + 1] | 1 << order[k]
     found = None
 
-    def rec(k, blocks):
+    def rec(k, blocks, rest):
         nonlocal best, found
         b = len(blocks)
         if b + m - k <= best:
             return
-        rest = rests[k]
         # new-part test (module docstring): with b <= best a part must still open
         if b <= best and not table[rest]:
             for q in blocks:
@@ -154,18 +151,19 @@ def _place(table, n, blocks, order, best, cap):
             found = blocks.copy()
             return
         bit = 1 << order[k]
+        rest ^= bit
         for j in range(b):
             grown = blocks[j] | bit
             # growing a part into a non-singleton CDS dooms every completion
             if not table[grown]:
                 blocks[j] = grown
-                rec(k + 1, blocks)
+                rec(k + 1, blocks, rest)
                 blocks[j] = grown ^ bit
         blocks.append(bit)
-        rec(k + 1, blocks)
+        rec(k + 1, blocks, rest)
         blocks.pop()
 
-    rec(0, blocks)
+    rec(0, blocks, sum(1 << v for v in order))
     return found
 
 
@@ -200,6 +198,8 @@ def cc_partition_search(g, guard=PARTITION_GUARD_DEFAULT):
     witness = sorted(found, key=lambda p: p & -p)  # W, its parts numbered by lowest label
     for i in range(1, n):
         bit, low = 1 << i, (1 << i) - 1
+        if witness[0] & bit:
+            continue  # t = 0: W's own choice is the least, and no open part needs a search
         fixed = [p & low for p in witness if p & low]
         t = next(j for j, p in enumerate(witness) if p & bit)
         later = [v for v in order if v > i]

@@ -131,6 +131,43 @@ class TestCdsTable:
     def test_tables_pinned(self, graphs, digest):
         assert table_digest(graphs()) == digest
 
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_both_fills_against_reference(self, n):
+        # cds_table fills a table of fewer than 2^n / 32 CDSs per set bit and
+        # a larger one per entry.  A tree's CDSs are its internal vertices
+        # plus any set of its L leaves, 2^L of them, so the broom (a path with
+        # its last vertex holding the rest as leaves) has exactly 2^n / 32.
+        rng = random.Random(8012)
+        leaves = {8: 3, 12: 7}[n]
+        spine = n - leaves + 1
+        broom = Graph(n, [(v, v + 1) for v in range(spine - 1)]
+                      + [(spine - 1, v) for v in range(spine, n)])
+        tree = Graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+        cases = [
+            (generate("path", [n]), 4),
+            (broom, 1 << n - 5),
+            (generate("cycle", [n]), 2 * n + 1),
+            (generate("star", [n - 1]), 1 << n - 1),
+            (tree, None),
+            (random_connected(rng, n, 0.9), None),
+            (Graph(n, []), 0),
+            (Graph(0, []), 0),
+        ]
+        sparse = dense = 0
+        for g, count in cases:
+            table = cds_table(g)
+            assert len(table) == 1 << g.n
+            assert all(type(entry) is bool for entry in table)
+            for mask, entry in enumerate(table):
+                assert entry == ref_is_cds(g, set_from_mask(mask))
+            if count is not None:
+                assert sum(table) == count
+            if sum(table) * 32 < len(table):
+                sparse += 1
+            else:
+                dense += 1
+        assert sparse >= 3 and dense >= 3
+
     def test_orders_interleaved(self):
         # the masks of each order are made once and reused, so revisit orders out of turn
         rng = random.Random(906)
