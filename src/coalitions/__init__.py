@@ -27,7 +27,6 @@ from .errors import (
 from .family import PeelTrace, in_family_f, replay_peel_trace
 from .graphs import (
     Graph,
-    corona,
     emit_edgelist,
     emit_graph6,
     enumerate_labeled_graphs,
@@ -48,7 +47,6 @@ from .matrices import (
 from .oracle import (
     cc_number,
     cc_partition_search,
-    coalition_graph,
     expand_domatic_to_cc_partition,
     is_cc_partition,
 )
@@ -78,9 +76,7 @@ __all__ = [
     "cds_table",
     "check_cc_equals_n",
     "check_cc_equals_n_minus_1",
-    "coalition_graph",
     "connected_domatic_number",
-    "corona",
     "default_corpus",
     "edge_domination_matrix",
     "emit_edgelist",

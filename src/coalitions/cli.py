@@ -18,11 +18,10 @@ import os
 import sys
 
 from .domination import PARTITION_GUARD_DEFAULT, connected_domatic_number, gamma_c
-from .errors import CoalitionsError, GraphFormatError, GuardExceededError, PreconditionError
+from .errors import CoalitionsError, GraphFormatError, GuardExceededError
 from .family import in_family_f
 from .graphs import (
     GENERATOR_FAMILIES,
-    corona,
     emit_edgelist,
     emit_graph6,
     generate,
@@ -30,7 +29,7 @@ from .graphs import (
     parse_edgelist,
 )
 from .matrices import VARIANTS, check_cc_equals_n, check_cc_equals_n_minus_1, edge_domination_matrix
-from .oracle import cc_number, coalition_graph
+from .oracle import cc_number
 from .verify import default_corpus, run_theorem_suite
 
 
@@ -133,10 +132,6 @@ def _domatic(g, args):
             else f"d_c={k} witness={json.dumps(wit)}"), True
 
 
-def _corona(g, args):
-    return emit_graph6(corona(g)), True
-
-
 def _dump_matrix(g, args):
     rows = edge_domination_matrix(g)
     lines = [f"{len(rows)} {g.n}"]
@@ -148,23 +143,6 @@ def _dump_matrix(g, args):
 def _cmd_gen(args):
     g = generate(args.family, args.params)
     print(emit_graph6(g) if args.format == "g6" else emit_edgelist(g))
-    return 0
-
-
-def _cmd_ccg(args):
-    graphs = list(_load_graphs(args.input, args.format))
-    if len(graphs) != 1:
-        raise PreconditionError(f"ccg expects exactly one input graph, got {len(graphs)}")
-    with open(args.partition, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"partition file is not valid JSON: {exc}")
-    if not isinstance(raw, list) or not all(
-        isinstance(p, list) and all(type(v) is int for v in p) for p in raw
-    ):
-        raise GraphFormatError("partition file must hold an array of arrays of vertex ids")
-    print(emit_graph6(coalition_graph(graphs[0], [frozenset(p) for p in raw])))
     return 0
 
 
@@ -245,17 +223,6 @@ def _build_parser():
     sp.add_argument("--format", choices=("g6", "edgelist"), default="g6",
                     help="output format (default g6)")
     sp.set_defaults(func=_cmd_gen)
-
-    sp = sub.add_parser("corona", help="attach one pendant to every vertex (corona with K_1)")
-    _add_input(sp)
-    sp.add_argument("attach", choices=("k1",), help="what to attach (only k1 is supported)")
-    sp.set_defaults(func=_run_per_graph, answer=_corona)
-
-    sp = sub.add_parser("ccg", help="coalition graph of a valid partition, as graph6")
-    _add_input(sp)
-    sp.add_argument("--partition", required=True,
-                    help="JSON file holding an array of arrays of vertex ids")
-    sp.set_defaults(func=_cmd_ccg)
 
     sp = sub.add_parser("dump-matrix", help="edge-domination matrix in the plain text dump format")
     _add_input(sp)

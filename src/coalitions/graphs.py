@@ -147,15 +147,6 @@ def full_vertex_mask(g):
     return m
 
 
-def corona(g):
-    """Corona product with K_1: vertex i of g gains the pendant leaf g.n + i."""
-    n = g.n
-    if n == 0:
-        raise PreconditionError("corona requires a nonempty graph")
-    nbr = [m | (1 << (n + i)) for i, m in enumerate(g.nbr_masks)] + [1 << i for i in range(n)]
-    return Graph.from_neighbor_masks(2 * n, nbr)
-
-
 def _gen_path(n):
     if n < 1:
         raise PreconditionError(f"path needs n >= 1, got {n}")

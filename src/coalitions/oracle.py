@@ -47,13 +47,7 @@ is the least feasible choice and W stands.
 
 from .domination import PARTITION_GUARD_DEFAULT, cds_table, mask_is_cds, shrink_to_minimal_cds
 from .errors import CoalitionExpansionError, GuardExceededError, PreconditionError
-from .graphs import (
-    Graph,
-    full_vertex_mask,
-    is_connected,
-    set_from_mask,
-    subset_mask,
-)
+from .graphs import full_vertex_mask, is_connected, set_from_mask, subset_mask
 
 
 def _partition_masks(g, parts):
@@ -76,31 +70,6 @@ def _partition_masks(g, parts):
     return masks
 
 
-def _diagnose(g, parts):
-    """is_cc_partition's (valid, diagnostics), plus every coalition pair (i, j), i < j, ascending."""
-    masks = _partition_masks(g, parts)
-    k = len(masks)
-    cds = [mask_is_cds(g, m) for m in masks]
-    pairs = [(i, j) for i in range(k) if not cds[i] for j in range(i + 1, k)
-             if not cds[j] and mask_is_cds(g, masks[i] | masks[j])]
-    partner = {}
-    for i, j in pairs:
-        # a part's pairs with lower parts come first, so the first one seen is its lowest partner
-        partner.setdefault(i, j)
-        partner.setdefault(j, i)
-    fulls = full_vertex_mask(g)
-    diagnostics = []
-    for i, m in enumerate(masks):
-        if cds[i]:
-            diagnostics.append("full-singleton" if m & (m - 1) == 0 and m & fulls else "illegal-CDS")
-        elif i in partner:
-            diagnostics.append(f"partnered({partner[i]})")
-        else:
-            diagnostics.append("unpartnered")
-    valid = "illegal-CDS" not in diagnostics and "unpartnered" not in diagnostics
-    return valid, diagnostics, pairs
-
-
 def is_cc_partition(g, parts):
     """Validate a partition of V(G) against the coalition rules.
 
@@ -110,7 +79,19 @@ def is_cc_partition(g, parts):
     j), "unpartnered", or "illegal-CDS" (a CDS that is not a full-vertex
     singleton; no such part can ever be legal).
     """
-    valid, diagnostics, _ = _diagnose(g, parts)
+    masks = _partition_masks(g, parts)
+    cds = [mask_is_cds(g, m) for m in masks]
+    fulls = full_vertex_mask(g)
+    diagnostics = []
+    for i, m in enumerate(masks):
+        if cds[i]:
+            diagnostics.append("full-singleton" if m & (m - 1) == 0 and m & fulls else "illegal-CDS")
+            continue
+        # parts are scanned in order, so the first partner found is the lowest
+        partner = next((j for j, q in enumerate(masks)
+                        if j != i and not cds[j] and mask_is_cds(g, m | q)), None)
+        diagnostics.append("unpartnered" if partner is None else f"partnered({partner})")
+    valid = "illegal-CDS" not in diagnostics and "unpartnered" not in diagnostics
     return valid, diagnostics
 
 
@@ -321,16 +302,3 @@ def expand_domatic_to_cc_partition(g, parts):
         )
     return result
 
-
-def coalition_graph(g, parts):
-    """Graph on the parts of a valid coalition partition, with edges at coalition pairs.
-
-    Vertex i stands for part i.  Full-vertex singleton parts are CDSs, so
-    they can never belong to a coalition pair and end up isolated.
-    """
-    valid, diagnostics, pairs = _diagnose(g, parts)
-    if not valid:
-        raise PreconditionError(
-            f"not a valid coalition partition (diagnostics: {diagnostics})"
-        )
-    return Graph(len(parts), pairs)

@@ -42,6 +42,12 @@ def cone(g, t=1):
                  + [(u + t, v + t) for u, v in g.edges])
 
 
+def corona(g):
+    """g corona K_1: vertex i of g gains the pendant leaf g.n + i."""
+    n = g.n
+    return Graph(2 * n, list(g.edges) + [(i, n + i) for i in range(n)])
+
+
 @functools.cache
 def connected_without_full_vertex():
     """Every connected labeled graph 2 <= n <= 6 with no full vertex, in enumeration order.

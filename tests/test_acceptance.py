@@ -24,7 +24,6 @@ from coalitions import (
     check_cc_equals_n_minus_1,
     cli,
     connected_domatic_number,
-    corona,
     default_corpus,
     emit_graph6,
     gamma_c,
@@ -38,7 +37,7 @@ from coalitions import (
 )
 from coalitions.domination import mask_is_cds, mask_is_dominating
 from coalitions.graphs import full_vertex_mask
-from conftest import domatic_sweep
+from conftest import corona, domatic_sweep
 from reference import ref_peel, ref_valid_cc_partition
 
 # sha256 of json.dumps(theorem rows without millis, sort_keys=True) for the

@@ -3,7 +3,6 @@
 import ast
 import inspect
 import pathlib
-import re
 
 import coalitions
 
@@ -26,9 +25,7 @@ PUBLIC_NAMES = [
     "cds_table",
     "check_cc_equals_n",
     "check_cc_equals_n_minus_1",
-    "coalition_graph",
     "connected_domatic_number",
-    "corona",
     "default_corpus",
     "edge_domination_matrix",
     "emit_edgelist",
@@ -49,6 +46,11 @@ PUBLIC_NAMES = [
     "run_theorem_suite",
 ]
 
+# The public names no module of the package reads: the constructive proof
+# of CC >= 2 d_c and the replay that checks a peel trace, both documented
+# in README for library callers.
+UNREAD_BY_THE_PACKAGE = ["expand_domatic_to_cc_partition", "replay_peel_trace"]
+
 
 def test_all_is_the_pinned_sorted_list():
     assert coalitions.__all__ == PUBLIC_NAMES
@@ -61,12 +63,11 @@ def test_all_is_the_pinned_sorted_list():
 def test_every_public_name_is_read_by_the_package_or_documented():
     # A public name that only tests call is API kept alive for its own tests.
     # The modules import each other's names with from-imports, so a use is a
-    # bare name; attributes would count str.join as a read of a join.
+    # bare name; attributes would count str.join as a read of a join.  The
+    # exceptions are pinned here, not found in README, so a new name that
+    # only tests call fails until it is listed on purpose.
     read = {node.id
             for path in (ROOT / "src" / "coalitions").glob("*.py") if path.name != "__init__.py"
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    unused = [name for name in coalitions.__all__
-              if name not in read and not re.search(rf"\b{name}\b", readme)]
-    assert unused == []
+    assert [name for name in coalitions.__all__ if name not in read] == UNREAD_BY_THE_PACKAGE

@@ -58,6 +58,12 @@ class TestGen:
         code, _, err = run(["gen", "cycle", "2"])
         assert code == 3 and "cycle needs n >= 3" in err
 
+    def test_bench_startup_probe_runs(self, run):
+        # bench/run.py's traced runs time the CLI's startup by spawning this
+        # command with check=True, so a failing gen fails every traced run.
+        # gen can go only once that probe moves to a command that stays (ROADMAP F).
+        assert run(["gen", "path", "1"]) == (0, "@\n", "")
+
     def test_wrong_arity_exits_3(self, run):
         code, _, err = run(["gen", "complete_bipartite", "3"])
         assert code == 3 and "takes 2 parameter" in err
@@ -222,53 +228,6 @@ class TestFamilyAndDomination:
         assert run(["domatic", "-", "--status-exit"], stdin="Cl\n")[0] == 2
 
 
-class TestCoronaAndCcg:
-    def test_corona_k1(self, run):
-        from coalitions import corona, emit_graph6, generate
-
-        expected = emit_graph6(corona(generate("cycle", [4])))
-        code, out, _ = run(["corona", "-", "k1"], stdin="Cl\n")
-        assert code == 0 and out == expected + "\n"
-
-    def test_out_flag_is_a_usage_error(self, run, tmp_path):
-        # corona prints to standard output only
-        assert run(["corona", "-", "k1", "--out", str(tmp_path / "x.g6")], stdin="Cl\n")[0] == 2
-
-    def test_corona_rejects_other_attachments(self, run):
-        code, _, _ = run(["corona", "-", "k2"], stdin="Cl\n")
-        assert code == 2
-
-    def test_ccg(self, run, tmp_path):
-        part = tmp_path / "partition.json"
-        part.write_text("[[0, 1, 3], [2], [4]]")
-        code, out, _ = run(["ccg", "-", "--partition", str(part)], stdin="Dhc\n")
-        assert code == 0 and out == "Bo\n"
-
-    def test_ccg_rejects_invalid_partition(self, run, tmp_path):
-        part = tmp_path / "partition.json"
-        part.write_text("[[0, 1, 2], [3]]")
-        code, _, err = run(["ccg", "-", "--partition", str(part)], stdin="Cl\n")
-        assert code == 3 and "not a valid coalition partition" in err
-
-    def test_ccg_rejects_bad_json_and_bad_shapes(self, run, tmp_path):
-        part = tmp_path / "partition.json"
-        part.write_text("[[0, 1],")
-        code, _, err = run(["ccg", "-", "--partition", str(part)], stdin="Cl\n")
-        assert code == 3 and "not valid JSON" in err
-        part.write_text('{"a": [0]}')
-        code, _, err = run(["ccg", "-", "--partition", str(part)], stdin="Cl\n")
-        assert code == 3 and "array of arrays" in err
-        part.write_text("[[true, 0], [2], [3]]")  # a boolean is no vertex id
-        code, _, err = run(["ccg", "-", "--partition", str(part)], stdin="Cl\n")
-        assert code == 3 and "array of arrays of vertex ids" in err
-
-    def test_ccg_wants_exactly_one_graph(self, run, tmp_path):
-        part = tmp_path / "partition.json"
-        part.write_text("[[0, 1], [2, 3]]")
-        code, _, err = run(["ccg", "-", "--partition", str(part)], stdin="Cl\nCl\n")
-        assert code == 3 and "exactly one input graph" in err
-
-
 PER_GRAPH_COMMANDS = [
     (["cc", "-"], True),
     (["check-n", "-"], True),
@@ -276,7 +235,6 @@ PER_GRAPH_COMMANDS = [
     (["family-f", "-"], True),
     (["gamma-c", "-"], True),
     (["domatic", "-"], True),
-    (["corona", "-", "k1"], False),
     (["dump-matrix", "-"], False),
 ]
 
@@ -328,12 +286,6 @@ class TestInputHandling:
         path = tmp_path / "bad.el"
         path.write_bytes(b"3\n0 1\n\xff 2\n")
         code, _, err = run(["family-f", str(path)])
-        assert code == 3 and err.startswith("error: ") and "utf-8" in err
-
-    def test_non_utf8_partition_file_exits_3(self, run, tmp_path):
-        part = tmp_path / "partition.json"
-        part.write_bytes(b"[[0, 1], [2, 3]]\xff")
-        code, _, err = run(["ccg", "-", "--partition", str(part)], stdin="Cl\n")
         assert code == 3 and err.startswith("error: ") and "utf-8" in err
 
     def test_non_utf8_standard_input_exits_3_under_the_c_locale(self):

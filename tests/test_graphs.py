@@ -10,7 +10,6 @@ from coalitions import (
     GraphFormatError,
     GuardExceededError,
     PreconditionError,
-    corona,
     emit_edgelist,
     emit_graph6,
     enumerate_labeled_graphs,
@@ -33,6 +32,7 @@ from coalitions.graphs import (
     subset_mask,
 )
 
+from conftest import corona
 from reference import ref_canonical_key
 
 
@@ -151,10 +151,6 @@ class TestFullVerticesAndProducts:
         g = corona(generate("cycle", [3]))
         assert g.n == 6
         assert g.edges == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5))
-
-    def test_corona_requires_nonempty_host(self):
-        with pytest.raises(PreconditionError):
-            corona(Graph(0, []))
 
 
 class TestGenerate:

@@ -1,4 +1,4 @@
-"""Exact CC oracle: frozen values, witness identity, expansion, coalition graphs.
+"""Exact CC oracle: frozen values, witness identity, search work, diagnostics, expansion.
 
 cc_number is compared against the unpruned reference witness-for-witness:
 the pruned search must return the first maximum partition in the same
@@ -15,7 +15,7 @@ import random
 
 import networkx as nx
 import pytest
-from reference import iter_partitions, ref_cc, ref_valid_cc_partition
+from reference import iter_partitions, ref_cc, ref_is_cds, ref_valid_cc_partition
 
 from coalitions import (
     Graph,
@@ -23,9 +23,7 @@ from coalitions import (
     PreconditionError,
     cc_number,
     cc_partition_search,
-    coalition_graph,
     connected_domatic_number,
-    corona,
     emit_graph6,
     enumerate_labeled_graphs,
     expand_domatic_to_cc_partition,
@@ -37,7 +35,7 @@ from coalitions import (
 )
 from coalitions.domination import cds_table
 from coalitions.graphs import full_vertex_mask
-from conftest import domatic_sweep, small_connected
+from conftest import corona, domatic_sweep, small_connected
 
 
 def parts(*sets):
@@ -283,6 +281,33 @@ class TestPredicatesAndDiagnostics:
         assert not valid
         assert roles == ["illegal-CDS", "unpartnered"]
 
+    def test_roles_name_the_lowest_partner(self):
+        # Judged by the reference predicate, not the bitmask code: four seeded
+        # partitions of every labeled graph n <= 5, their parts shuffled so
+        # a part's index is not its lowest vertex.
+        rng = random.Random(505)
+        for n in range(1, 6):
+            for g in enumerate_labeled_graphs(n):
+                for _ in range(4):
+                    labels = [0]
+                    for _ in range(1, n):
+                        labels.append(rng.randint(0, max(labels) + 1))
+                    partition = [frozenset(v for v in range(n) if labels[v] == b)
+                                 for b in range(max(labels) + 1)]
+                    rng.shuffle(partition)
+                    cds = [ref_is_cds(g, p) for p in partition]
+                    expected = []
+                    for i, p in enumerate(partition):
+                        if cds[i]:
+                            # a one-vertex CDS is a full vertex
+                            expected.append("full-singleton" if len(p) == 1 else "illegal-CDS")
+                            continue
+                        partners = [j for j, q in enumerate(partition)
+                                    if j != i and not cds[j] and ref_is_cds(g, p | q)]
+                        expected.append(f"partnered({partners[0]})" if partners else "unpartnered")
+                    valid = ref_valid_cc_partition(g, partition)
+                    assert is_cc_partition(g, partition) == (valid, expected)
+
     def test_partition_must_cover_exactly(self, c4):
         with pytest.raises(PreconditionError):
             is_cc_partition(c4, parts({0, 1}, {1, 2, 3}))  # overlap
@@ -346,26 +371,6 @@ class TestExpansion:
             expand_domatic_to_cc_partition(generate("path", [3]), parts({0, 1, 2}))
         with pytest.raises(PreconditionError, match=r"part 1 .* not a connected dominating set"):
             expand_domatic_to_cc_partition(c4, parts({0, 1}, {2}, {3}))
-
-
-class TestCoalitionGraph:
-    def test_c4_singletons_reproduce_the_cycle(self, c4):
-        cg = coalition_graph(c4, parts({0}, {1}, {2}, {3}))
-        assert cg.n == 4
-        assert cg.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
-
-    def test_full_singletons_stay_isolated(self):
-        k3 = generate("complete", [3])
-        cg = coalition_graph(k3, parts({0}, {1}, {2}))
-        assert cg.m == 0
-
-    def test_two_part_coalition(self, p6):
-        cg = coalition_graph(p6, parts({0, 1, 2, 3, 5}, {4}))
-        assert cg.edges == ((0, 1),)
-
-    def test_rejects_invalid_partitions(self, c4):
-        with pytest.raises(PreconditionError, match=r"not a valid coalition partition"):
-            coalition_graph(c4, parts({0, 1, 2}, {3}))
 
 
 class TestReferenceEnumeratorSanity:
