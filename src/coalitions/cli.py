@@ -182,13 +182,23 @@ def _add_guard(sp):
                     help=f"partition-search size guard (default {PARTITION_GUARD_DEFAULT})")
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: it reports an argument it does not know with its own usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="coalitions",
         description="Connected coalition numbers of small graphs: exact oracle, "
                     "polynomial checkers, generators, and a theorem verification harness.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     sp = sub.add_parser("cc", help="exact connected coalition number with witness partition")
     _add_io_flags(sp, status=True, guard=True)

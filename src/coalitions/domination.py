@@ -16,11 +16,10 @@ order, so witnesses are fixed.
 import functools
 
 from .errors import GuardExceededError, PreconditionError
-from .graphs import induced_connected, is_connected, iter_mask, set_from_mask
+from .graphs import _BIT_BYTES, induced_connected, is_connected, iter_mask, set_from_mask
 
 PARTITION_GUARD_DEFAULT = 12
 _TABLE_LIMIT = 20
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # the digits of a bit string as bool bytes
 
 
 def mask_is_dominating(g, mask):

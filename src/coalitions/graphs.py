@@ -7,7 +7,10 @@ connectivity test live here where every module can share them.
 """
 
 import binascii
+from functools import reduce
+from itertools import compress
 from math import isqrt
+from operator import or_
 
 from .errors import GraphFormatError, GuardExceededError, PreconditionError
 
@@ -16,6 +19,7 @@ _BASE64_TO_GRAPH6 = bytes.maketrans(
     b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/", bytes(range(63, 127))
 )
 _GRAPH6_TO_BITS = {c: format(c - 63, "06b") for c in range(63, 127)}
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # the digits of a bit string as bool bytes
 ENUMERATION_GUARD = 7
 
 
@@ -110,18 +114,30 @@ class Graph:
 
 
 def induced_connected(g, mask):
-    """True iff the subgraph induced on the nonempty vertex mask is connected."""
+    """True iff the subgraph induced on the nonempty vertex mask is connected.
+
+    Each BFS level is expanded the cheapest way for its size: one vertex reads its row;
+    above 32 vertices, a level of at least 16 + n/12 ORs its rows in C (the measured
+    crossover: about 16, 44, 180 at n = 64, 300, 2000); other levels loop over their bits.
+    """
     if mask == 0:
         return False
     nbr = g.nbr_masks
+    wide = 16 + g.n // 12 if g.n > 32 else 33  # no level of a smaller graph is that wide
     comp = frontier = mask & -mask
     while frontier:
-        reach = 0
-        m = frontier
-        while m:
-            low = m & -m
-            reach |= nbr[low.bit_length() - 1]
-            m ^= low
+        k = frontier.bit_count()
+        if k == 1:
+            reach = nbr[frontier.bit_length() - 1]
+        elif k >= wide:
+            reach = reduce(or_, compress(nbr, format(frontier, "b")[::-1].encode().translate(_BIT_BYTES)))
+        else:
+            reach = 0
+            m = frontier
+            while m:  # top bit first: on n-bit ints one big-int op fewer than m & -m
+                v = m.bit_length() - 1
+                reach |= nbr[v]
+                m ^= 1 << v
         frontier = reach & mask & ~comp
         comp |= frontier
     return comp == mask
@@ -129,8 +145,6 @@ def induced_connected(g, mask):
 
 def is_connected(g):
     """Whole-graph connectivity; the empty graph counts as disconnected, K_1 as connected."""
-    if g.n == 0:
-        return False
     return induced_connected(g, g.full_mask)
 
 

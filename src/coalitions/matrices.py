@@ -58,9 +58,9 @@ def _check_preconditions(g, op, minimum_order):
         raise PreconditionError(f"{op} needs a graph of order >= {minimum_order}, got {g.n}")
     if not is_connected(g):
         raise PreconditionError(f"{op} needs a connected graph")
-    degrees = list(map(int.bit_count, g.nbr_masks))
-    top = max(degrees)
+    top = max(map(int.bit_count, g.nbr_masks))
     if top == g.n - 1:
+        degrees = list(map(int.bit_count, g.nbr_masks))
         raise PreconditionError(f"{op} requires no full vertex; vertex {degrees.index(top)} is full")
     return top
 

@@ -252,6 +252,28 @@ class TestPerGraphCommands:
         assert run(argv + ["--json"], stdin="Cl\n")[0] == (0 if takes_json else 2)
 
 
+class TestUsageErrors:
+    """An unknown argument is reported with the usage line of the parser that met it: the
+    command's own after the command, and the top-level one, which lists every command, before it."""
+
+    @pytest.mark.parametrize("argv, usage, error", [
+        (["gamma-c", "-", "--status-exit"],
+         "usage: coalitions gamma-c [-h] [--format {g6,edgelist}] [--json] input",
+         "coalitions gamma-c: error: unrecognized arguments: --status-exit"),
+        (["dump-matrix", "-", "--json"],
+         "usage: coalitions dump-matrix [-h] [--format {g6,edgelist}] input",
+         "coalitions dump-matrix: error: unrecognized arguments: --json"),
+        (["--json", "cc", "-"],
+         "usage: coalitions [-h]",
+         "coalitions: error: unrecognized arguments: --json"),
+    ])
+    def test_stderr_names_the_parser(self, run, argv, usage, error):
+        code, out, err = run(argv, stdin="Cl\n", env={"COLUMNS": "80"})
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert (lines[0], lines[-1]) == (usage, error)
+
+
 class TestInputHandling:
     def test_edgelist_by_extension(self, run, tmp_path):
         path = tmp_path / "p6.el"

@@ -1,6 +1,7 @@
 """Graph core, generators, serialization, enumeration, and shape recognizers."""
 
 import random
+from itertools import compress
 
 import networkx as nx
 import pytest
@@ -33,7 +34,7 @@ from coalitions.graphs import (
 )
 
 from conftest import corona
-from reference import ref_canonical_key
+from reference import ref_canonical_key, ref_is_connected_subset
 
 
 def random_graph(rng, n):
@@ -137,6 +138,68 @@ class TestConnectivity:
             g = random_graph(rng, rng.randint(1, 10))
             assert is_connected(g) == nx.is_connected(to_networkx(g))
 
+
+
+class TestWideLevels:
+    """induced_connected reads a one-vertex BFS level's row, loops over a narrow level's
+    bits, and above 32 vertices ORs the rows of a wide level in C.
+
+    All three must agree with the reference search on large graphs whose levels are
+    wide (dense and sparse G(n, p)), narrow (paths, cycles, spiders) or both (two
+    halves joined by one edge), on the whole vertex set and on seeded masks.  Each
+    leg of a spider hangs on its own row, so a level that skips a row answers no.
+    """
+
+    @staticmethod
+    def gnp(rng, n, p):
+        return Graph(n, list(nx.fast_gnp_random_graph(n, p, seed=rng.randrange(1 << 30)).edges))
+
+    def cases(self, rng, n, densities):
+        """(graph, drawn) pairs; drawn marks the seeded graphs, as against the fixed shapes."""
+        half = n // 2
+        a, b = self.gnp(rng, half, 20 / half), self.gnp(rng, half, 20 / half)
+        halves = [(u, v) for u, v in a.edges] + [(u + half, v + half) for u, v in b.edges]
+        yield from ((self.gnp(rng, n, p), True) for p in densities)
+        yield generate("path", [n]), False
+        yield generate("cycle", [n]), False
+        for legs in (5, 60):  # vertex i > 0 hangs on i - legs, or on the hub 0
+            yield Graph(n, [(max(0, i - legs), i) for i in range(1, n)]), False
+        yield Graph(n, halves + [(half - 1, half)]), True
+        yield Graph(n, halves), True
+
+    @pytest.fixture
+    def c_calls(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return compress(*args)
+
+        monkeypatch.setattr(graphs, "compress", counting)
+        return calls
+
+    # The reference costs O(n^2) a call, about 0.3 s on a whole 2000-vertex set, so at
+    # n = 2000 the fixed shapes, whose whole sets n = 300 already covers, get masks only.
+    @pytest.mark.parametrize("n, densities, masks", [
+        (300, (0.002, 0.01, 0.05, 0.5, 0.97), (0.3, 0.7, 0.95)),
+        (2000, (0.002,), (0.5,)),
+    ])
+    def test_agrees_with_the_reference(self, c_calls, n, densities, masks):
+        rng = random.Random(n)
+        answers = set()
+        for g, drawn in self.cases(rng, n, densities):
+            if n <= 300 or drawn:
+                answers.add(is_connected(g))
+                assert is_connected(g) == ref_is_connected_subset(g, range(n))
+            for q in masks:
+                mask = sum(1 << v for v in range(n) if rng.random() < q)
+                assert induced_connected(g, mask) == ref_is_connected_subset(g, set_from_mask(mask))
+        assert answers == {False, True}
+        assert c_calls  # some level was wide enough to take the C path
+
+    def test_no_level_of_a_graph_on_32_vertices_takes_the_c_path(self, c_calls):
+        assert is_connected(generate("complete", [32])) and not c_calls
+        assert is_connected(generate("complete", [33])) and c_calls
 
 
 class TestFullVerticesAndProducts:

@@ -316,6 +316,18 @@ class TestCheckCcEqualsNMinus1:
             check_cc_equals_n_minus_1(generate("complete", [4]))
 
 
+@pytest.mark.parametrize("n, full", [(5, (1, 3)), (7, (2, 4, 6))])
+def test_precondition_names_the_lowest_of_several_full_vertices(n, full):
+    g = Graph(n, [(u, v) for u in full for v in range(n) if v != u])
+    assert full_vertex_mask(g) == sum(1 << v for v in full)
+    message = rf"requires no full vertex; vertex {full[0]} is full$"
+    with pytest.raises(PreconditionError, match=message):
+        check_cc_equals_n(g)
+    for variant in ("strict", "paper"):
+        with pytest.raises(PreconditionError, match=message):
+            check_cc_equals_n_minus_1(g, variant)
+
+
 class TestDegreeBoundEdge:
     """Graphs on the degree bound 2D = n, where the scans must still run, and just past it."""
 
