@@ -189,8 +189,9 @@ class TestWideLevels:
         answers = set()
         for g, drawn in self.cases(rng, n, densities):
             if n <= 300 or drawn:
-                answers.add(is_connected(g))
-                assert is_connected(g) == ref_is_connected_subset(g, range(n))
+                got = is_connected(g)
+                assert got == ref_is_connected_subset(g, range(n))
+                answers.add(got)
             for q in masks:
                 mask = sum(1 << v for v in range(n) if rng.random() < q)
                 assert induced_connected(g, mask) == ref_is_connected_subset(g, set_from_mask(mask))
