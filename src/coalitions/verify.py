@@ -142,16 +142,16 @@ def _t10(rec):
 THEOREMS = {
     "t1": TheoremCheck("cc_zero_iff_family_f", lambda rec: rec.graph.n >= 1, _t1),
     "t2": TheoremCheck(
-        "cc_ge_two_dc", lambda rec: rec.graph.n > 1 and rec.connected and not rec.fulls, _t2),
+        "cc_ge_two_dc", lambda rec: rec.connected and not rec.fulls, _t2),
     "t3": TheoremCheck("trees_cc_two", lambda rec: is_tree(rec.graph) and not rec.fulls, _cc_two),
     "t4": TheoremCheck(
         "pendant_lt_n",
-        lambda rec: rec.connected and not rec.fulls and rec.graph.n >= 2
+        lambda rec: rec.connected and not rec.fulls
         and min(map(rec.graph.degree, range(rec.graph.n))) == 1, _t4),
     "t5": TheoremCheck(
-        "check_n_iff_oracle", lambda rec: rec.connected and not rec.fulls and rec.graph.n >= 2, _t5),
+        "check_n_iff_oracle", lambda rec: rec.connected and not rec.fulls, _t5),
     "t6": TheoremCheck(
-        "check_n1_vs_oracle", lambda rec: rec.connected and not rec.fulls and rec.graph.n >= 3, _t6,
+        "check_n1_vs_oracle", lambda rec: rec.connected and not rec.fulls, _t6,
         report_only=True),
     "t7": TheoremCheck("corona_cc_two", lambda rec: is_corona_of_k1(rec.graph), _cc_two),
     # not complete: some vertex is not full (K_1 counts as complete)

@@ -1,5 +1,6 @@
 import functools
 
+import networkx as nx
 import pytest
 
 from coalitions import (
@@ -8,8 +9,10 @@ from coalitions import (
     enumerate_labeled_graphs,
     expand_domatic_to_cc_partition,
     generate,
+    is_connected,
 )
 from coalitions.graphs import full_vertex_mask
+from reference import gnp_edges
 
 
 @pytest.fixture
@@ -27,6 +30,57 @@ def paw():
 @pytest.fixture
 def two_k2():
     return Graph(4, [(0, 1), (2, 3)])
+
+
+@pytest.fixture
+def count(monkeypatch):
+    """count(owner, name) swaps owner.name for a wrapper and returns the list it logs each
+    call's positional arguments to, or with reads=True each index read of the list a call
+    returns; monkeypatch puts owner.name back."""
+    def wrap(owner, name, reads=False):
+        log, fn = [], getattr(owner, name)
+
+        class Counted(list):
+            def __getitem__(self, index):
+                log.append(index)
+                return list.__getitem__(self, index)
+
+        def counted(*args, **kwargs):
+            if reads:
+                return Counted(fn(*args, **kwargs))
+            log.append(args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return log
+    return wrap
+
+
+def from_networkx(h):
+    """h as a Graph, its nodes relabelled onto 0..n-1 in node order."""
+    index = {v: i for i, v in enumerate(h)}
+    return Graph(len(index), [(index[u], index[v]) for u, v in h.edges])
+
+
+@functools.cache
+def atlas():
+    """networkx's atlas without its empty graph: one graph per class, 1,252 in all for n = 1..7."""
+    return tuple(from_networkx(h) for h in nx.graph_atlas_g() if len(h))
+
+
+def relabel(g, rng):
+    """g with its vertex ids shuffled by rng."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+def random_connected(rng, n, p=0.5):
+    """G(n, p) from reference.gnp_edges, drawn again until it is connected."""
+    while True:
+        g = Graph(n, gnp_edges(rng, n, p))
+        if is_connected(g):
+            return g
 
 
 def small_connected(n_max=5):

@@ -1,15 +1,27 @@
-"""Slow reference implementations used only to cross-check the fast kernels.
+"""The tests' package-free judges and seeded draw.
 
-Everything here works with frozensets, an adjacency set read from g.edges,
-and unpruned enumeration; none of it touches the bitmask machinery it is
-meant to check.  The partition generator visits set partitions in
-restricted-growth order (existing blocks in index order, then a new block),
-the order whose first maximum partition the package's searches return, so
-witness identities can be compared exactly, not just the optimal values.
+The judges are slow references that cross-check the fast kernels with
+frozensets, an adjacency set read from g.edges, and unpruned enumeration;
+none of them touches the bitmask machinery it is meant to check.  The
+partition generator visits set partitions in restricted-growth order
+(existing blocks in index order, then a new block), the order whose first
+maximum partition the package's searches return, so witness identities can
+be compared exactly, not just the optimal values.
+
+gnp_edges, the tests' seeded G(n, p) draw, gives an edge list rather than
+a Graph and makes the same RNG calls as bench/replay.py's random_edges, so
+both draw the same graph from the same seed.  The module uses the standard
+library only and imports nothing from the package, so code outside tests/
+can import it too.
 """
 
 import functools
 import itertools
+
+
+def gnp_edges(rng, n, p):
+    """A G(n, p) edge list: each pair i < j in lexicographic order, kept when rng.random() < p."""
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
 
 
 @functools.lru_cache(maxsize=16)

@@ -37,8 +37,8 @@ from coalitions import (
 )
 from coalitions.domination import mask_is_cds, mask_is_dominating
 from coalitions.graphs import full_vertex_mask
-from conftest import corona, domatic_sweep
-from reference import ref_peel, ref_valid_cc_partition
+from conftest import atlas, corona, domatic_sweep, from_networkx
+from reference import gnp_edges, ref_is_connected_subset, ref_peel, ref_valid_cc_partition
 
 # sha256 of json.dumps(theorem rows without millis, sort_keys=True) for the
 # n <= 6 report, taken when every labeled graph still ran every check itself
@@ -68,12 +68,6 @@ def full_suite():
     return report, time.perf_counter() - start
 
 
-def from_networkx(h):
-    """h as a Graph, its nodes relabelled onto 0..n-1 in node order."""
-    index = {v: i for i, v in enumerate(h)}
-    return Graph(len(index), [(index[u], index[v]) for u, v in h.edges])
-
-
 def tree_classes(n_max):
     """One tree per isomorphism class of order 1..n_max, from networkx's own
     generator, which shares no code with the first-leaf key that
@@ -98,8 +92,7 @@ def count_classes(graphs):
 
 def corona_classes(h_order_max):
     """H corona K_1 for one H per class of connected graphs of order 1..h_order_max."""
-    hosts = [h for h in nx.graph_atlas_g() if 1 <= len(h) <= h_order_max and nx.is_connected(h)]
-    return [corona(from_networkx(h)) for h in hosts]
+    return [corona(h) for h in atlas() if h.n <= h_order_max and ref_is_connected_subset(h, range(h.n))]
 
 
 @pytest.fixture(scope="module")
@@ -118,13 +111,10 @@ def corona_suite():
 
 def random_graph(rng, n_min, n_max):
     n = rng.randint(n_min, n_max)
-    p = rng.random()
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return Graph(n, edges)
+    return Graph(n, gnp_edges(rng, n, rng.random()))
 
 
-def test_criterion_01_exact_values_each_under_a_second():
-    house = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 4)])
+def test_criterion_01_exact_values_each_under_a_second(house):
     cases = [
         ("K_1", generate("complete", [1]), 1),
         ("K_5", generate("complete", [5]), 5),

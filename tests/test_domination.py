@@ -9,7 +9,7 @@ import hashlib
 import random
 
 import pytest
-from reference import ref_connected_domatic, ref_gamma_c, ref_is_cds, ref_is_dominating
+from reference import gnp_edges, ref_connected_domatic, ref_gamma_c, ref_is_cds, ref_is_dominating
 
 from coalitions import (
     Graph,
@@ -24,36 +24,19 @@ from coalitions import (
 from coalitions import domination
 from coalitions.domination import mask_is_cds, mask_is_dominating, shrink_to_minimal_cds
 from coalitions.graphs import set_from_mask, subset_mask
-from conftest import small_connected
-
-
-def random_connected(rng, n, p=0.5):
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    from coalitions import is_connected
-
-    while True:
-        g = Graph(n, [e for e in pairs if rng.random() < p])
-        if is_connected(g):
-            return g
+from conftest import random_connected, small_connected
 
 
 def seeded_table_graphs():
     """Three seeded G(n, p) graphs for each n = 6..14, disconnected ones included."""
     rng = random.Random(1614)
-    return [
-        Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
-        for n in range(6, 15)
-        for p in (0.2, 0.5, 0.8)
-    ]
+    return [Graph(n, gnp_edges(rng, n, p)) for n in range(6, 15) for p in (0.2, 0.5, 0.8)]
 
 
 def seeded_dense_graphs():
     """One seeded G(n, 0.9) for each of n = 15, 17 and 20, where most masks are CDSs."""
     rng = random.Random(1520)
-    return [
-        Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.9])
-        for n in (15, 17, 20)
-    ]
+    return [Graph(n, gnp_edges(rng, n, 0.9)) for n in (15, 17, 20)]
 
 
 def table_digest(graphs):
@@ -331,24 +314,16 @@ class TestConnectedDomatic:
         (lambda: random_connected(random.Random(610), 10, 0.6), 3, 3617),
         (lambda: random_connected(random.Random(612), 12, 0.6), 3, 88931),
     ], ids=["C10", "G10-p0.6", "G12-p0.6"])
-    def test_reach_prune_work_is_pinned(self, monkeypatch, maker, dc, reads):
+    def test_reach_prune_work_is_pinned(self, count, maker, dc, reads):
         # The reach prune (a part whose union with the unassigned vertices is
         # no CDS ends the branch) is speed-only: at a leaf a part that is no
         # CDS still owes the deficit one vertex, so the bound alone refuses
         # it, and every value and witness stays.  Only the table reads show
         # the prune.  Without it the three read 28, 6,281 and 215,553
         # entries: fewer on C10, where its own reads outweigh what it cuts.
-        class Counted(list):
-            reads = 0
-
-            def __getitem__(self, mask):
-                Counted.reads += 1
-                return list.__getitem__(self, mask)
-
-        unpack = domination._unpack
-        monkeypatch.setattr(domination, "_unpack", lambda bits, n: Counted(unpack(bits, n)))
+        table_reads = count(domination, "_unpack", reads=True)
         assert connected_domatic_number(maker())[0] == dc
-        assert Counted.reads == reads
+        assert len(table_reads) == reads
 
 
 class TestShrinkToMinimal:

@@ -22,7 +22,7 @@ from coalitions.family import (
     PeelTrace,
 )
 from conftest import cone
-from reference import ref_peel
+from reference import gnp_edges, ref_peel
 
 
 class TestVerdictsAndTerminals:
@@ -85,9 +85,8 @@ class TestPeelChoiceIrrelevance:
 
     def test_random_picks_agree(self):
         rng = random.Random(8)
-        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
         for _ in range(200):
-            g = Graph(6, [e for e in pairs if rng.random() < 0.5])
+            g = Graph(6, gnp_edges(rng, 6, 0.5))
             member, trace = in_family_f(g)
             assert (member, trace.steps, trace.terminal) == ref_peel(g, min)
             assert member == ref_peel(g, rng.choice)[0]

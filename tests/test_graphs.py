@@ -1,7 +1,6 @@
 """Graph core, generators, serialization, enumeration, and shape recognizers."""
 
 import random
-from itertools import compress
 
 import networkx as nx
 import pytest
@@ -33,20 +32,12 @@ from coalitions.graphs import (
     subset_mask,
 )
 
-from conftest import corona
-from reference import ref_canonical_key, ref_is_connected_subset
+from conftest import atlas, corona, relabel
+from reference import gnp_edges, ref_canonical_key, ref_is_connected_subset
 
 
 def random_graph(rng, n):
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return Graph(n, [e for e in pairs if rng.random() < 0.5])
-
-
-def relabel(g, rng):
-    """g with its vertex ids shuffled by rng."""
-    perm = list(range(g.n))
-    rng.shuffle(perm)
-    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    return Graph(n, gnp_edges(rng, n, 0.5))
 
 
 def to_networkx(g):
@@ -168,15 +159,8 @@ class TestWideLevels:
         yield Graph(n, halves), True
 
     @pytest.fixture
-    def c_calls(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(1)
-            return compress(*args)
-
-        monkeypatch.setattr(graphs, "compress", counting)
-        return calls
+    def c_calls(self, count):
+        return count(graphs, "compress")
 
     # The reference costs O(n^2) a call, about 0.3 s on a whole 2000-vertex set, so at
     # n = 2000 the fixed shapes, whose whole sets n = 300 already covers, get masks only.
@@ -389,10 +373,7 @@ class TestShapeRecognizers:
         rng = random.Random(3)
         base = corona(generate("cycle", [4]))
         for _ in range(10):
-            perm = list(range(base.n))
-            rng.shuffle(perm)
-            relabeled = Graph(base.n, [(perm[u], perm[v]) for u, v in base.edges])
-            assert is_corona_of_k1(relabeled)
+            assert is_corona_of_k1(relabel(base, rng))
 
     def test_corona_recognizer_negatives(self, c4, paw, two_k2):
         assert not is_corona_of_k1(c4)
@@ -447,10 +428,8 @@ class TestCanonicalForm:
 
     def test_no_degree_key_is_shared_by_two_atlas_classes(self):
         rng = random.Random(46)
-        atlas = [Graph(h.number_of_nodes(), list(h.edges()))
-                 for h in nx.graph_atlas_g() if h.number_of_nodes()]
         class_of = {}
-        for i, g in enumerate(atlas):
+        for i, g in enumerate(atlas()):
             for h in [g] + [relabel(g, rng) for _ in range(5)]:
                 assert class_of.setdefault(degree_key(h), i) == i
 
@@ -458,11 +437,9 @@ class TestCanonicalForm:
         # networkx's atlas lists one graph per class n <= 7 and shares no code with the key;
         # each is keyed in its own labeling and in five shuffled ones
         rng = random.Random(46)
-        atlas = [Graph(h.number_of_nodes(), list(h.edges()))
-                 for h in nx.graph_atlas_g() if h.number_of_nodes()]
-        assert len(atlas) == 1252
+        assert len(atlas()) == 1252
         class_of = {}
-        for i, g in enumerate(atlas):
+        for i, g in enumerate(atlas()):
             for h in [g] + [relabel(g, rng) for _ in range(5)]:
                 assert class_of.setdefault(first_leaf(h), i) == i
         assert len(class_of) == 1254  # two classes have two keys each under this seed
@@ -575,11 +552,9 @@ class TestCanonicalForm:
         generate("cycle", [30]),
         generate("star", [11]),
     ], ids=["12K2", "4C5", "3C5", "K12", "K6,6", "C30", "K1,11"])
-    def test_refinements_under_ceiling(self, monkeypatch, graph):
+    def test_refinements_under_ceiling(self, count, graph):
         # a key is one descent: one refinement at the root and one per individualized vertex,
         # so at most n in all, however many automorphisms the graph has
-        calls = []
-        refine = graphs._refine
-        monkeypatch.setattr(graphs, "_refine", lambda *args: calls.append(None) or refine(*args))
+        calls = count(graphs, "_refine")
         first_leaf(graph)
         assert len(calls) <= graph.n

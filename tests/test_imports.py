@@ -4,7 +4,9 @@ module-level public name is exported or read somewhere in it.  Every
 dataclass field and every property of a class in the package is read as an
 attribute somewhere in it.  No module in the package reads an environment
 variable, and every module parses as the oldest Python that pyproject.toml's
-requires-python admits.
+requires-python admits.  Every module-level name in the tests' shared
+modules, conftest.py and reference.py, is read somewhere in tests/, and
+reference.py imports from the standard library only.
 
 The repository has no linter, so these are its unused-import and dead-helper
 checks, written with the standard library's ast module.  A package
@@ -15,6 +17,7 @@ the import check.
 import ast
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -53,14 +56,17 @@ def test_no_module_imports_a_name_it_never_reads():
     assert found == []
 
 
-def _read_names(node):
-    """Names a syntax tree reads, as identifiers or as attributes."""
+def _read_names(node, params=False):
+    """Names a syntax tree reads, as identifiers or as attributes, and with params as
+    parameters, the way a test reads the pytest fixture it names."""
     out = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             out.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             out.add(sub.attr)
+        elif params and isinstance(sub, ast.arg):
+            out.add(sub.arg)
     return out
 
 
@@ -75,16 +81,16 @@ def _defined_names(stmt):
     return [name for name in names if not name.startswith("__")]
 
 
-def _unread_names(sources, private, exported=()):
+def _unread_names(sources, private, exported=(), params=False):
     """(module, line, name) for each module-level name no other top-level statement reads.
 
     sources maps a module name to its source text.  private picks the
     single-underscore names or the public ones; names in exported are
     skipped.  A read inside the statement that defines the name, such as a
-    recursive call, does not count.
+    recursive call, does not count; params goes on to _read_names.
     """
     stmts = [(module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body]
-    reads = [_read_names(stmt) for _, stmt in stmts]
+    reads = [_read_names(stmt, params) for _, stmt in stmts]
     found = []
     for k, (module, stmt) in enumerate(stmts):
         for name in _defined_names(stmt):
@@ -123,6 +129,31 @@ def test_public_name_checker_on_a_tiny_package():
 
 def test_every_module_level_public_name_is_exported_or_read():
     assert _unread_names(_src_sources(), private=False, exported=set(coalitions.__all__)) == []
+
+
+def test_fixture_reads_count_only_in_tests():
+    sources = {
+        "conftest": "import pytest\n@pytest.fixture\ndef house():\n    return 5\ndef dead():\n    return 0\n",
+        "test_a": "print(lambda house: 0)\n",
+    }
+    assert _unread_names(sources, private=False) == [("conftest", 3, "house"), ("conftest", 5, "dead")]
+    assert _unread_names(sources, private=False, params=True) == [("conftest", 5, "dead")]
+
+
+def test_every_name_in_the_shared_test_modules_is_read():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted((ROOT / "tests").glob("*.py"))}
+    found = [hit for private in (False, True) for hit in _unread_names(sources, private, params=True)
+             if hit[0] in ("conftest.py", "reference.py")]
+    assert found == []
+
+
+def test_reference_imports_from_the_standard_library_only():
+    # the judges share no code with the package they judge, so bench/ can import them as well
+    tree = ast.parse((ROOT / "tests" / "reference.py").read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    modules += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert modules and all(m.split(".")[0] in sys.stdlib_module_names for m in modules)
 
 
 def _decorator_names(node):

@@ -22,7 +22,7 @@ from coalitions import matrices
 from coalitions.graphs import full_vertex_mask
 
 from conftest import connected_without_full_vertex
-from reference import ref_check_cc_equals_n, ref_check_cc_equals_n_minus_1
+from reference import gnp_edges, ref_check_cc_equals_n, ref_check_cc_equals_n_minus_1
 
 # sha256 of json.dumps(decider_rows(...)) over connected_without_full_vertex()
 # and seeded_graphs(random.Random(9), 400, 7, 60, KINDS), taken before the
@@ -44,8 +44,7 @@ def seeded_graph(rng, kind, n):
         edges = [(v, (v + 1) % n) for v in range(n)]
         edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
     else:
-        p = rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        edges = gnp_edges(rng, n, rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
     g = Graph(n, edges)
     return g if is_connected(g) and not full_vertex_mask(g) else None
 
@@ -107,9 +106,8 @@ class TestEdgeDominationMatrix:
     def test_entry_characterization(self):
         # bit x of row i is 1 iff x lies in N[p] or N[q] for row i's edge (p, q)
         rng = random.Random(4)
-        pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
         for _ in range(50):
-            g = Graph(7, [e for e in pairs if rng.random() < 0.4])
+            g = Graph(7, gnp_edges(rng, 7, 0.4))
             if g.m == 0:
                 continue
             rows = edge_domination_matrix(g)
@@ -224,8 +222,7 @@ class TestCheckCcEqualsNMinus1:
         checked = 0
         while checked < 300:
             n = rng.randint(6, 12)
-            p = rng.choice((0.3, 0.5, 0.7, 0.85))
-            g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+            g = Graph(n, gnp_edges(rng, n, rng.choice((0.3, 0.5, 0.7, 0.85))))
             if not is_connected(g) or full_vertex_mask(g):
                 continue
             checked += 1
@@ -238,8 +235,7 @@ class TestCheckCcEqualsNMinus1:
         checked = 0
         while checked < 120:
             n = rng.randint(13, 30)
-            p = rng.choice((0.5, 0.6, 0.7, 0.8, 0.9, 0.95))
-            g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+            g = Graph(n, gnp_edges(rng, n, rng.choice((0.5, 0.6, 0.7, 0.8, 0.9, 0.95))))
             if not is_connected(g) or full_vertex_mask(g):
                 continue
             checked += 1
@@ -251,16 +247,12 @@ class TestCheckCcEqualsNMinus1:
         (60, 0.8, 4, {"strict": (True, 116), "paper": (True, 64)}),
         (30, 0.7, 5, {"strict": (False, 117), "paper": (True, 34)}),
     ])
-    def test_lonely_filter_work_is_pinned(self, n, p, seed, pinned, monkeypatch):
+    def test_lonely_filter_work_is_pinned(self, n, p, seed, pinned, count):
         # (answer, _dominators calls) per variant.  The lonely filter (the docstring's fourth
         # fact) changes no answer, only the pairs scanned: without it these graphs make 1,830,
         # 196 and 445 strict calls
-        rng = random.Random(seed)
-        g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
-        calls = []
-        dominators = matrices._dominators
-        monkeypatch.setattr(matrices, "_dominators",
-                            lambda *args: calls.append(None) or dominators(*args))
+        g = Graph(n, gnp_edges(random.Random(seed), n, p))
+        calls = count(matrices, "_dominators")
         got = {}
         for variant in ("strict", "paper"):
             calls.clear()

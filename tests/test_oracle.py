@@ -15,7 +15,7 @@ import random
 
 import networkx as nx
 import pytest
-from reference import iter_partitions, ref_cc, ref_is_cds, ref_valid_cc_partition
+from reference import gnp_edges, iter_partitions, ref_cc, ref_is_cds, ref_valid_cc_partition
 
 from coalitions import (
     Graph,
@@ -29,13 +29,11 @@ from coalitions import (
     expand_domatic_to_cc_partition,
     generate,
     is_cc_partition,
-    is_connected,
     oracle,
     parse_graph6,
 )
-from coalitions.domination import cds_table
 from coalitions.graphs import full_vertex_mask
-from conftest import corona, domatic_sweep, small_connected
+from conftest import corona, domatic_sweep, random_connected, small_connected
 
 
 def parts(*sets):
@@ -54,16 +52,7 @@ def digest(graphs):
 def readme_draws():
     """README's 60 seeded connected G(12, p): draw i keeps each pair a < b
     with p = 0.3 + 0.2 i / 59 under random.Random(1000 + i), redrawn until connected."""
-    draws = []
-    for i in range(60):
-        rng = random.Random(1000 + i)
-        p = 0.3 + 0.2 * i / 59
-        while True:
-            g = Graph(12, [(a, b) for a in range(12) for b in range(a + 1, 12) if rng.random() < p])
-            if is_connected(g):
-                break
-        draws.append(g)
-    return draws
+    return [random_connected(random.Random(1000 + i), 12, 0.3 + 0.2 * i / 59) for i in range(60)]
 
 
 class TestFrozenValues:
@@ -122,9 +111,8 @@ class TestAgainstReference:
 
     def test_seeded_samples_at_n6(self):
         rng = random.Random(2024)
-        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
         for _ in range(120):
-            g = Graph(6, [e for e in pairs if rng.random() < 0.5])
+            g = Graph(6, gnp_edges(rng, 6, 0.5))
             assert cc_number(g) == ref_cc(g)
 
     def test_raw_search_seeded_n7_n8_with_full_vertices(self):
@@ -214,21 +202,14 @@ class TestSearchWork:
         (lambda: parse_graph6("K_??????@~g@"), 2, 184, 2000),
         (lambda: parse_graph6("KpUgs?_Ae_Yj"), 5, 66_786, 200_000),
     ], ids=["P12", "C12", "P6-corona-K1", "spider-tree", "G12-p0.4"])
-    def test_table_lookups_under_ceiling(self, monkeypatch, maker, cc, reads, ceiling):
+    def test_table_lookups_under_ceiling(self, count, maker, cc, reads, ceiling):
         # Without the new-part prune the first three read 25,497, 30,185 and
         # 29,582 entries.  Placed in label order rather than degree order,
         # the spider tree (a hub of degree 9, labels reversed) reads
         # 12,393,677 and the G(12, 0.4) draw 6,798,134.
-        class Counted(list):
-            reads = 0
-
-            def __getitem__(self, mask):
-                Counted.reads += 1
-                return list.__getitem__(self, mask)
-
-        monkeypatch.setattr(oracle, "cds_table", lambda g: Counted(cds_table(g)))
+        table_reads = count(oracle, "cds_table", reads=True)
         assert cc_partition_search(maker())[0] == cc
-        assert Counted.reads == reads <= ceiling
+        assert len(table_reads) == reads <= ceiling
 
 
 class TestRawSearch:

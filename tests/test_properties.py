@@ -2,9 +2,11 @@
 
 graphs() draws an order and an adjacency bitmask, so shrinking moves toward
 small sparse graphs; connected_graphs_without_full_vertex() builds its graphs
-from a spanning tree, so it filters out no draw.  The acceptance suite runs
-larger seeded sweeps of the same properties; these stay quick and run on
-every test invocation.
+from a spanning tree, so it filters out no draw.  Criterion 08 of the
+acceptance suite sweeps several of the same properties over ten thousand
+seeded graphs each; what these add is Hypothesis's shrinking, which reports
+a failure as a smallest graph that shows it, where the seeded sweeps add
+volume on a fixed sample.
 """
 
 import itertools
@@ -100,9 +102,8 @@ def test_peel_choice_does_not_change_the_verdict(g, rng):
 @given(graphs(min_n=2, max_n=6), st.integers(1, 2))
 def test_joining_full_vertices_preserves_family_status(g, t):
     # joining K_t onto g adds t full vertices that peel straight back off
-    assume(g.n >= 2)
     coned = cone(g, t)
-    if not is_connected(g) and g.n >= 2:
+    if not is_connected(g):
         assert in_family_f(coned)[0]
     else:
         assert in_family_f(coned)[0] == in_family_f(g)[0]

@@ -2,10 +2,8 @@
 
 import json
 import random
-from collections import Counter
 from functools import cached_property
 
-import networkx as nx
 import pytest
 
 from coalitions import (
@@ -16,6 +14,7 @@ from coalitions import (
     THEOREMS,
     default_corpus,
     emit_graph6,
+    enumerate_labeled_graphs,
     generate,
     is_corona_of_k1,
     is_tree,
@@ -25,7 +24,8 @@ from coalitions import (
 from coalitions import graphs as graphs_module, verify
 from coalitions.graphs import first_leaf
 from coalitions.verify import GraphRecord
-from reference import ref_canonical_key
+from conftest import atlas, relabel
+from reference import ref_canonical_key, ref_closed_neighborhood, ref_is_connected_subset
 from test_acceptance import check_n_scaling, corona_classes, theorem_row, tree_classes
 
 
@@ -48,6 +48,15 @@ class TestRegistry:
         assert "check_n_iff_oracle" in anchors
         assert THEOREMS["t6"].report_only
         assert sum(t.report_only for t in THEOREMS.values()) == 1
+
+    def test_the_no_full_vertex_setting_needs_no_order_floor(self):
+        # t2 and t4-t6 apply to connected graphs with no full vertex and state no order, since
+        # every connected graph on at most three vertices has a full vertex; judged by reference
+        counts = [sum(ref_is_connected_subset(g, range(n))
+                      and all(len(ref_closed_neighborhood(g, v)) < n for v in range(n))
+                      for g in enumerate_labeled_graphs(n))
+                  for n in range(1, 5)]
+        assert counts == [0, 0, 0, 15]
 
 
 @pytest.fixture(scope="module")
@@ -125,11 +134,8 @@ class TestIsomorphismClassSharing:
     def test_every_check_is_isomorphism_invariant(self):
         rng = random.Random(29)
         for g in default_corpus(5):
-            perm = list(range(g.n))
-            rng.shuffle(perm)
-            relabeled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
             a = GraphRecord(g, PARTITION_GUARD_DEFAULT)
-            b = GraphRecord(relabeled, PARTITION_GUARD_DEFAULT)
+            b = GraphRecord(relabel(g, rng), PARTITION_GUARD_DEFAULT)
             for tid, t in THEOREMS.items():
                 applies = bool(t.applies(a))
                 assert applies == bool(t.applies(b)), (tid, g)
@@ -225,10 +231,8 @@ class TestGraphRecord:
         cached = [name for name, v in vars(GraphRecord).items() if isinstance(v, cached_property)]
         assert cached == ["connected", "fulls", "cc", "family"]
 
-    def test_values_are_cached(self, c5, monkeypatch):
-        calls = []
-        oracle = verify.cc_number
-        monkeypatch.setattr(verify, "cc_number", lambda *args: calls.append(args) or oracle(*args))
+    def test_values_are_cached(self, c5, count):
+        calls = count(verify, "cc_number")
         rec = GraphRecord(c5, 7)
         assert (rec.cc, rec.cc) == (3, 3)
         assert calls == [(c5, 7)]
@@ -243,19 +247,15 @@ class TestGraphRecord:
 
 
 class TestKernelCalls:
-    def test_one_call_per_class_and_kernel_at_n5(self, monkeypatch):
+    def test_one_call_per_class_and_kernel_at_n5(self, count):
         # the 52 first-leaf keys n <= 5, one per class, 31 of them connected; counted through
         # verify's module attributes, the names the checks resolve at call time
-        counts = Counter()
-        for name in ("cc_number", "cc_partition_search", "connected_domatic_number", "in_family_f",
-                     "check_cc_equals_n", "check_cc_equals_n_minus_1", "is_tree", "is_corona_of_k1",
-                     "is_connected", "full_vertex_mask"):
-            def counted(*args, _fn=getattr(verify, name), _name=name, **kwargs):
-                counts[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(verify, name, counted)
+        calls = {name: count(verify, name)
+                 for name in ("cc_number", "cc_partition_search", "connected_domatic_number",
+                              "in_family_f", "check_cc_equals_n", "check_cc_equals_n_minus_1",
+                              "is_tree", "is_corona_of_k1", "is_connected", "full_vertex_mask")}
         run_theorem_suite(default_corpus(5))
-        assert counts == {
+        assert {name: len(log) for name, log in calls.items()} == {
             "cc_number": 52, "in_family_f": 52, "is_connected": 52, "is_tree": 52,
             "is_corona_of_k1": 52, "full_vertex_mask": 31, "cc_partition_search": 21,
             "connected_domatic_number": 12, "check_cc_equals_n": 12, "check_cc_equals_n_minus_1": 24,
@@ -263,56 +263,43 @@ class TestKernelCalls:
         # a class reached through two first-leaf keys is checked once per key, with one outcome
         a, b = map(parse_graph6, SPLIT_C3_C4)
         assert first_leaf(a) != first_leaf(b) and ref_canonical_key(a) == ref_canonical_key(b)
-        counts.clear()
+        calls["cc_number"].clear()
         rows = {t["id"]: t for t in run_theorem_suite([a, b]).theorems}
-        assert counts["cc_number"] == 2
+        assert len(calls["cc_number"]) == 2
         for tid in ("t1", "t9"):
             assert (rows[tid]["checked"], rows[tid]["passed"]) == (2, 2)
 
-    def test_one_oracle_call_per_first_leaf_key_at_n6(self, monkeypatch):
+    def test_one_oracle_call_per_first_leaf_key_at_n6(self, count):
         # the 33,867 labeled graphs n <= 6 have 208 first-leaf keys, one per class; t1 applies
         # to every graph and reads CC
-        calls = []
-        oracle = verify.cc_number
-        monkeypatch.setattr(verify, "cc_number", lambda *args: calls.append(None) or oracle(*args))
+        calls = count(verify, "cc_number")
         run_theorem_suite(default_corpus(6), ["t1"])
         assert len(calls) == 208
 
-    def test_one_descent_per_new_degree_key_at_n6(self, monkeypatch):
+    def test_one_descent_per_new_degree_key_at_n6(self, count):
         # the 33,867 labeled graphs n <= 6 have 1,043 degree keys; only a new one is descended,
         # and the descents still reach the 208 first-leaf keys
-        counts = Counter()
-        for name in ("first_leaf", "cc_number"):
-            def counted(*args, _fn=getattr(verify, name), _name=name):
-                counts[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(verify, name, counted)
+        descents, oracle_calls = count(verify, "first_leaf"), count(verify, "cc_number")
         run_theorem_suite(default_corpus(6))
-        assert counts == {"first_leaf": 1043, "cc_number": 208}
+        assert (len(descents), len(oracle_calls)) == (1043, 208)
 
-    def test_the_degree_key_memo_changes_no_report(self, monkeypatch):
+    def test_the_degree_key_memo_changes_no_report(self, count, monkeypatch):
         # a degree key no two graphs share sends every graph through first_leaf
         normal = strip_millis(run_theorem_suite(default_corpus(5)))
-        descents = []
-        leaf = verify.first_leaf
         monkeypatch.setattr(verify, "degree_key", lambda g: (g.n, g.nbr_masks))
-        monkeypatch.setattr(verify, "first_leaf", lambda g: descents.append(None) or leaf(g))
+        descents = count(verify, "first_leaf")
         assert strip_millis(run_theorem_suite(default_corpus(5))) == normal
         assert len(descents) == 1 + 2 + 8 + 64 + 1024
 
-    def test_a_new_first_leaf_is_descended_once(self, monkeypatch):
+    def test_a_new_first_leaf_is_descended_once(self, count):
         # an isomorph-free corpus (networkx's atlas, 1,252 graphs n = 1..7) misses on every graph:
         # the suite must refine exactly as often as first_leaf does graph by graph
-        corpus = [Graph(h.number_of_nodes(), list(h.edges()))
-                  for h in nx.graph_atlas_g() if h.number_of_nodes()]
-        calls = []
-        refine = graphs_module._refine
-        monkeypatch.setattr(graphs_module, "_refine", lambda *args: calls.append(None) or refine(*args))
-        for g in corpus:
+        calls = count(graphs_module, "_refine")
+        for g in atlas():
             first_leaf(g)
         alone = len(calls)
         calls.clear()
-        run_theorem_suite(corpus, ["t10"])
+        run_theorem_suite(atlas(), ["t10"])
         assert len(calls) == alone == 3396
 
 
