@@ -30,25 +30,46 @@ def ref_adjacency(g):
     return frozenset(g.edges) | {(v, u) for u, v in g.edges}
 
 
+@functools.lru_cache(maxsize=16)
+def ref_closed_neighborhoods(g):
+    """N[v] for every vertex v, as frozensets read from ref_adjacency (kept for the last few graphs)."""
+    closed = [{v} for v in range(g.n)]
+    for u, v in ref_adjacency(g):
+        closed[u].add(v)
+    return tuple(map(frozenset, closed))
+
+
+def ref_closed_neighborhood(g, v):
+    return ref_closed_neighborhoods(g)[v]
+
+
+@functools.lru_cache(maxsize=16)
+def ref_outside(g):
+    """V - N[v] for every vertex v: the vertices v does not dominate (kept for the last few graphs)."""
+    everything = frozenset(range(g.n))
+    return tuple(everything - c for c in ref_closed_neighborhoods(g))
+
+
 def ref_is_dominating(g, s):
     adj = ref_adjacency(g)
     return all(v in s or any((u, v) in adj for u in s) for v in range(g.n))
 
 
 def ref_is_connected_subset(g, s):
-    s = set(s)
+    return _connected_within(ref_closed_neighborhoods(g), set(s))
+
+
+def _connected_within(closed, s):
+    """The set s is nonempty and a search from its least vertex, stepping from w to closed[w] & s, reaches all of s."""
     if not s:
         return False
-    adj = ref_adjacency(g)
-    start = min(s)
-    seen = {start}
-    todo = [start]
+    seen = set()
+    todo = [min(s)]
     while todo:
-        u = todo.pop()
-        for v in s:
-            if v not in seen and (u, v) in adj:
-                seen.add(v)
-                todo.append(v)
+        w = todo.pop()
+        if w not in seen:
+            seen.add(w)
+            todo.extend(closed[w] & s)
     return seen == s
 
 
@@ -136,19 +157,20 @@ def ref_canonical_key(g):
     )
 
 
-def ref_closed_neighborhood(g, v):
-    adj = ref_adjacency(g)
-    return {v} | {w for w in range(g.n) if (v, w) in adj}
-
-
 def ref_full_rows(g):
     """The edges (p, q), p < q, in sorted order whose N[p] and N[q] together hold every vertex."""
-    everything = set(range(g.n))
-    adj = ref_adjacency(g)
-    return [
-        (p, q) for p, q in itertools.combinations(range(g.n), 2)
-        if (p, q) in adj and ref_closed_neighborhood(g, p) | ref_closed_neighborhood(g, q) == everything
-    ]
+    closed = ref_closed_neighborhoods(g)
+    outside = ref_outside(g)
+    return sorted((p, q) for p, q in ref_adjacency(g) if p < q and closed[q] >= outside[p])
+
+
+def ref_full_rows_at(g):
+    """For each vertex x, the list of ref_full_rows(g) edges that contain x, still in sorted order."""
+    at = [[] for _ in range(g.n)]
+    for edge in ref_full_rows(g):
+        for x in edge:
+            at[x].append(edge)
+    return at
 
 
 def ref_check_cc_equals_n(g):
@@ -157,47 +179,56 @@ def ref_check_cc_equals_n(g):
     Each vertex takes the first full-row edge in sorted order that contains
     it; the first vertex on no such edge is named in the refusal.
     """
-    full_rows = ref_full_rows(g)
     witness = {}
-    for x in range(g.n):
-        edge = next((e for e in full_rows if x in e), None)
-        if edge is None:
+    for x, edges in enumerate(ref_full_rows_at(g)):
+        if not edges:
             reason = f"vertex {x} has no incident edge whose row sums to {g.n}"
             return {"answer": False, "witness": None, "reason": reason, "variant": None}
-        witness[str(x)] = list(edge)
+        witness[str(x)] = list(edges[0])
     return {"answer": True, "witness": witness, "reason": None, "variant": None}
 
 
 def ref_check_cc_equals_n_minus_1(g, variant):
     """The CC = n-1 pair scan written out directly, in Decision.as_dict() form.
 
-    Full-row edges are tested by comparing neighborhood sets, triples by
-    ref_is_cds; pairs, vertices, edges and y are all tried in ascending order.
+    Every pair is scanned in ascending order, and within a pair every x,
+    edge and y in ascending order too: nothing is skipped on a degree or
+    partner count.  Full-row edges come from ref_full_rows.  A set s is a
+    CDS when no vertex lies outside every N[w], w in s, and a search inside
+    s reaches all of it; the vertices that N[u] | N[v] misses are found once
+    per pair.
     """
     n = g.n
-    full_rows = ref_full_rows(g)
+    closed = ref_closed_neighborhoods(g)
+    outside = ref_outside(g)
+    full_rows_at = ref_full_rows_at(g)
 
     def answer(witness=None, reason=None):
         return {"answer": witness is not None, "witness": witness, "reason": reason, "variant": variant}
 
-    if variant == "strict" and all(any(x in e for e in full_rows) for x in range(n)):
+    if variant == "strict" and all(full_rows_at):
         return answer(reason="the CC = n check already succeeds, which rules out CC = n-1")
+    def is_cds_with(x):
+        """{x, u, v} is a CDS for the pair being scanned; x = u tests the pair itself."""
+        return missing <= closed[x] and _connected_within(closed, {x, u, v})
+
     for u, v in itertools.combinations(range(n), 2):
-        if variant == "strict" and ref_is_cds(g, {u, v}):
+        missing = outside[u] - closed[v]
+        if variant == "strict" and is_cds_with(u):
             continue
         justification = {}
         for x in range(n):
             if x in (u, v):
                 continue
-            edge = next((e for e in full_rows if x in e and u not in e and v not in e), None)
+            edge = next((e for e in full_rows_at[x] if u not in e and v not in e), None)
             if edge is not None:
                 justification[str(x)] = ["edge", list(edge)]
-            elif ref_is_cds(g, {x, u, v}):
+            elif is_cds_with(x):
                 justification[str(x)] = ["triple", [x, u, v]]
             else:
                 break
         else:
-            y = next((y for y in range(n) if y not in (u, v) and ref_is_cds(g, {y, u, v})), None)
+            y = next((y for y in range(n) if y not in (u, v) and is_cds_with(y)), None)
             if y is not None:
                 return answer({"u": u, "v": v, "y": y, "justification": justification})
     return answer(reason="no qualifying vertex pair (u, v)")

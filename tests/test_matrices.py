@@ -21,8 +21,12 @@ from coalitions import (
 from coalitions import matrices
 from coalitions.graphs import full_vertex_mask
 
-from conftest import connected_without_full_vertex
-from reference import gnp_edges, ref_check_cc_equals_n, ref_check_cc_equals_n_minus_1
+from conftest import connected_without_full_vertex, random_connected
+from reference import (
+    gnp_edges,
+    ref_check_cc_equals_n,
+    ref_check_cc_equals_n_minus_1,
+)
 
 # sha256 of json.dumps(decider_rows(...)) over connected_without_full_vertex()
 # and seeded_graphs(random.Random(9), 400, 7, 60, KINDS), taken before the
@@ -69,6 +73,15 @@ def decider_rows(graphs):
         ]
         for g in graphs
     ]
+
+
+def gnp_without_full_vertex(n, p, seed):
+    """G(n, p) from random.Random(seed), drawn again until it is connected and has no full vertex."""
+    rng = random.Random(seed)
+    while True:
+        g = random_connected(rng, n, p)
+        if not full_vertex_mask(g):
+            return g
 
 
 def max_degree(g):
@@ -258,6 +271,31 @@ class TestCheckCcEqualsNMinus1:
             calls.clear()
             got[variant] = (check_cc_equals_n_minus_1(g, variant).answer, len(calls))
         assert got == pinned
+
+    @pytest.mark.parametrize("n, p, seed, answers", [
+        (300, None, None, (False, False, False)),  # C300: 2D < n
+        (300, 0.02, 1, (False, False, False)),  # 2D < n
+        (300, 0.5, 1, (False, False, False)),  # 2D >= n, yet every vertex is lonely: no row is full
+        (300, 0.97, 1, (True, True, False)),  # no lonely vertex: strict refuses, as CC = n holds
+        (300, 0.9, 2, (False, True, True)),
+        (200, 0.8, 1, (False, True, False)),  # strict scans every pair the lonely filter leaves
+        (150, 0.85, 3, (False, True, True)),  # strict's witness pair is (49, 134)
+        (100, 0.8, 5, (False, True, True)),
+        (100, 0.7, 1, (False, True, False)),
+        (60, 0.5, 3, (False, False, False)),
+        (60, 0.8, 4, (False, True, True)),
+    ])
+    def test_matches_reference_at_the_sizes_the_deciders_are_for(self, n, p, seed, answers):
+        # (CC = n, paper, strict) answers, each judged in full against the reference, which
+        # has no degree bound, no lonely filter and no triples mask.  Every G(n, p) here
+        # connects through a BFS level wide enough that induced_connected ORs it in C.
+        g = generate("cycle", [n]) if p is None else gnp_without_full_vertex(n, p, seed)
+        got = [check_cc_equals_n(g).as_dict()]
+        got += [check_cc_equals_n_minus_1(g, variant).as_dict() for variant in ("paper", "strict")]
+        want = [ref_check_cc_equals_n(g)]
+        want += [ref_check_cc_equals_n_minus_1(g, variant) for variant in ("paper", "strict")]
+        assert got == want
+        assert tuple(d["answer"] for d in got) == answers
 
     def test_large_cycle_and_path_say_no(self):
         # n = 2000: each answer takes milliseconds, so a per-pair slowdown shows as a stall
