@@ -70,11 +70,12 @@ def _dominators(closed, cand, need):
 
     w lies in N[m] exactly when m lies in N[w], so this is cand ANDed with
     N[m] for every m in need; the loop stops as soon as nothing is left.
+    need is walked top bit first, one big-int op fewer than need & -need.
     """
     while need and cand:
-        low = need & -need
-        cand &= closed[low.bit_length() - 1]
-        need ^= low
+        m = need.bit_length() - 1
+        cand &= closed[m]
+        need ^= 1 << m
     return cand
 
 
@@ -144,15 +145,16 @@ def check_cc_equals_n_minus_1(g, variant="strict"):
     - Condition 1 for x holds exactly when partner[x] minus {u, v} is
       nonempty, where partner[x] holds the w whose edge xw has a full row
       (see _partner_masks); its lowest vertex gives the first such edge.
-    - When 2D < n, D the maximum degree, no pair qualifies.  No row is full
-      then (check_cc_equals_n), so condition 1 never holds.  Every x outside
-      {u, v} (n >= 3, so one exists) then needs condition 2.  If uv is an
-      edge, the triple is connected only when x lies in N(u) | N(v), so the
-      row of uv would cover V.  If uv is no edge, every such x is adjacent to
-      both u and v, so D >= n - 2, and 2(n - 2) < n forces n = 3, where x
-      would be full.  This is tested before any partner mask is built, in both
-      variants; the strict variant's earlier refusal, "the CC = n check
-      already succeeds", needs a full row and cannot apply there.
+    - No full row => no pair.  Condition 1 then never holds, so every x
+      outside {u, v} (n >= 3, so one exists) needs condition 2.  If uv is
+      an edge, the triple is connected only when x lies in N(u) | N(v), so
+      the row of uv would be full.  If uv is no edge, every such x is
+      adjacent to both u and v, so the row of xu is full.  When 2D < n, D
+      the maximum degree, no row is full (check_cc_equals_n); that is tested
+      before any partner mask is built, in both variants.  Otherwise the
+      pair scan is skipped once the masks show every vertex lonely (below).
+      The strict variant's refusal, "the CC = n check already succeeds",
+      needs a full row, so it cannot apply in either case.
     - {z, u, v} dominates exactly when N[z] contains every vertex missed
       by N[u] | N[v], and three vertices induce a connected graph exactly
       when two of their pairs are edges: z adjacent to u or v if uv is an
@@ -180,9 +182,11 @@ def check_cc_equals_n_minus_1(g, variant="strict"):
             reason="the CC = n check already succeeds, which rules out CC = n-1",
             variant=variant,
         )
-    nbr = g.nbr_masks
     full = g.full_mask
     lonely = sum(1 << x for x, m in enumerate(partner) if not m)
+    if lonely == full:  # no full row
+        return no
+    nbr = g.nbr_masks
     for u in range(n):
         above = full ^ ((2 << u) - 1)
         for v in iter_mask(_dominators(closed, above, lonely & ~closed[u])):

@@ -208,6 +208,7 @@ def ref_check_cc_equals_n_minus_1(g, variant):
 
     if variant == "strict" and all(full_rows_at):
         return answer(reason="the CC = n check already succeeds, which rules out CC = n-1")
+
     def is_cds_with(x):
         """{x, u, v} is a CDS for the pair being scanned; x = u tests the pair itself."""
         return missing <= closed[x] and _connected_within(closed, {x, u, v})

@@ -21,11 +21,14 @@ from coalitions import (
 from coalitions import matrices
 from coalitions.graphs import full_vertex_mask
 
-from conftest import connected_without_full_vertex, random_connected
+from conftest import atlas, connected_without_full_vertex, random_connected
 from reference import (
     gnp_edges,
     ref_check_cc_equals_n,
     ref_check_cc_equals_n_minus_1,
+    ref_closed_neighborhoods,
+    ref_full_rows,
+    ref_is_connected_subset,
 )
 
 # sha256 of json.dumps(decider_rows(...)) over connected_without_full_vertex()
@@ -256,14 +259,15 @@ class TestCheckCcEqualsNMinus1:
                 assert check_cc_equals_n_minus_1(g, variant).as_dict() == ref_check_cc_equals_n_minus_1(g, variant)
 
     @pytest.mark.parametrize("n, p, seed, pinned", [
-        (60, 0.5, 3, {"strict": (False, 120), "paper": (False, 120)}),
+        (60, 0.5, 3, {"strict": (False, 60), "paper": (False, 60)}),
         (60, 0.8, 4, {"strict": (True, 116), "paper": (True, 64)}),
         (30, 0.7, 5, {"strict": (False, 117), "paper": (True, 34)}),
     ])
     def test_lonely_filter_work_is_pinned(self, n, p, seed, pinned, count):
         # (answer, _dominators calls) per variant.  The lonely filter (the docstring's fourth
-        # fact) changes no answer, only the pairs scanned: without it these graphs make 1,830,
-        # 196 and 445 strict calls
+        # fact) changes no answer, only the pairs scanned: without it the last two graphs make
+        # 196 and 445 strict calls.  Every vertex of the first graph is lonely: its 60 calls
+        # build the partner masks, and the second fact refuses before the scan's 60 more
         g = Graph(n, gnp_edges(random.Random(seed), n, p))
         calls = count(matrices, "_dominators")
         got = {}
@@ -296,6 +300,22 @@ class TestCheckCcEqualsNMinus1:
         want += [ref_check_cc_equals_n_minus_1(g, variant) for variant in ("paper", "strict")]
         assert got == want
         assert tuple(d["answer"] for d in got) == answers
+
+    def test_no_full_row_means_no_pair(self):
+        # check_cc_equals_n_minus_1's second docstring fact, "no full row => no pair", judged
+        # by the reference alone
+        # over every connected class n <= 7 with no full vertex
+        classes = [
+            g for g in atlas()
+            if ref_is_connected_subset(g, range(g.n))
+            and all(len(c) < g.n for c in ref_closed_neighborhoods(g))
+        ]
+        assert len(classes) == 787
+        no_full_row = [g for g in classes if ref_full_rows(g) == []]
+        assert len(no_full_row) == 201
+        for g in no_full_row:
+            for variant in ("paper", "strict"):
+                assert not ref_check_cc_equals_n_minus_1(g, variant)["answer"]
 
     def test_large_cycle_and_path_say_no(self):
         # n = 2000: each answer takes milliseconds, so a per-pair slowdown shows as a stall
