@@ -1,5 +1,4 @@
 import functools
-import os
 
 import networkx as nx
 import pytest
@@ -17,10 +16,10 @@ from coalitions.graphs import full_vertex_mask
 from reference import gnp_edges
 
 # Hypothesis seeds each test from its own source under "derandomize", so every run draws the same
-# examples and a failure recurs in a clean checkout; HYPOTHESIS_PROFILE=explore draws fresh ones.
+# examples and a failure recurs in a clean checkout; `pytest --hypothesis-profile=default` draws
+# fresh ones.
 settings.register_profile("derandomize", derandomize=True)
-settings.register_profile("explore", derandomize=False)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "derandomize"))
+settings.load_profile("derandomize")
 
 
 @pytest.fixture

@@ -39,10 +39,6 @@ def ref_closed_neighborhoods(g):
     return tuple(map(frozenset, closed))
 
 
-def ref_closed_neighborhood(g, v):
-    return ref_closed_neighborhoods(g)[v]
-
-
 @functools.lru_cache(maxsize=16)
 def ref_outside(g):
     """V - N[v] for every vertex v: the vertices v does not dominate (kept for the last few graphs)."""
@@ -57,6 +53,11 @@ def ref_is_dominating(g, s):
 
 def ref_is_connected_subset(g, s):
     return _connected_within(ref_closed_neighborhoods(g), set(s))
+
+
+def ref_connected_without_full_vertex(g):
+    """g is connected and no closed neighbourhood is all of V."""
+    return ref_is_connected_subset(g, range(g.n)) and all(len(c) < g.n for c in ref_closed_neighborhoods(g))
 
 
 def _connected_within(closed, s):
