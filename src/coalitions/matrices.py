@@ -3,12 +3,15 @@
 check_cc_equals_n decides CC(G) = n for connected graphs without a full
 vertex: it holds exactly when every vertex has an incident edge whose two
 closed neighborhoods cover the whole graph (a full row of the edge-domination
-matrix).  check_cc_equals_n_minus_1 decides CC(G) = n-1 through a search over
-vertex pairs (u, v); it ships in two variants because the plain rule admits
-edge cases.  The "paper" variant is the rule as stated; the "strict" variant
-additionally requires that {u, v} is not itself a connected dominating set
-and that the CC = n test already failed.  The verification harness measures
-how the variants and the exact oracle relate instead of assuming it.
+matrix).  Neither decider builds the matrix: each walks a vertex to its
+lowest full-row partner by testing candidates (_first_partner), and on a
+dense graph the first candidate usually passes.  check_cc_equals_n_minus_1
+decides CC(G) = n-1 through a search over vertex pairs (u, v); it ships in
+two variants because the plain rule admits edge cases.  The "paper" variant
+is the rule as stated; the "strict" variant additionally requires that
+{u, v} is not itself a connected dominating set and that the CC = n test
+already failed.  The verification harness measures how the variants and
+the exact oracle relate instead of assuming it.
 """
 
 import json
@@ -79,27 +82,29 @@ def _dominators(closed, cand, need):
     return cand
 
 
-def _partner_masks(g, closed):
-    """Yield, for x = 0, 1, ..., the mask of the w such that xw is an edge whose row sums to n.
+def _first_partner(nbr, anti, cand, miss):
+    """The lowest w in the mask cand with miss & anti[w] == 0, or -1 when there is none.
 
-    closed is g.closed_masks.  The row of xw is N[x] | N[w], so it is full
-    exactly when N[w] covers the vertices N[x] misses: the full-row partners
-    of x are its neighbors that dominate V - N[x].  The masks are built one
-    at a time, so a caller that stops early pays only for those it read.
+    nbr is g.nbr_masks and anti[w] = V - N(w), the vertices w is not adjacent
+    to.  Called with cand inside N(x) and miss = anti[x], it returns the lowest
+    full-row partner of x in cand.  The row of an edge xw is N[x] | N[w], and
+    it is full exactly when every vertex not adjacent to x is adjacent to w:
+    x itself is, and any other vertex outside N[x] must lie in N(w).
+
+    The walk tests the lowest w left in cand.  If w fails, some z of miss is
+    not adjacent to w, and cand is ANDed with N(z).  That drops w, since w is
+    not in N(z).  It keeps every w' that passes, since z lies in miss and so
+    is adjacent to w'.  So cand always holds every passing vertex it started
+    with, and the first w that passes is the lowest.  On a dense graph the
+    first candidate usually passes.
     """
-    full = g.full_mask
-    for x, nbr in enumerate(g.nbr_masks):
-        yield _dominators(closed, nbr, full ^ closed[x])
-
-
-def _first_edge(x, partners):
-    """The first edge in sorted order joining x to a vertex of the nonempty mask partners.
-
-    Every edge (w, x) with w < x sorts before every edge (x, w) with w > x,
-    and each group sorts by w, so the first edge is the one to the lowest w.
-    """
-    w = (partners & -partners).bit_length() - 1
-    return (x, w) if x < w else (w, x)
+    while cand:
+        w = (cand ^ (cand - 1)).bit_length() - 1  # positive operands only: cheaper than cand & -cand
+        left = miss & anti[w]
+        if not left:
+            return w
+        cand &= nbr[left.bit_length() - 1]
+    return -1
 
 
 def check_cc_equals_n(g):
@@ -112,19 +117,25 @@ def check_cc_equals_n(g):
     The row of an edge xw is N[x] | N[w].  Each closed neighborhood holds at
     most D + 1 vertices, D the maximum degree, and x and w lie in both, so
     the row holds at most 2D.  So when 2D < n no row is full, and vertex 0
-    is the first refusal; that answer needs no partner mask.  Otherwise the
-    partner masks are built in vertex order and the scan stops at the first
-    vertex without one.
+    is the first refusal; that answer walks no vertex.  Otherwise each
+    vertex in turn walks to its lowest full-row partner (_first_partner),
+    and the scan stops at the first vertex without one.  Every edge (w, x)
+    with w < x sorts before every edge (x, w) with w > x, and each group
+    sorts by w, so the lowest partner gives the first edge.
     """
     top = _check_preconditions(g, "the CC = n check", 2)
     n = g.n
     if 2 * top < n:
         return Decision(False, reason=f"vertex 0 has no incident edge whose row sums to {n}")
+    nbr = g.nbr_masks
+    full = g.full_mask
+    anti = [full ^ m for m in nbr]
     witness = {}
-    for x, partners in enumerate(_partner_masks(g, g.closed_masks)):
-        if not partners:
+    for x in range(n):
+        w = _first_partner(nbr, anti, nbr[x], anti[x])
+        if w < 0:
             return Decision(False, reason=f"vertex {x} has no incident edge whose row sums to {n}")
-        witness[x] = _first_edge(x, partners)
+        witness[x] = (x, w) if x < w else (w, x)
     return Decision(True, witness)
 
 
@@ -142,17 +153,22 @@ def check_cc_equals_n_minus_1(g, variant="strict"):
 
     Four facts keep the scan to few pairs and a few mask operations per pair:
 
-    - Condition 1 for x holds exactly when partner[x] minus {u, v} is
-      nonempty, where partner[x] holds the w whose edge xw has a full row
-      (see _partner_masks); its lowest vertex gives the first such edge.
+    - Condition 1 for x holds exactly when x has a full-row partner w, one
+      whose edge xw has a full row, outside {u, v}; the lowest gives the
+      first such edge.  One pass walks every x to its lowest partner,
+      first[x] (_first_partner), or marks x lonely when it has none.  The
+      row of xw is the row of wx, so a lonely vertex is nobody's partner,
+      and the pass leaves the lonely vertices found so far out of each walk.
+      The scan reads first[x], and walks x again, without u, v and the
+      lonely vertices, only when first[x] is u or v.
     - No full row => no pair.  Condition 1 then never holds, so every x
       outside {u, v} (n >= 3, so one exists) needs condition 2.  If uv is
       an edge, the triple is connected only when x lies in N(u) | N(v), so
       the row of uv would be full.  If uv is no edge, every such x is
       adjacent to both u and v, so the row of xu is full.  When 2D < n, D
       the maximum degree, no row is full (check_cc_equals_n); that is tested
-      before any partner mask is built, in both variants.  Otherwise the
-      pair scan is skipped once the masks show every vertex lonely (below).
+      before any vertex is walked, in both variants.  Otherwise the pair
+      scan is skipped once the pass finds every vertex lonely.
       The strict variant's refusal, "the CC = n check already succeeds",
       needs a full row, so it cannot apply in either case.
     - {z, u, v} dominates exactly when N[z] contains every vertex missed
@@ -174,19 +190,25 @@ def check_cc_equals_n_minus_1(g, variant="strict"):
     if 2 * top < n:
         return no
     strict = variant == "strict"
-    closed = g.closed_masks
-    partner = list(_partner_masks(g, closed))
-    if strict and all(partner):  # the CC = n check's answer
+    nbr = g.nbr_masks
+    full = g.full_mask
+    anti = [full ^ m for m in nbr]
+    first = []
+    lonely = 0
+    for x in range(n):
+        w = _first_partner(nbr, anti, nbr[x] & ~lonely, anti[x])
+        first.append(w)
+        if w < 0:
+            lonely |= 1 << x
+    if strict and not lonely:  # the CC = n check's answer
         return Decision(
             False,
             reason="the CC = n check already succeeds, which rules out CC = n-1",
             variant=variant,
         )
-    full = g.full_mask
-    lonely = sum(1 << x for x, m in enumerate(partner) if not m)
     if lonely == full:  # no full row
         return no
-    nbr = g.nbr_masks
+    closed = g.closed_masks
     for u in range(n):
         above = full ^ ((2 << u) - 1)
         for v in iter_mask(_dominators(closed, above, lonely & ~closed[u])):
@@ -199,13 +221,16 @@ def check_cc_equals_n_minus_1(g, variant="strict"):
             triples = _dominators(closed, link & ~pair, missing)
             if not triples:
                 continue
+            keep = ~(pair | lonely)
             justification = {}
             for x in range(n):
                 if x == u or x == v:
                     continue
-                partners = partner[x] & ~pair
-                if partners:
-                    justification[x] = ("edge", _first_edge(x, partners))
+                w = first[x]
+                if w == u or w == v:
+                    w = _first_partner(nbr, anti, nbr[x] & keep, anti[x])
+                if w >= 0:
+                    justification[x] = ("edge", (x, w) if x < w else (w, x))
                 elif triples >> x & 1:
                     justification[x] = ("triple", (x, u, v))
                 else:

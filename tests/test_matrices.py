@@ -1,6 +1,8 @@
 """The edge-domination matrix and the two polynomial deciders."""
 
+import functools
 import hashlib
+import itertools
 import json
 import random
 
@@ -26,8 +28,11 @@ from reference import (
     gnp_edges,
     ref_check_cc_equals_n,
     ref_check_cc_equals_n_minus_1,
+    ref_closed_neighborhoods,
     ref_connected_without_full_vertex,
     ref_full_rows,
+    ref_full_rows_at,
+    ref_outside,
 )
 
 # sha256 of json.dumps(decider_rows(...)) over connected_without_full_vertex()
@@ -84,6 +89,14 @@ def gnp_without_full_vertex(n, p, seed):
         g = random_connected(rng, n, p)
         if not full_vertex_mask(g):
             return g
+
+
+@functools.cache
+def atlas_classes_without_full_vertex():
+    """The 787 connected atlas classes n <= 7 with no full vertex, judged by the reference."""
+    classes = tuple(g for g in atlas() if ref_connected_without_full_vertex(g))
+    assert len(classes) == 787
+    return classes
 
 
 def max_degree(g):
@@ -258,21 +271,26 @@ class TestCheckCcEqualsNMinus1:
                 assert check_cc_equals_n_minus_1(g, variant).as_dict() == ref_check_cc_equals_n_minus_1(g, variant)
 
     @pytest.mark.parametrize("n, p, seed, pinned", [
-        (60, 0.5, 3, {"strict": (False, 60), "paper": (False, 60)}),
-        (60, 0.8, 4, {"strict": (True, 116), "paper": (True, 64)}),
-        (30, 0.7, 5, {"strict": (False, 117), "paper": (True, 34)}),
+        (60, 0.5, 3, {"strict": (False, 0, 910), "paper": (False, 0, 910)}),
+        (60, 0.8, 4, {"strict": (True, 56, 3598), "paper": (True, 4, 2820)}),
+        (30, 0.7, 5, {"strict": (False, 87, 532), "paper": (True, 4, 544)}),
     ])
     def test_lonely_filter_work_is_pinned(self, n, p, seed, pinned, count):
-        # (answer, _dominators calls) per variant.  The lonely filter (the docstring's fourth
-        # fact) changes no answer, only the pairs scanned: without it the last two graphs make
-        # 196 and 445 strict calls.  Every vertex of the first graph is lonely: its 60 calls
-        # build the partner masks, and the second fact refuses before the scan's 60 more
+        # (answer, _dominators calls, vertices offered to _first_partner) per variant.  The
+        # lonely filter (the docstring's fourth fact) changes no answer, only the pairs scanned:
+        # without it the last two graphs make 136 and 415 strict _dominators calls.  The partner
+        # pass leaves the lonely vertices found so far out of each walk (the first fact): without
+        # that the three graphs offer 1,820, 3,825 and 672 strict candidates.  Every vertex of
+        # the first graph is lonely, so the second fact refuses before the scan calls _dominators
         g = Graph(n, gnp_edges(random.Random(seed), n, p))
         calls = count(matrices, "_dominators")
+        walks = count(matrices, "_first_partner")
         got = {}
         for variant in ("strict", "paper"):
             calls.clear()
-            got[variant] = (check_cc_equals_n_minus_1(g, variant).answer, len(calls))
+            walks.clear()
+            answer = check_cc_equals_n_minus_1(g, variant).answer
+            got[variant] = (answer, len(calls), sum(cand.bit_count() for _, _, cand, _ in walks))
         assert got == pinned
 
     @pytest.mark.parametrize("n, p, seed, answers", [
@@ -280,6 +298,8 @@ class TestCheckCcEqualsNMinus1:
         (300, 0.02, 1, (False, False, False)),  # 2D < n
         (300, 0.5, 1, (False, False, False)),  # 2D >= n, yet every vertex is lonely: no row is full
         (300, 0.97, 1, (True, True, False)),  # no lonely vertex: strict refuses, as CC = n holds
+        (300, 0.95, 1, (True, True, False)),  # paper walks about 200 vertices again
+        (300, 0.93, 2, (True, True, False)),
         (300, 0.9, 2, (False, True, True)),
         (200, 0.8, 1, (False, True, False)),  # strict scans every pair the lonely filter leaves
         (150, 0.85, 3, (False, True, True)),  # strict's witness pair is (49, 134)
@@ -288,29 +308,57 @@ class TestCheckCcEqualsNMinus1:
         (60, 0.5, 3, (False, False, False)),
         (60, 0.8, 4, (False, True, True)),
     ])
-    def test_matches_reference_at_the_sizes_the_deciders_are_for(self, n, p, seed, answers):
+    def test_matches_reference_at_the_sizes_the_deciders_are_for(self, n, p, seed, answers, count):
         # (CC = n, paper, strict) answers, each judged in full against the reference, which
         # has no degree bound, no lonely filter and no triples mask.  Every G(n, p) here
         # connects through a BFS level wide enough that induced_connected ORs it in C.
         g = generate("cycle", [n]) if p is None else gnp_without_full_vertex(n, p, seed)
+        walks = count(matrices, "_first_partner")
         got = [check_cc_equals_n(g).as_dict()]
         got += [check_cc_equals_n_minus_1(g, variant).as_dict() for variant in ("paper", "strict")]
         want = [ref_check_cc_equals_n(g)]
         want += [ref_check_cc_equals_n_minus_1(g, variant) for variant in ("paper", "strict")]
         assert got == want
         assert tuple(d["answer"] for d in got) == answers
+        if answers == (True, True, False):
+            # each check walks all n vertices once; the rest are paper's scan walking again the
+            # vertices whose first partner lies in its witness pair, so that path ran
+            assert len(walks) > 3 * n
 
     def test_no_full_row_means_no_pair(self):
         # check_cc_equals_n_minus_1's second docstring fact, "no full row => no pair", judged
         # by the reference alone
         # over every connected class n <= 7 with no full vertex
-        classes = [g for g in atlas() if ref_connected_without_full_vertex(g)]
-        assert len(classes) == 787
-        no_full_row = [g for g in classes if ref_full_rows(g) == []]
+        no_full_row = [g for g in atlas_classes_without_full_vertex() if ref_full_rows(g) == []]
         assert len(no_full_row) == 201
         for g in no_full_row:
             for variant in ("paper", "strict"):
                 assert not ref_check_cc_equals_n_minus_1(g, variant)["answer"]
+
+    def test_first_partner_walk_finds_the_lowest_partner(self):
+        # _first_partner's lemma over every connected class n <= 7 with no full vertex: from
+        # N(x) minus an excluded set (none, or any pair), the walk returns the lowest vertex
+        # sharing a full row with x outside that set, or -1
+        walks = 0
+        for g in atlas_classes_without_full_vertex():
+            nbr = g.nbr_masks
+            anti = [g.full_mask ^ m for m in nbr]
+            at = ref_full_rows_at(g)
+            excluded = [()] + list(itertools.combinations(range(g.n), 2))
+            for x in range(g.n):
+                partners = {w for edge in at[x] for w in edge if w != x}
+                for skip in excluded:
+                    cand = nbr[x] & ~sum(1 << w for w in skip)
+                    want = min(partners - set(skip), default=-1)
+                    assert matrices._first_partner(nbr, anti, cand, anti[x]) == want
+                    walks += 1
+            # the pass's skip: a vertex on no full row is in no other vertex's list, since the
+            # row of pq is the row of qp, though ref_full_rows tests it from p's side only
+            lonely = {x for x in range(g.n) if not at[x]}
+            assert all(lonely.isdisjoint(edge) for edges in at for edge in edges)
+            closed, outside = ref_closed_neighborhoods(g), ref_outside(g)
+            assert all((closed[q] >= outside[p]) == (closed[p] >= outside[q]) for p, q in g.edges)
+        assert walks == 115432
 
     def test_large_cycle_and_path_say_no(self):
         # n = 2000: each answer takes milliseconds, so a per-pair slowdown shows as a stall
@@ -336,12 +384,12 @@ class TestCheckCcEqualsNMinus1:
 
     @pytest.mark.parametrize("g", [generate("cycle", [9]), prism12(), generate("cycle", [6]), cube()],
                              ids=["C9", "prism12", "C6", "cube"])
-    def test_degree_bound_refuses_before_partner_masks(self, g, monkeypatch):
+    def test_degree_bound_refuses_before_any_walk(self, g, monkeypatch):
         # 2D < n: C9 and prism12 lie below the bound 2(D + 1) too, C6 and the cube only below 2D
-        def no_masks(*args):
-            raise AssertionError("partner masks built below the degree bound")
+        def no_walk(*args):
+            raise AssertionError("a vertex walked to its partner below the degree bound")
 
-        monkeypatch.setattr(matrices, "_partner_masks", no_masks)
+        monkeypatch.setattr(matrices, "_first_partner", no_walk)
         d = check_cc_equals_n(g)
         assert (d.answer, d.reason) == (False, f"vertex 0 has no incident edge whose row sums to {g.n}")
         for variant in ("paper", "strict"):
