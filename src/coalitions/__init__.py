@@ -24,7 +24,7 @@ from .errors import (
     GuardExceededError,
     PreconditionError,
 )
-from .family import PeelTrace, in_family_f, replay_peel_trace
+from .family import PeelTrace, in_family_f
 from .graphs import (
     Graph,
     emit_edgelist,
@@ -93,6 +93,5 @@ __all__ = [
     "iter_graph6_lines",
     "parse_edgelist",
     "parse_graph6",
-    "replay_peel_trace",
     "run_theorem_suite",
 ]

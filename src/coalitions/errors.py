@@ -32,5 +32,7 @@ class CoalitionExpansionError(CoalitionsError):
 
     This is raised loudly rather than silently returning a bad partition:
     every return path of the expansion is validated, and a failure here
-    means an input assumption did not hold.
+    means an input assumption did not hold.  The theorem harness's t2 check
+    expands d_c's witness and reports this error as a failed check, with
+    the message in its detail.
     """

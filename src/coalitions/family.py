@@ -35,19 +35,6 @@ class PeelTrace:
     terminal: str
 
 
-def _terminal(g, rest, fulls):
-    """The state that ends the peel at the nonempty G[rest], or None while it goes on.
-
-    fulls is full_vertex_mask(g) and holds every vertex outside rest, so by
-    the lemma the peel goes on while rest holds a full vertex and another.
-    """
-    if rest & fulls and rest & (rest - 1):
-        return None
-    if not induced_connected(g, rest):
-        return TERMINAL_DISCONNECTED
-    return TERMINAL_NO_FULL if rest & (rest - 1) else TERMINAL_K1
-
-
 def in_family_f(g):
     """Decide membership in the peel family, returning (member, trace).
 
@@ -62,30 +49,8 @@ def in_family_f(g):
     # zip stops after n - 1 peels, which keeps the last vertex of K_n
     steps = tuple(zip(iter_mask(fulls), range(g.n - 1, 0, -1)))
     rest = g.full_mask ^ fulls or 1 << (g.n - 1)
-    terminal = _terminal(g, rest, fulls)
-    return terminal == TERMINAL_DISCONNECTED, PeelTrace(steps, terminal)
+    # by the lemma G[rest] has no full vertex unless it is the last vertex of K_n
+    if induced_connected(g, rest):
+        return False, PeelTrace(steps, TERMINAL_NO_FULL if rest & (rest - 1) else TERMINAL_K1)
+    return True, PeelTrace(steps, TERMINAL_DISCONNECTED)
 
-
-def replay_peel_trace(g, trace):
-    """Re-run a peel trace against g, checking every step.
-
-    Returns True when each step is a pair of ints, each recorded vertex was
-    full at its step (in any order), the remaining orders match, and the
-    terminal state is reproduced.
-    """
-    if not isinstance(trace.steps, (tuple, list)):
-        return False
-    fulls = full_vertex_mask(g)
-    rest = g.full_mask
-    for step in trace.steps:
-        if not (isinstance(step, (tuple, list)) and len(step) == 2 and all(type(x) is int for x in step)):
-            return False
-        v, remaining = step
-        if _terminal(g, rest, fulls) or not (v >= 0 and (fulls & rest) >> v & 1):
-            return False
-        rest ^= 1 << v
-        if rest.bit_count() != remaining:
-            return False
-    terminal = _terminal(g, rest, fulls)
-    # a None terminal means the trace stopped while a full vertex was still available
-    return terminal is not None and terminal == trace.terminal

@@ -24,9 +24,11 @@ ENUMERATION_GUARD = 7
 
 
 def subset_mask(g, s, what):
-    """Pack a vertex set of g into a bitmask, rejecting ids outside 0..n-1 with ``what`` named."""
+    """Pack a vertex set of g into a bitmask, rejecting any id that is no int in 0..n-1, with ``what`` named."""
     mask = 0
     for v in s:
+        if type(v) is not int:
+            raise PreconditionError(f"{what} contains {v!r}, which is no int vertex id")
         if not (0 <= v < g.n):
             raise PreconditionError(f"{what} contains vertex {v}, outside 0..{g.n - 1}")
         mask |= 1 << v
@@ -52,8 +54,9 @@ class Graph:
     Instances are immutable.  ``nbr_masks`` and ``closed_masks`` expose the
     adjacency as bitmasks for the exhaustive-search kernels.  Equality is
     vertex-by-vertex (same order, same adjacency), not isomorphism.
-    ``Graph(n, edges)`` deduplicates repeated edges; out-of-range ids and
-    self-loops raise a PreconditionError naming the offending pair.
+    ``Graph(n, edges)`` deduplicates repeated edges; an edge that is no pair
+    of ints, out-of-range ids and self-loops raise a PreconditionError
+    naming the offending edge.
     """
 
     __slots__ = ("n", "nbr_masks")
@@ -63,13 +66,16 @@ class Graph:
             raise PreconditionError(f"vertex count must be nonnegative, got {n}")
         nbr = [0] * n
         for pair in edges:
-            u, v = pair
-            if not (0 <= u < n and 0 <= v < n):
-                raise PreconditionError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise PreconditionError(f"self-loop ({u}, {v}) is not allowed")
-            nbr[u] |= 1 << v
-            nbr[v] |= 1 << u
+            try:
+                u, v = pair
+                if not (0 <= u < n and 0 <= v < n):
+                    raise PreconditionError(f"edge ({u}, {v}) out of range for n={n}")
+                if u == v:
+                    raise PreconditionError(f"self-loop ({u}, {v}) is not allowed")
+                nbr[u] |= 1 << v
+                nbr[v] |= 1 << u
+            except (TypeError, ValueError):
+                raise PreconditionError(f"edge {pair!r} is no pair of int vertex ids") from None
         self.n = n
         self.nbr_masks = tuple(nbr)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .domination import PARTITION_GUARD_DEFAULT, connected_domatic_number
-from .errors import GuardExceededError, PreconditionError
+from .errors import CoalitionExpansionError, GuardExceededError, PreconditionError
 from .family import in_family_f
 from .graphs import (
     degree_key,
@@ -28,7 +28,7 @@ from .graphs import (
     is_tree,
 )
 from .matrices import check_cc_equals_n, check_cc_equals_n_minus_1
-from .oracle import cc_number, cc_partition_search
+from .oracle import cc_number, cc_partition_search, expand_domatic_to_cc_partition
 
 
 class GraphRecord:
@@ -90,8 +90,23 @@ def _t1(rec):
 
 
 def _t2(rec):
-    dc = connected_domatic_number(rec.graph, rec.guard)[0]
-    return rec.cc >= 2 * dc, {"cc": rec.cc, "d_c": dc}
+    """CC >= 2 d_c by construction: d_c's witness expands to a coalition partition.
+
+    The expansion raises unless its partition is valid with at least 2 d_c
+    parts, so the check passes when CC is at least its part count.  A raised
+    CoalitionExpansionError fails the check with its message in the detail;
+    the message can name parts, so unlike every other detail it may depend
+    on the labeling, and it can only show on a fault in the package.
+    """
+    dc, parts = connected_domatic_number(rec.graph, rec.guard)
+    detail = {"cc": rec.cc, "d_c": dc}
+    try:
+        size = len(expand_domatic_to_cc_partition(rec.graph, parts))
+    except CoalitionExpansionError as err:
+        return False, {**detail, "expansion_error": str(err)}
+    if rec.cc < size:
+        return False, {**detail, "expansion_parts": size}
+    return True, detail
 
 
 def _cc_two(rec):

@@ -256,3 +256,27 @@ def ref_peel(g, pick):
         v = pick(fulls)
         rest.remove(v)
         steps.append((v, len(rest)))
+
+
+def ref_replay_peel(g, steps, terminal):
+    """A recorded peel holds on g: ref_peel run with each recorded vertex as its pick.
+
+    True only when steps is a sequence of pairs of ints, each recorded vertex
+    is full at its step (in any order), the remaining orders match, and the
+    peel ends there with the recorded terminal.  A recorded vertex that is
+    not full, or a pick past the recorded steps, takes the lowest full vertex
+    instead, so the replayed steps then differ from the recorded ones.
+    """
+    if not isinstance(steps, (tuple, list)) or not all(
+        isinstance(step, (tuple, list)) and len(step) == 2 and all(type(x) is int for x in step)
+        for step in steps
+    ):
+        return False
+    recorded = iter([v for v, _ in steps])
+
+    def follow(fulls):
+        v = next(recorded, None)
+        return v if v in fulls else fulls[0]
+
+    _, replayed, end = ref_peel(g, follow)
+    return replayed == tuple(map(tuple, steps)) and end == terminal

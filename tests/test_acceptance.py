@@ -32,13 +32,18 @@ from coalitions import (
     is_cc_partition,
     is_connected,
     parse_graph6,
-    replay_peel_trace,
     run_theorem_suite,
 )
 from coalitions.domination import mask_is_cds, mask_is_dominating
 from coalitions.graphs import full_vertex_mask
 from conftest import atlas, corona, domatic_sweep, from_networkx
-from reference import gnp_edges, ref_is_connected_subset, ref_peel, ref_valid_cc_partition
+from reference import (
+    gnp_edges,
+    ref_is_connected_subset,
+    ref_peel,
+    ref_replay_peel,
+    ref_valid_cc_partition,
+)
 
 # sha256 of json.dumps(theorem rows without millis, sort_keys=True) for the
 # n <= 6 report, taken when every labeled graph still ran every check itself
@@ -268,7 +273,7 @@ def test_criterion_08_randomized_property_sweeps():
         assert (member, trace.steps, trace.terminal) == ref_peel(g, min)
         assert member == ref_peel(g, max)[0]
         assert member == ref_peel(g, rng.choice)[0]
-        assert replay_peel_trace(g, trace)
+        assert ref_replay_peel(g, trace.steps, trace.terminal)
 
     # every witness the package hands out replays
     rng = random.Random(97)

@@ -42,14 +42,8 @@ PUBLIC_NAMES = [
     "iter_graph6_lines",
     "parse_edgelist",
     "parse_graph6",
-    "replay_peel_trace",
     "run_theorem_suite",
 ]
-
-# The public names no module of the package reads: the constructive proof
-# of CC >= 2 d_c and the replay that checks a peel trace, both documented
-# in README for library callers.
-UNREAD_BY_THE_PACKAGE = ["expand_domatic_to_cc_partition", "replay_peel_trace"]
 
 
 def test_all_is_the_pinned_sorted_list():
@@ -60,14 +54,12 @@ def test_all_is_the_pinned_sorted_list():
     assert exported == set(PUBLIC_NAMES)
 
 
-def test_every_public_name_is_read_by_the_package_or_documented():
+def test_every_public_name_is_read_by_the_package():
     # A public name that only tests call is API kept alive for its own tests.
     # The modules import each other's names with from-imports, so a use is a
-    # bare name; attributes would count str.join as a read of a join.  The
-    # exceptions are pinned here, not found in README, so a new name that
-    # only tests call fails until it is listed on purpose.
+    # bare name; attributes would count str.join as a read of a join.
     read = {node.id
             for path in (ROOT / "src" / "coalitions").glob("*.py") if path.name != "__init__.py"
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    assert [name for name in coalitions.__all__ if name not in read] == UNREAD_BY_THE_PACKAGE
+    assert [name for name in coalitions.__all__ if name not in read] == []

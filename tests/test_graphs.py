@@ -1,6 +1,7 @@
 """Graph core, generators, serialization, enumeration, and shape recognizers."""
 
 import random
+import re
 
 import networkx as nx
 import pytest
@@ -102,6 +103,19 @@ class TestGraphBasics:
             Graph(3, [(0, 3)])
         with pytest.raises(PreconditionError):
             Graph(-1, [])
+
+    @pytest.mark.parametrize("edge", [(0, 1.0), (1.0, 0), ("0", 1), (0, "1"), (0, 1, 2), 1],
+                             ids=["float", "float_first", "str", "str_second", "triple", "no_pair"])
+    def test_rejects_an_edge_that_is_no_pair_of_ints_naming_it(self, edge):
+        message = f"edge {edge!r} is no pair of int vertex ids"
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            Graph(3, [(0, 2), edge])
+
+    @pytest.mark.parametrize("v", [1.0, "1", True], ids=["float", "str", "bool"])
+    def test_subset_mask_rejects_ids_that_are_no_int(self, v):
+        message = f"vertex set contains {v!r}, which is no int vertex id"
+        with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+            subset_mask(Graph(3, []), [0, v], "vertex set")
 
     def test_mask_helpers_round_trip(self):
         assert subset_mask(Graph(6, []), [0, 2, 5], "vertex set") == 0b100101

@@ -297,6 +297,12 @@ class TestPredicatesAndDiagnostics:
         with pytest.raises(PreconditionError):
             is_cc_partition(c4, parts({0, 1}, set(), {2, 3}))  # empty part
 
+    def test_part_with_an_id_that_is_no_int_is_named(self, c4):
+        # 0.0 == 0 and True == 1, but neither is a vertex id
+        for bad in (0.0, "0", True):
+            with pytest.raises(PreconditionError, match=r"^part 0 contains .*, which is no int vertex id$"):
+                is_cc_partition(c4, [{bad, 2}, {1, 3}])
+
 
 class TestExpansion:
     def test_c4_from_its_domatic_witness(self, c4):

@@ -1,4 +1,4 @@
-"""Theorem suite runner, reports, replay, corpora, and the scaling report."""
+"""Theorem suite runner, reports, replay, t2's construction, corpora, and the scaling report."""
 
 import json
 import random
@@ -7,6 +7,7 @@ from functools import cached_property
 import pytest
 
 from coalitions import (
+    CoalitionExpansionError,
     Graph,
     GuardExceededError,
     PARTITION_GUARD_DEFAULT,
@@ -198,6 +199,44 @@ class TestReplay:
     def test_replay_of_a_passing_graph_reports_ok(self):
         replayed = self.replay("t5", "Cl")  # C_4: decider and oracle agree
         assert (replayed["checked"], replayed["passed"], replayed["counterexamples"]) == (1, 1, [])
+
+
+class TestT2Construction:
+    """t2 expands d_c's witness into a coalition partition and compares its size with CC."""
+
+    def test_an_expansion_error_fails_t2_with_its_message(self, monkeypatch):
+        def refuse(g, parts):
+            raise CoalitionExpansionError("forged refusal")
+
+        monkeypatch.setattr(verify, "expand_domatic_to_cc_partition", refuse)
+        report = run_theorem_suite(default_corpus(4))
+        assert report.failing() == ["t2"]
+        row = theorem_row(report, "t2")
+        assert (row["checked"], row["passed"], len(row["counterexamples"])) == (15, 0, 15)
+        for cex in row["counterexamples"]:
+            assert set(cex["detail"]) == {"cc", "d_c", "expansion_error"}
+            assert cex["detail"]["expansion_error"] == "forged refusal"
+
+    def test_an_expansion_past_cc_fails_t2_with_the_counts(self, monkeypatch):
+        # CC <= n, so n + 1 parts are more than CC on every graph
+        monkeypatch.setattr(verify, "expand_domatic_to_cc_partition", lambda g, parts: [set()] * (g.n + 1))
+        report = run_theorem_suite(default_corpus(4))
+        assert report.failing() == ["t2"]
+        row = theorem_row(report, "t2")
+        assert (row["checked"], row["passed"], len(row["counterexamples"])) == (15, 0, 15)
+        for cex in row["counterexamples"]:
+            g = parse_graph6(cex["graph6"])
+            assert cex["detail"]["expansion_parts"] == g.n + 1 > cex["detail"]["cc"]
+            assert set(cex["detail"]) == {"cc", "d_c", "expansion_parts"}
+
+    def test_the_construction_holds_on_every_class_of_order_7(self, count):
+        # networkx's atlas holds one graph per class; 697 of the 1,044 classes n = 7 are
+        # connected with no full vertex, and each is expanded once
+        calls = count(verify, "expand_domatic_to_cc_partition")
+        report = run_theorem_suite([g for g in atlas() if g.n == 7], ["t2"])
+        row = theorem_row(report, "t2")
+        assert (row["checked"], row["passed"], row["counterexamples"]) == (697, 697, [])
+        assert len(calls) == 697
 
 
 class TestCorpora:
