@@ -6,15 +6,19 @@ needs a real pipe, and the decoding of standard input, which needs a real
 stream.
 """
 
+import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from coalitions import Graph, cc_number, cli, emit_graph6, generate, in_family_f
+
+from reference import gnp_edges, ref_connected_without_full_vertex, ref_is_connected_subset
 
 C6_MATRIX_BYTES = (
     "6 6\n"
@@ -334,6 +338,100 @@ class TestInputHandling:
         assert run([])[0] == 2
         assert run(["unknown-command"])[0] == 2
         assert run(["cc"])[0] == 2  # missing the input argument
+
+
+def pinned_streams():
+    """Seeded graph6 streams, one per input a per-graph command accepts: any graph, connected
+    graphs, and connected graphs of order >= 2 with no full vertex (the deciders' input)."""
+    rng = random.Random(41)
+    graphs = []
+    for _ in range(600):
+        n = rng.randint(1, 8)
+        graphs.append(Graph(n, gnp_edges(rng, n, rng.choice((0.2, 0.4, 0.6, 0.8)))))
+    connected = [g for g in graphs if ref_is_connected_subset(g, range(g.n))]
+    deciders = [g for g in connected if ref_connected_without_full_vertex(g)]
+    return {name: "".join(emit_graph6(g) + "\n" for g in kept)
+            for name, kept in (("any", graphs), ("connected", connected), ("deciders", deciders))}
+
+
+# sha256(f"{exit code}\n{stdout}")[:16] of one cli.main run per command and flag set over its
+# stream from pinned_streams(), and of each -h text under COLUMNS=80 (argparse lays the help out,
+# so a CPython release that changes its layout moves those digests, not the program's)
+PINNED_BYTES = {
+    "cc": ("any", {
+        "": "b4f9f03eaee40238",
+        "--json": "3683c0ff84a2ee72",
+        "--status-exit": "532786bf9308fbf7",
+    }),
+    "check-n": ("deciders", {
+        "": "5f99b6842659f3ca",
+        "--json": "ad607f6df1b2d8c1",
+        "--status-exit": "8a096e6feb75a241",
+    }),
+    "check-n1": ("deciders", {
+        "": "ba49021f14356f03",
+        "--json": "04cbed972ed941fc",
+        "--status-exit": "cbe57357b9eeca13",
+        "--variant paper": "e24359374544cac3",
+        "--variant paper --json": "0e18af0110955150",
+        "--variant paper --status-exit": "115971b341ef804d",
+    }),
+    "family-f": ("any", {
+        "": "141f7f2a8126215e",
+        "--json": "dc6131ef519d7001",
+        "--status-exit": "85c469c5e84b818c",
+    }),
+    "gamma-c": ("connected", {
+        "": "8709853d9c1d9425",
+        "--json": "2dc5257963575407",
+    }),
+    "domatic": ("connected", {
+        "": "54b2bd7aa2fc1641",
+        "--json": "ddebc3674e4b02d5",
+    }),
+    "dump-matrix": ("deciders", {
+        "": "1db0597b44b3a3b2",
+    }),
+}
+PINNED_HELP = {
+    "": "bbfaec1c3e5df681",
+    "cc": "a485ca67455dab79",
+    "check-n": "c4762cb35791dcde",
+    "check-n1": "556804682c83a320",
+    "family-f": "6127705683f898dc",
+    "gamma-c": "a21f2e3101c0f42b",
+    "domatic": "43ef27dbc14f19f8",
+    "gen": "2cfb8383fe7f80af",
+    "dump-matrix": "864c315934ac1287",
+    "verify": "f6cda510931cc357",
+}
+
+
+def short_digest(code, out):
+    return hashlib.sha256(f"{code}\n{out}".encode()).hexdigest()[:16]
+
+
+class TestPinnedBytes:
+    """The per-graph commands' exit codes and stdout, and every -h text, pinned byte for byte."""
+
+    def test_per_graph_output_is_pinned(self, run):
+        streams = pinned_streams()
+        got = {}
+        for cmd, (stream, flag_sets) in PINNED_BYTES.items():
+            got[cmd] = (stream, {})
+            for flags in flag_sets:
+                code, out, err = run([cmd, "-", *flags.split()], stdin=streams[stream])
+                assert err == ""
+                got[cmd][1][flags] = short_digest(code, out)
+        assert got == PINNED_BYTES
+
+    def test_help_is_pinned(self, run):
+        got = {}
+        for cmd in PINNED_HELP:
+            code, out, err = run([*cmd.split(), "-h"], env={"COLUMNS": "80"})
+            assert err == ""
+            got[cmd] = short_digest(code, out)
+        assert got == PINNED_HELP
 
 
 class TestPlainStringStreams:
