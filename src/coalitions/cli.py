@@ -65,8 +65,8 @@ def _load_graphs(path, fmt):
 def _run_per_graph(args):
     """Print args.answer's line for each input graph as it is read.
 
-    answer(g, args) returns (line, yes), building only the printed form: JSON
-    under --json, otherwise text; --status-exit turns any no into exit code 1.
+    answer(g, args) returns (line, yes), the answering commands' line from
+    _line; --status-exit turns any no into exit code 1.
     """
     all_yes = True
     for g in _load_graphs(args.input, args.format):
@@ -76,60 +76,58 @@ def _run_per_graph(args):
     return 1 if getattr(args, "status_exit", False) and not all_yes else 0
 
 
+def _line(fields, args, yes=True):
+    """One answer as (line, yes): fields as a JSON object under --json, otherwise key=value pairs
+    in which a bool prints as yes or no, None as none, a str as itself and any other value as JSON."""
+    if args.json:
+        return json.dumps(fields), yes
+    pairs = []
+    for key, value in fields.items():
+        if isinstance(value, bool):
+            value = "yes" if value else "no"
+        elif value is None:
+            value = "none"
+        elif not isinstance(value, str):
+            value = json.dumps(value)
+        pairs.append(f"{key}={value}")
+    return " ".join(pairs), yes
+
+
 def _cc(g, args):
     cc, witness = cc_number(g, args.guard)
-    wit = None if witness is None else [sorted(p) for p in witness]
-    return (json.dumps({"cc": cc, "witness": wit}) if args.json
-            else f"cc={cc} witness={'none' if wit is None else json.dumps(wit)}"), cc != 0
+    return _line({"cc": cc, "witness": None if witness is None else [sorted(p) for p in witness]},
+                 args, cc != 0)
 
 
-def _decision_line(decision, as_json):
+def _decision_line(decision, args):
     """A decider's Decision as (line, yes); check-n's carries no variant."""
-    if as_json:
-        payload = decision.as_dict()
-        if decision.variant is None:
-            del payload["variant"]
-        return json.dumps(payload), decision.answer
-    text = f"answer={'yes' if decision.answer else 'no'}"
-    if decision.variant is not None:
-        text += f" variant={decision.variant}"
-    if decision.answer:
-        # dumps writes int keys as strings and tuples as lists, as as_dict's round trip does
-        text += f" witness={json.dumps(decision.witness)}"
+    if args.json:
+        fields = decision.as_dict()
     else:
-        text += f" reason={decision.reason}"
-    return text, decision.answer
-
-
-def _check_n(g, args):
-    return _decision_line(check_cc_equals_n(g), args.json)
-
-
-def _check_n1(g, args):
-    return _decision_line(check_cc_equals_n_minus_1(g, args.variant), args.json)
+        # the witness is dumped with its int keys as strings and its tuples as lists, as in as_dict
+        fields = {"answer": decision.answer, "variant": decision.variant}
+        if decision.answer:
+            fields["witness"] = decision.witness
+        else:
+            fields["reason"] = decision.reason
+    if decision.variant is None:
+        del fields["variant"]
+    return _line(fields, args, decision.answer)
 
 
 def _family_f(g, args):
     member, trace = in_family_f(g)
-    steps = [[v, r] for v, r in trace.steps]
-    if args.json:
-        return json.dumps({"member": member, "terminal": trace.terminal, "steps": steps}), member
-    return (f"member={'yes' if member else 'no'} terminal={trace.terminal} "
-            f"steps={json.dumps(steps)}"), member
+    return _line({"member": member, "terminal": trace.terminal, "steps": trace.steps}, args, member)
 
 
 def _gamma_c(g, args):
     size, witness = gamma_c(g)
-    wit = sorted(witness)
-    return (json.dumps({"gamma_c": size, "witness": wit}) if args.json
-            else f"gamma_c={size} witness={json.dumps(wit)}"), True
+    return _line({"gamma_c": size, "witness": sorted(witness)}, args)
 
 
 def _domatic(g, args):
     k, parts = connected_domatic_number(g, args.guard)
-    wit = [sorted(p) for p in parts]
-    return (json.dumps({"d_c": k, "witness": wit}) if args.json
-            else f"d_c={k} witness={json.dumps(wit)}"), True
+    return _line({"d_c": k, "witness": [sorted(p) for p in parts]}, args)
 
 
 def _dump_matrix(g, args):
@@ -206,14 +204,15 @@ def _build_parser():
 
     sp = sub.add_parser("check-n", help="polynomial decider for CC = n")
     _add_io_flags(sp, status=True)
-    sp.set_defaults(func=_run_per_graph, answer=_check_n)
+    sp.set_defaults(func=_run_per_graph, answer=lambda g, args: _decision_line(check_cc_equals_n(g), args))
 
     sp = sub.add_parser("check-n1", help="polynomial decider for CC = n-1")
     _add_io_flags(sp, status=True)
     sp.add_argument("--variant", choices=VARIANTS, default="strict",
                     help="paper: the pair rule as stated; strict: adds the non-CDS pair "
                          "guard and requires the CC = n check to fail (default)")
-    sp.set_defaults(func=_run_per_graph, answer=_check_n1)
+    sp.set_defaults(func=_run_per_graph,
+                    answer=lambda g, args: _decision_line(check_cc_equals_n_minus_1(g, args.variant), args))
 
     sp = sub.add_parser("family-f", help="membership in the peel family (CC = 0)")
     _add_io_flags(sp, status=True)
@@ -277,7 +276,3 @@ def main(argv=None):
     except (CoalitionsError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

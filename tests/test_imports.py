@@ -3,7 +3,8 @@ module-level private name in the package is read somewhere in it, and every
 module-level public name is exported or read somewhere in it.  Every
 dataclass field and every property of a class in the package is read as an
 attribute somewhere in it.  No module in the package reads an environment
-variable, and every module parses as the oldest Python that pyproject.toml's
+variable, no module but __main__.py holds an `if __name__ == "__main__":`
+block, and every module parses as the oldest Python that pyproject.toml's
 requires-python admits.  Every module-level name in the tests' shared
 modules, conftest.py and reference.py, is read somewhere in tests/, and
 reference.py imports from the standard library only.
@@ -234,6 +235,32 @@ def test_no_src_module_reads_the_environment():
     # configuration travels through flags and parameters only
     found = [f"{module}:{line}" for module, source in _src_sources().items()
              for line in _environment_reads(source)]
+    assert found == []
+
+
+def _main_blocks(source):
+    """Lines of each `if __name__ == "__main__":` test in a module, written either way round."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.If):
+            parts = list(ast.walk(node.test))
+            if (any(isinstance(p, ast.Name) and p.id == "__name__" for p in parts)
+                    and any(isinstance(p, ast.Constant) and p.value == "__main__" for p in parts)):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_main_block_checker_on_a_tiny_module():
+    source = ("import sys\nif __name__ == '__main__':\n    sys.exit(0)\nif '__main__' == __name__:\n"
+              "    pass\nif __name__ == 'x':\n    pass\nname = '__main__'\n")
+    assert _main_blocks(source) == [2, 4]
+
+
+def test_only_the_package_main_module_is_an_entry_point():
+    # python -m coalitions runs __main__.py and the console script calls cli:main, so a
+    # __main__ block anywhere else is a second entry point that nothing runs
+    found = [f"{module}:{line}" for module, source in _src_sources().items()
+             if not module.endswith("__main__.py") for line in _main_blocks(source)]
     assert found == []
 
 
