@@ -10,8 +10,9 @@ decides CC(G) = n-1 through a search over vertex pairs (u, v); it ships in
 two variants because the plain rule admits edge cases.  The "paper" variant
 is the rule as stated; the "strict" variant additionally requires that
 {u, v} is not itself a connected dominating set and that the CC = n test
-already failed.  The verification harness measures how the variants and
-the exact oracle relate instead of assuming it.
+already failed.  check_cc_equals_n_minus_1's docstring proves strict
+exact, and the verification harness measures both variants against the
+exact oracle.
 """
 
 import json
@@ -150,6 +151,25 @@ def check_cc_equals_n_minus_1(g, variant="strict"):
     Pairs are scanned in ascending order and the first qualifying one is the
     witness: u, v, the lowest such y, and for each x the first edge in
     sorted order that serves it, else its triple.
+
+    Strict is the exact rule.  A partition into n-1 parts is one pair
+    {u, v} plus n-2 singletons.  With no full vertex no singleton is a CDS,
+    so the partition is a connected coalition partition exactly when all
+    three of these hold:
+
+    - {u, v} is not a CDS, since a part of two vertices must form a
+      coalition, and a CDS forms none;
+    - every singleton x has a partner: a singleton w with {x, w} a CDS,
+      which is an edge xw whose row is full and which avoids the pair
+      (condition 1), or the pair itself, with {x, u, v} a CDS (condition 2);
+    - the pair has a partner: a singleton y with {y, u, v} a CDS.
+
+    CC is the largest part count, so CC = n-1 exactly when such a partition
+    exists and CC != n.  CC = n is what check_cc_equals_n decides: every
+    vertex has a full-row partner.  Strict tests all of this.  The paper
+    variant is the same rule without the non-CDS test and the CC != n test.
+    So a paper no means CC != n-1, and a paper yes is wrong only when
+    CC = n or its witness pair is itself a CDS.
 
     Four facts keep the scan to few pairs and a few mask operations per pair:
 

@@ -32,6 +32,7 @@ from reference import (
     ref_connected_without_full_vertex,
     ref_full_rows,
     ref_full_rows_at,
+    ref_is_cds,
     ref_outside,
 )
 
@@ -229,13 +230,34 @@ class TestCheckCcEqualsNMinus1:
             assert not d.answer
             assert d.reason == "no qualifying vertex pair (u, v)"
 
-    def test_strict_yes_implies_oracle_on_small_graphs(self):
-        # strict answers yes exactly when the oracle finds CC = n-1
+    def test_strict_agrees_with_oracle_both_ways_on_small_graphs(self):
+        # strict answers yes exactly when the oracle finds CC = n-1, on every labeled graph
         for n in range(3, 6):
             for g in enumerate_labeled_graphs(n, connected_only=True):
                 if full_vertex_mask(g):
                     continue
                 assert check_cc_equals_n_minus_1(g, "strict").answer == (cc_number(g)[0] == g.n - 1)
+
+    def test_strict_is_exact_and_paper_errs_only_as_proved(self):
+        # check_cc_equals_n_minus_1's proof over every connected class n <= 7 with no full
+        # vertex: strict agrees with the oracle both ways, a paper no means CC != n-1, and a
+        # paper false yes has CC = n or else a witness pair that is itself a CDS.  The oracle
+        # is cc_number: ref_cc takes about 40 ms a graph at n = 7
+        oracle_yes = cc_n = cds_pair = 0
+        for g in atlas_classes_without_full_vertex():
+            cc = cc_number(g)[0]
+            oracle = cc == g.n - 1
+            paper = check_cc_equals_n_minus_1(g, "paper")
+            assert check_cc_equals_n_minus_1(g, "strict").answer == oracle
+            assert paper.answer or not oracle
+            oracle_yes += oracle
+            if paper.answer and not oracle:
+                if cc == g.n:
+                    cc_n += 1
+                else:
+                    assert ref_is_cds(g, {paper.witness["u"], paper.witness["v"]})
+                    cds_pair += 1
+        assert (oracle_yes, cc_n, cds_pair) == (100, 65, 421)
 
     def test_matches_reference_exhaustive_small(self):
         for n in range(3, 6):
