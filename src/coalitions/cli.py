@@ -65,8 +65,8 @@ def _load_graphs(path, fmt):
 def _run_per_graph(args):
     """Print args.answer's line for each input graph as it is read.
 
-    answer(g, args) returns (line, yes), the answering commands' line from
-    _line; --status-exit turns any no into exit code 1.
+    answer(g, args) returns (line, yes), built by _line for every command but
+    dump-matrix; --status-exit turns any no into exit code 1.
     """
     all_yes = True
     for g in _load_graphs(args.input, args.format):
@@ -95,21 +95,16 @@ def _line(fields, args, yes=True):
 
 def _cc(g, args):
     cc, witness = cc_number(g, args.guard)
-    return _line({"cc": cc, "witness": None if witness is None else [sorted(p) for p in witness]},
-                 args, cc != 0)
+    return _line({"cc": cc, "witness": witness and [sorted(p) for p in witness]}, args, cc != 0)
 
 
 def _decision_line(decision, args):
-    """A decider's Decision as (line, yes); check-n's carries no variant."""
-    if args.json:
-        fields = decision.as_dict()
-    else:
-        # the witness is dumped with its int keys as strings and its tuples as lists, as in as_dict
-        fields = {"answer": decision.answer, "variant": decision.variant}
-        if decision.answer:
-            fields["witness"] = decision.witness
-        else:
-            fields["reason"] = decision.reason
+    """A decider's Decision as (line, yes): its as_dict(), whose text line shows the answer, the
+    variant, and the witness of a yes or the reason of a no; check-n's carries no variant."""
+    fields = decision.as_dict()
+    if not args.json:
+        shown = "witness" if decision.answer else "reason"
+        fields = {key: fields[key] for key in ("answer", "variant", shown)}
     if decision.variant is None:
         del fields["variant"]
     return _line(fields, args, decision.answer)

@@ -6,13 +6,9 @@ closed neighborhoods cover the whole graph (a full row of the edge-domination
 matrix).  Neither decider builds the matrix: each walks a vertex to its
 lowest full-row partner by testing candidates (_first_partner), and on a
 dense graph the first candidate usually passes.  check_cc_equals_n_minus_1
-decides CC(G) = n-1 through a search over vertex pairs (u, v); it ships in
-two variants because the plain rule admits edge cases.  The "paper" variant
-is the rule as stated; the "strict" variant additionally requires that
-{u, v} is not itself a connected dominating set and that the CC = n test
-already failed.  check_cc_equals_n_minus_1's docstring proves strict
-exact, and the verification harness measures both variants against the
-exact oracle.
+decides CC(G) = n-1 through a search over vertex pairs (u, v) in two
+variants: "paper", the rule as stated, and "strict", which its docstring
+proves exact.
 """
 
 import json
@@ -143,33 +139,24 @@ def check_cc_equals_n(g):
 def check_cc_equals_n_minus_1(g, variant="strict"):
     """Decide CC(G) = n-1 via the pair search, in the requested variant.
 
-    A pair (u, v) qualifies when every other vertex x either sits on an edge
-    avoiding u and v whose row sums to n (condition 1) or makes {x, u, v} a
-    connected dominating triple (condition 2), and some y outside the pair
-    makes {y, u, v} a connected dominating triple.  The strict variant also
-    requires that {u, v} itself is not a CDS and that the CC = n check fails.
-    Pairs are scanned in ascending order and the first qualifying one is the
-    witness: u, v, the lowest such y, and for each x the first edge in
-    sorted order that serves it, else its triple.
+    A partition into n-1 parts is one pair {u, v} plus n-2 singletons, and
+    with no full vertex no singleton is a CDS.  So the partition is a
+    connected coalition partition exactly when {u, v} is not a CDS (a part
+    of two vertices must form a coalition, and a CDS forms none), every
+    other vertex x has a partner, and the pair has one: some y outside it
+    with {y, u, v} a CDS.  x's partner is a singleton w with {x, w} a CDS,
+    which is an edge xw avoiding u and v whose row sums to n (condition 1),
+    or the pair, with {x, u, v} a connected dominating triple (condition 2).
 
-    Strict is the exact rule.  A partition into n-1 parts is one pair
-    {u, v} plus n-2 singletons.  With no full vertex no singleton is a CDS,
-    so the partition is a connected coalition partition exactly when all
-    three of these hold:
-
-    - {u, v} is not a CDS, since a part of two vertices must form a
-      coalition, and a CDS forms none;
-    - every singleton x has a partner: a singleton w with {x, w} a CDS,
-      which is an edge xw whose row is full and which avoids the pair
-      (condition 1), or the pair itself, with {x, u, v} a CDS (condition 2);
-    - the pair has a partner: a singleton y with {y, u, v} a CDS.
-
-    CC is the largest part count, so CC = n-1 exactly when such a partition
-    exists and CC != n.  CC = n is what check_cc_equals_n decides: every
-    vertex has a full-row partner.  Strict tests all of this.  The paper
-    variant is the same rule without the non-CDS test and the CC != n test.
-    So a paper no means CC != n-1, and a paper yes is wrong only when
-    CC = n or its witness pair is itself a CDS.
+    CC is the largest part count, so CC = n-1 exactly when such a pair
+    exists and CC != n.  check_cc_equals_n decides CC = n: every vertex has
+    a full-row partner.  The strict variant tests all of this, so it is
+    exact.  The paper variant, the rule as stated, drops the non-CDS test
+    and the CC != n test: its no means CC != n-1, and its yes is wrong only
+    when CC = n or its witness pair is itself a CDS.  Pairs are scanned in
+    ascending order and the first qualifying one is the witness: u, v, the
+    lowest such y, and for each x the first edge in sorted order that
+    serves it, else its triple.
 
     Four facts keep the scan to few pairs and a few mask operations per pair:
 
