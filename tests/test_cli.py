@@ -65,7 +65,7 @@ class TestGen:
     def test_bench_startup_probe_runs(self, run):
         # bench/run.py's traced runs time the CLI's startup by spawning this
         # command with check=True, so a failing gen fails every traced run.
-        # gen can go only once that probe moves to a command that stays (ROADMAP F).
+        # gen can go only once that probe moves to a command that stays (ROADMAP V step 1).
         assert run(["gen", "path", "1"]) == (0, "@\n", "")
 
     def test_wrong_arity_exits_3(self, run):
@@ -342,7 +342,7 @@ class TestInputHandling:
 
 def pinned_streams():
     """Seeded graph6 streams, one per input a per-graph command accepts: any graph, connected
-    graphs, and connected graphs of order >= 2 with no full vertex (the deciders' input)."""
+    graphs, and connected graphs with no full vertex (the deciders' input)."""
     rng = random.Random(41)
     graphs = []
     for _ in range(600):
@@ -355,8 +355,8 @@ def pinned_streams():
 
 
 # sha256(f"{exit code}\n{stdout}")[:16] of one cli.main run per command and flag set over its
-# stream from pinned_streams(), and of each -h text under COLUMNS=80 (argparse lays the help out,
-# so a CPython release that changes its layout moves those digests, not the program's)
+# stream from pinned_streams(), and of each -h text under COLUMNS=80.  argparse lays the help
+# out, so a CPython release that changes its layout moves the -h digests with no program change
 PINNED_BYTES = {
     "cc": ("any", {
         "": "b4f9f03eaee40238",
@@ -418,11 +418,12 @@ class TestPinnedBytes:
         streams = pinned_streams()
         got = {}
         for cmd, (stream, flag_sets) in PINNED_BYTES.items():
-            got[cmd] = (stream, {})
+            digests = {}
             for flags in flag_sets:
                 code, out, err = run([cmd, "-", *flags.split()], stdin=streams[stream])
                 assert err == ""
-                got[cmd][1][flags] = short_digest(code, out)
+                digests[flags] = short_digest(code, out)
+            got[cmd] = (stream, digests)
         assert got == PINNED_BYTES
 
     def test_help_is_pinned(self, run):

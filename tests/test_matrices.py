@@ -242,7 +242,7 @@ class TestCheckCcEqualsNMinus1:
         # check_cc_equals_n_minus_1's proof over every connected class n <= 7 with no full
         # vertex: strict agrees with the oracle both ways, a paper no means CC != n-1, and a
         # paper false yes has CC = n or else a witness pair that is itself a CDS.  The oracle
-        # is cc_number: ref_cc takes about 40 ms a graph at n = 7
+        # is cc_number: ref_cc takes about 35 ms a graph at n = 7
         oracle_yes = cc_n = cds_pair = 0
         for g in atlas_classes_without_full_vertex():
             cc = cc_number(g)[0]
