@@ -16,7 +16,7 @@ order, so witnesses are fixed.
 import functools
 
 from .errors import GuardExceededError, PreconditionError
-from .graphs import _BIT_BYTES, induced_connected, is_connected, iter_mask, set_from_mask
+from .graphs import _BIT_BYTES, induced_connected, iter_mask, require, set_from_mask
 
 PARTITION_GUARD_DEFAULT = 12
 _TABLE_LIMIT = 20
@@ -151,10 +151,7 @@ def gamma_c(g):
     it shares that table's guard of n <= 20.  Ties break toward the smallest
     member bitmask, so repeated runs return the same witness.
     """
-    if g.n < 1:
-        raise PreconditionError("gamma_c needs a graph of order >= 1")
-    if not is_connected(g):
-        raise PreconditionError("gamma_c undefined for disconnected graphs")
+    require(g, "gamma_c", connected=True)
     size, mask = _min_cds(_cds_bits(g), g.n)
     return size, set_from_mask(mask)
 
@@ -176,14 +173,7 @@ def connected_domatic_number(g, guard=PARTITION_GUARD_DEFAULT):
     incumbent reaches n // gamma_c.  Returns (d_c, witness) where the witness
     is the first maximum partition in enumeration order.
     """
-    if g.n < 1:
-        raise PreconditionError("connected_domatic_number needs a graph of order >= 1")
-    if not is_connected(g):
-        raise PreconditionError("connected_domatic_number undefined for disconnected graphs")
-    if g.n > guard:
-        raise GuardExceededError(
-            f"d_c partition search guarded at n <= {guard}, got n={g.n}"
-        )
+    require(g, "connected_domatic_number", connected=True, guard=guard)
     n = g.n
     bits = _cds_bits(g)
     table = _unpack(bits, n)

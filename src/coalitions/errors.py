@@ -10,7 +10,11 @@ class GraphFormatError(CoalitionsError):
 
 
 class PreconditionError(CoalitionsError):
-    """An operation was called on a graph that violates its stated preconditions."""
+    """An operation was called on a graph that violates its stated preconditions.
+
+    graphs.require makes every refusal by order, connectivity or full
+    vertex, in that order, each message led by the routine's name.
+    """
 
 
 class GuardExceededError(CoalitionsError):

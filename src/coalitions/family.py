@@ -14,8 +14,7 @@ disconnected.  The trace peels F lowest id first.
 
 from dataclasses import dataclass
 
-from .errors import PreconditionError
-from .graphs import full_vertex_mask, induced_connected, iter_mask
+from .graphs import full_vertex_mask, induced_connected, iter_mask, require
 
 TERMINAL_DISCONNECTED = "disconnected_ge2"
 TERMINAL_NO_FULL = "connected_no_full"
@@ -43,8 +42,7 @@ def in_family_f(g):
     a connected graph without full vertices, or a single vertex, disproves
     it (the one-vertex graph is not a member: its coalition number is 1).
     """
-    if g.n < 1:
-        raise PreconditionError("family membership needs a graph of order >= 1")
+    require(g, "family membership")
     fulls = full_vertex_mask(g)
     # zip stops after n - 1 peels, which keeps the last vertex of K_n
     steps = tuple(zip(iter_mask(fulls), range(g.n - 1, 0, -1)))

@@ -55,8 +55,8 @@ class Graph:
     adjacency as bitmasks for the exhaustive-search kernels.  Equality is
     vertex-by-vertex (same order, same adjacency), not isomorphism.
     ``Graph(n, edges)`` deduplicates repeated edges; an edge that is no pair
-    of ints, out-of-range ids and self-loops raise a PreconditionError
-    naming the offending edge.
+    of ints (a bool is none), out-of-range ids and self-loops raise a
+    PreconditionError naming the offending edge.
     """
 
     __slots__ = ("n", "nbr_masks")
@@ -68,10 +68,14 @@ class Graph:
         for pair in edges:
             try:
                 u, v = pair
-                if not (0 <= u < n and 0 <= v < n):
-                    raise PreconditionError(f"edge ({u}, {v}) out of range for n={n}")
-                if u == v:
-                    raise PreconditionError(f"self-loop ({u}, {v}) is not allowed")
+                # a bool can only pass for id 0 or 1, so only a loop or an edge at 0 or 1 needs the tests
+                if u == v or not (1 < u < n and 1 < v < n):
+                    if type(u) is bool or type(v) is bool:
+                        raise TypeError
+                    if not (0 <= u < n and 0 <= v < n):
+                        raise PreconditionError(f"edge ({u}, {v}) out of range for n={n}")
+                    if u == v:
+                        raise PreconditionError(f"self-loop ({u}, {v}) is not allowed")
                 nbr[u] |= 1 << v
                 nbr[v] |= 1 << u
             except (TypeError, ValueError):
@@ -165,6 +169,31 @@ def full_vertex_mask(g):
         if nb.bit_count() == want:
             m |= 1 << v
     return m
+
+
+def require(g, op, order=1, connected=False, no_full=False, guard=None):
+    """Refuse a graph outside op's input class; with no_full, return its maximum degree.
+
+    The tests run in a fixed order, and the first that fails raises, its
+    message led by op: the order (n >= order), connectivity, no full vertex
+    (the lowest full one is named), then the partition-search guard
+    (n <= guard).  The guard raises GuardExceededError, the rest
+    PreconditionError.
+    """
+    n = g.n
+    if n < order:
+        raise PreconditionError(f"{op} needs a graph of order >= {order}, got {n}")
+    if connected and not is_connected(g):
+        raise PreconditionError(f"{op} undefined for disconnected graphs")
+    top = None
+    if no_full:
+        top = max(map(int.bit_count, g.nbr_masks))
+        if top == n - 1:
+            full = list(map(int.bit_count, g.nbr_masks)).index(top)
+            raise PreconditionError(f"{op} requires no full vertex; vertex {full} is full")
+    if guard is not None and n > guard:
+        raise GuardExceededError(f"{op} guarded at n <= {guard}, got n={n}")
+    return top
 
 
 def _gen_path(n):
@@ -271,9 +300,7 @@ def parse_graph6(text):
     so n <= 258047.  Malformed bytes, a truncated header or bit payload, and
     trailing garbage all raise GraphFormatError.
     """
-    line = text.strip()
-    if line.startswith(">>graph6<<"):
-        line = line[len(">>graph6<<"):]
+    line = text.strip().removeprefix(">>graph6<<")
     if not line:
         raise GraphFormatError("empty graph6 line")
     for c in line:

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .graphs import is_connected, iter_mask
+from .graphs import iter_mask, require
 
 VARIANTS = ("paper", "strict")
 
@@ -50,19 +50,6 @@ def edge_domination_matrix(g):
         raise PreconditionError("edge-domination matrix needs a graph with at least one edge")
     closed = g.closed_masks
     return tuple(closed[p] | closed[q] for p, q in edges)
-
-
-def _check_preconditions(g, op, minimum_order):
-    """Refuse graphs the deciders are not defined on; return the maximum degree."""
-    if g.n < minimum_order:
-        raise PreconditionError(f"{op} needs a graph of order >= {minimum_order}, got {g.n}")
-    if not is_connected(g):
-        raise PreconditionError(f"{op} needs a connected graph")
-    top = max(map(int.bit_count, g.nbr_masks))
-    if top == g.n - 1:
-        degrees = list(map(int.bit_count, g.nbr_masks))
-        raise PreconditionError(f"{op} requires no full vertex; vertex {degrees.index(top)} is full")
-    return top
 
 
 def _dominators(closed, cand, need):
@@ -120,7 +107,7 @@ def check_cc_equals_n(g):
     with w < x sorts before every edge (x, w) with w > x, and each group
     sorts by w, so the lowest partner gives the first edge.
     """
-    top = _check_preconditions(g, "the CC = n check", 2)
+    top = require(g, "the CC = n check", order=2, connected=True, no_full=True)
     n = g.n
     if 2 * top < n:
         return Decision(False, reason=f"vertex 0 has no incident edge whose row sums to {n}")
@@ -191,7 +178,7 @@ def check_cc_equals_n_minus_1(g, variant="strict"):
     """
     if variant not in VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    top = _check_preconditions(g, "the CC = n-1 check", 3)
+    top = require(g, "the CC = n-1 check", order=3, connected=True, no_full=True)
     n = g.n
     no = Decision(False, reason="no qualifying vertex pair (u, v)", variant=variant)
     if 2 * top < n:

@@ -46,14 +46,12 @@ is the least feasible choice and W stands.
 """
 
 from .domination import PARTITION_GUARD_DEFAULT, cds_table, mask_is_cds, shrink_to_minimal_cds
-from .errors import CoalitionExpansionError, GuardExceededError, PreconditionError
-from .graphs import full_vertex_mask, is_connected, set_from_mask, subset_mask
+from .errors import CoalitionExpansionError, PreconditionError
+from .graphs import full_vertex_mask, is_connected, require, set_from_mask, subset_mask
 
 
 def _partition_masks(g, parts):
     """Convert a claimed partition of V(G) to bitmasks, rejecting anything that is not one."""
-    if g.n < 1:
-        raise PreconditionError("partitions are only defined for graphs of order >= 1")
     masks = []
     union = 0
     for idx, part in enumerate(parts):
@@ -79,6 +77,7 @@ def is_cc_partition(g, parts):
     j), "unpartnered", or "illegal-CDS" (a CDS that is not a full-vertex
     singleton; no such part can ever be legal).
     """
+    require(g, "is_cc_partition")
     masks = _partition_masks(g, parts)
     cds = [mask_is_cds(g, m) for m in masks]
     fulls = full_vertex_mask(g)
@@ -159,11 +158,8 @@ def cc_partition_search(g, guard=PARTITION_GUARD_DEFAULT):
     value is found in degree order, and the witness by the lex-first walk of
     the module docstring.
     """
+    require(g, "cc search", guard=guard)
     n = g.n
-    if n < 1:
-        raise PreconditionError("cc search needs a graph of order >= 1")
-    if n > guard:
-        raise GuardExceededError(f"cc partition search guarded at n <= {guard}, got n={n}")
     table = cds_table(g)
     singletons = [1 << v for v in range(n)]
     # the only partition with n parts; its leaf test is the validity rule
@@ -199,12 +195,12 @@ def cc_number(g, guard=PARTITION_GUARD_DEFAULT):
 
     Disconnected graphs of order >= 2 return (0, None) without searching:
     they have no connected dominating set at all, so no part can ever find a
-    partner and no singleton can be full.
+    partner and no singleton can be full.  graphs.require refuses the empty
+    graph and, before that shortcut, any graph above the guard, whatever its
+    shape.
     """
-    if g.n < 1:
-        raise PreconditionError("cc_number needs a graph of order >= 1")
-    # an oversized input skips the shortcut, so the search's guard refuses it whatever its shape
-    if 2 <= g.n <= guard and not is_connected(g):
+    require(g, "cc_number", guard=guard)
+    if g.n >= 2 and not is_connected(g):
         return 0, None
     return cc_partition_search(g, guard)
 
@@ -274,15 +270,7 @@ def expand_domatic_to_cc_partition(g, parts):
     least twice as many parts as the input; any failure raises
     CoalitionExpansionError rather than returning a bad partition.
     """
-    if g.n <= 1:
-        raise PreconditionError("expansion needs a graph of order > 1")
-    if not is_connected(g):
-        raise PreconditionError("expansion needs a connected graph")
-    fulls = full_vertex_mask(g)
-    if fulls:
-        raise PreconditionError(
-            f"expansion requires a graph with no full vertex; {sorted(set_from_mask(fulls))} are full"
-        )
+    require(g, "expansion", order=2, connected=True, no_full=True)
     masks = _partition_masks(g, parts)
     for i, m in enumerate(masks):
         if not mask_is_cds(g, m):

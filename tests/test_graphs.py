@@ -104,8 +104,8 @@ class TestGraphBasics:
         with pytest.raises(PreconditionError):
             Graph(-1, [])
 
-    @pytest.mark.parametrize("edge", [(0, 1.0), (1.0, 0), ("0", 1), (0, "1"), (0, 1, 2), 1],
-                             ids=["float", "float_first", "str", "str_second", "triple", "no_pair"])
+    @pytest.mark.parametrize("edge", [(0, 1.0), (1.0, 0), ("0", 1), (0, "1"), (0, 1, 2), 1, (True, 2)],
+                             ids=["float", "float_first", "str", "str_second", "triple", "no_pair", "bool"])
     def test_rejects_an_edge_that_is_no_pair_of_ints_naming_it(self, edge):
         message = f"edge {edge!r} is no pair of int vertex ids"
         with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):

@@ -5,9 +5,11 @@ dataclass field and every property of a class in the package is read as an
 attribute somewhere in it.  No module in the package reads an environment
 variable, no module but __main__.py holds an `if __name__ == "__main__":`
 block, and every module parses as the oldest Python that pyproject.toml's
-requires-python admits.  Every module-level name in the tests' shared
-modules, conftest.py and reference.py, is read somewhere in tests/, and
-reference.py imports from the standard library only.
+requires-python admits.  Only graphs.py raises a refusal by a graph's
+order, connectivity, full vertices or partition-search guard: every routine
+states its input class through graphs.require.  Every module-level name in
+the tests' shared modules, conftest.py and reference.py, is read somewhere
+in tests/, and reference.py imports from the standard library only.
 
 The repository has no linter, so these are its unused-import and dead-helper
 checks, written with the standard library's ast module.  A package
@@ -282,3 +284,44 @@ def test_every_src_module_parses_at_the_python_floor():
     floor = _python_floor()
     for module, source in _src_sources().items():
         ast.parse(source, filename=module, feature_version=floor)
+
+
+# the refusals graphs.require makes, in its wording and in the wordings it replaced
+_SHAPE_REFUSAL = re.compile(r"order [<>]|connected graph|full vertex|(is|are) full|guarded")
+_SHAPE_ERRORS = {"PreconditionError", "GuardExceededError"}
+
+
+def _shape_refusals(source):
+    """Lines that raise a PreconditionError or GuardExceededError whose message refuses a graph
+    by its order, connectivity, full vertices or partition-search guard."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+            continue
+        func = node.exc.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        text = " ".join(c.value for arg in node.exc.args for c in ast.walk(arg)
+                        if isinstance(c, ast.Constant) and isinstance(c.value, str))
+        if name in _SHAPE_ERRORS and _SHAPE_REFUSAL.search(text):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_refusal_checker_on_a_tiny_module():
+    source = ("raise PreconditionError('gamma_c needs a graph of order >= 1')\n"
+              "raise PreconditionError(f'{op} undefined for disconnected graphs')\n"
+              "raise errors.PreconditionError(f'expansion: {sorted(fulls)} are full')\n"
+              "raise GuardExceededError(f'search guarded at n <= {guard}, got n={n}')\n"
+              "raise GuardExceededError(f'corpus graph of order {n} exceeds the oracle guard {guard}')\n"
+              "raise PreconditionError('shrink needs a connected dominating set')\n"
+              "raise ValueError('x needs a connected graph')\n")
+    assert _shape_refusals(source) == [1, 2, 3, 4]
+
+
+def test_only_graphs_require_refuses_a_graph_by_its_shape():
+    sources = _src_sources()
+    # the rule sees require's own four refusals, so it would see one written anywhere else
+    assert len(_shape_refusals(sources["src/coalitions/graphs.py"])) == 4
+    found = [f"{module}:{line}" for module, source in sources.items()
+             if module != "src/coalitions/graphs.py" for line in _shape_refusals(source)]
+    assert found == []
