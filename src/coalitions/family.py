@@ -12,7 +12,7 @@ what is left: G is a member exactly when G is not complete and G - F is
 disconnected.  The trace peels F lowest id first.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graphs import full_vertex_mask, induced_connected, iter_mask, require
 
@@ -21,17 +21,15 @@ TERMINAL_NO_FULL = "connected_no_full"
 TERMINAL_K1 = "reached_k1"
 
 
-@dataclass(frozen=True)
-class PeelTrace:
-    """Checkable record of a membership decision.
+class PeelTrace(namedtuple("PeelTrace", "steps terminal")):
+    """Checkable record of a membership decision, a namedtuple of two fields.
 
     steps holds (peeled original vertex id, remaining order) pairs in peel
     order; terminal is the state that ended the peel.  Membership is
     equivalent to terminal == "disconnected_ge2".
     """
 
-    steps: tuple
-    terminal: str
+    __slots__ = ()
 
 
 def in_family_f(g):

@@ -11,8 +11,7 @@ variants: "paper", the rule as stated, and "strict", which its docstring
 proves exact.
 """
 
-import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import PreconditionError
 from .graphs import iter_mask, require
@@ -20,17 +19,19 @@ from .graphs import iter_mask, require
 VARIANTS = ("paper", "strict")
 
 
-@dataclass(frozen=True)
-class Decision:
-    """A yes/no answer plus either a checkable witness or a refutation reason."""
+class Decision(namedtuple("Decision", "answer witness reason variant", defaults=(None, None, None))):
+    """A yes/no answer plus either a checkable witness or a refutation reason.
 
-    answer: bool
-    witness: object = None
-    reason: str | None = None
-    variant: str | None = None
+    A namedtuple, so it is immutable and equals and hashes as the tuple of its
+    fields: answer (a bool), witness, reason and variant (each None unless set).
+    """
+
+    __slots__ = ()
 
     def as_dict(self):
         """The decision as JSON data: the witness's int keys become strings, its tuples lists."""
+        import json  # here, not at the top: importing the package should not load json
+
         return {
             "answer": self.answer,
             "witness": json.loads(json.dumps(self.witness)),

@@ -9,9 +9,8 @@ the two CC = n-1 decider variants against the oracle and is report-only:
 its counterexamples are measurements, not failures of this package.
 """
 
-import json
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .domination import PARTITION_GUARD_DEFAULT, connected_domatic_number
@@ -66,9 +65,8 @@ class GraphRecord:
         return in_family_f(self.graph)
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
-    """One registry entry: applies(rec) -> bool and check(rec) -> (ok, detail).
+class TheoremCheck(namedtuple("TheoremCheck", "anchor applies check report_only", defaults=(False,))):
+    """One registry entry, a namedtuple: applies(rec) -> bool and check(rec) -> (ok, detail).
 
     Its THEOREMS key is its id, README's theorem table states its claim, and
     anchor is the stable name the report carries.  Both callables must be
@@ -77,10 +75,7 @@ class TheoremCheck:
     invariants (CC, d_c, decider answers, counts) and never a witness.
     """
 
-    anchor: str
-    applies: object
-    check: object
-    report_only: bool = False
+    __slots__ = ()
 
 
 def _t1(rec):
@@ -194,12 +189,27 @@ def _resolve_ids(theorem_ids):
     return ids
 
 
-@dataclass
 class VerifyReport:
-    """Suite outcome: one entry per theorem, deterministic apart from timings."""
+    """Suite outcome: one entry per theorem, deterministic apart from timings.
 
-    corpus: str
-    theorems: list
+    A mutable record of two slots, corpus (its label) and theorems (a list of
+    dicts).  Two reports are equal when both fields are; a report is unhashable.
+    """
+
+    __slots__ = ("corpus", "theorems")
+    __hash__ = None
+
+    def __init__(self, corpus, theorems):
+        self.corpus = corpus
+        self.theorems = theorems
+
+    def __repr__(self):
+        return f"VerifyReport(corpus={self.corpus!r}, theorems={self.theorems!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.corpus, self.theorems) == (other.corpus, other.theorems)
 
     def failing(self):
         """Ids of asserted (non report-only) theorems that found counterexamples."""
@@ -207,6 +217,8 @@ class VerifyReport:
                 if t["counterexamples"] and not t["report_only"]]
 
     def to_json(self):
+        import json  # here, not at the top: importing the package should not load json
+
         return json.dumps({"corpus": self.corpus, "theorems": self.theorems}, indent=2)
 
     def summary_text(self):

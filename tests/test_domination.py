@@ -325,6 +325,22 @@ class TestConnectedDomatic:
         assert connected_domatic_number(maker())[0] == dc
         assert len(table_reads) == reads
 
+    @pytest.mark.parametrize("maker, gc, dc, reads", [
+        (lambda: random_connected(random.Random(1001), 10, 0.3), 4, 1, 357),
+        (lambda: random_connected(random.Random(1003), 11, 0.3), 4, 2, 98),
+    ], ids=["G10-p0.3", "G11-p0.3"])
+    def test_full_deficit_work_is_pinned(self, count, maker, gc, dc, reads):
+        # A part that is no CDS yet owes the deficit max(1, gamma_c - |part|)
+        # vertices, not one.  That is speed-only: at a leaf one owed vertex
+        # already refuses a part that is no CDS.  It shows only where gamma_c
+        # is above 2, as here; charging one vertex per part, these read 965
+        # and 27,834 entries.
+        g = maker()
+        assert gamma_c(g)[0] == gc
+        table_reads = count(domination, "_unpack", reads=True)
+        assert connected_domatic_number(g)[0] == dc
+        assert len(table_reads) == reads
+
 
 class TestShrinkToMinimal:
     def test_known_shrink(self, c6):

@@ -1,7 +1,8 @@
 """Every imported name is read somewhere in the module that imports it, every
 module-level private name in the package is read somewhere in it, and every
 module-level public name is exported or read somewhere in it.  Every
-dataclass field and every property of a class in the package is read as an
+field of a class in the package (a dataclass field, a __slots__ entry or a
+field of the namedtuple it extends) and every property is read as an
 attribute somewhere in it.  No module in the package reads an environment
 variable, no module but __main__.py holds an `if __name__ == "__main__":`
 block, and every module parses as the oldest Python that pyproject.toml's
@@ -10,6 +11,8 @@ order, connectivity, full vertices or partition-search guard: every routine
 states its input class through graphs.require.  Every module-level name in
 the tests' shared modules, conftest.py and reference.py, is read somewhere
 in tests/, and reference.py imports from the standard library only.
+Importing the package loads none of dataclasses, inspect, typing, json and
+re, and a one-graph CLI run loads neither dataclasses nor inspect.
 
 The repository has no linter, so these are its unused-import and dead-helper
 checks, written with the standard library's ast module.  A package
@@ -18,8 +21,10 @@ the import check.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
@@ -169,8 +174,38 @@ def _decorator_names(node):
     return names
 
 
+def _strings(node):
+    """The names a field list spells: "a b" or "a, b", or a tuple or list of such strings."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value.replace(",", " ").split()
+    if isinstance(node, (ast.Tuple, ast.List)):
+        return [name for elt in node.elts for name in _strings(elt)]
+    return []
+
+
+def _class_fields(cls):
+    """(line, name) for each field and property of a class definition.
+
+    A field is a dataclass field (an annotated name in a @dataclass body), a
+    __slots__ entry, or a field of a namedtuple(typename, fields) call among
+    the bases; a property is a @property or @cached_property method.
+    """
+    fields = [(cls.lineno, name) for base in cls.bases
+              if isinstance(base, ast.Call) and getattr(base.func, "id", None) == "namedtuple"
+              and len(base.args) > 1 for name in _strings(base.args[1])]
+    is_dataclass = "dataclass" in _decorator_names(cls)
+    for stmt in cls.body:
+        if is_dataclass and isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            fields.append((stmt.lineno, stmt.target.id))
+        elif isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets):
+            fields += [(stmt.lineno, name) for name in _strings(stmt.value)]
+        elif isinstance(stmt, ast.FunctionDef) and _decorator_names(stmt) & {"property", "cached_property"}:
+            fields.append((stmt.lineno, stmt.name))
+    return fields
+
+
 def _unread_fields(sources):
-    """(module, line, Class.name) for each dataclass field or property no attribute read names.
+    """(module, line, Class.name) for each field or property (_class_fields) no attribute read names.
 
     A read is an attribute loaded anywhere in the sources, such as rec.cc or
     self.cc_pair; a field that only its own class's constructor fills is
@@ -179,22 +214,9 @@ def _unread_fields(sources):
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = {node.attr for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    found = []
-    for module, tree in trees.items():
-        for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            is_dataclass = "dataclass" in _decorator_names(cls)
-            for stmt in cls.body:
-                if is_dataclass and isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                    name = stmt.target.id
-                elif isinstance(stmt, ast.FunctionDef) and _decorator_names(stmt) & {"property", "cached_property"}:
-                    name = stmt.name
-                else:
-                    continue
-                if name not in read:
-                    found.append((module, stmt.lineno, f"{cls.name}.{name}"))
-    return found
+    return [(module, line, f"{cls.name}.{name}")
+            for module, tree in trees.items() for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for line, name in _class_fields(cls) if name not in read]
 
 
 def test_field_checker_on_a_tiny_package():
@@ -204,8 +226,25 @@ def test_field_checker_on_a_tiny_package():
              "class Box:\n    size: int\n    @property\n    def area(self):\n        return self.size\n"
              "    @cached_property\n    def stale(self):\n        return 2\n",
         "b": "from .a import Box, Row\nprint(Row(1).used, Box().area)\n",
+        "c": "from collections import namedtuple\n"
+             "class Pair(namedtuple('Pair', 'left, right', defaults=(0,))):\n    __slots__ = ()\n"
+             "class Cell:\n    __slots__ = ('value', 'spare')\n"
+             "print(Pair(1).left, Pair(1).right, Cell().value)\n",
     }
-    assert _unread_fields(sources) == [("a", 6, "Row.dead"), ("a", 13, "Box.stale")]
+    assert _unread_fields(sources) == [("a", 6, "Row.dead"), ("a", 13, "Box.stale"), ("c", 5, "Cell.spare")]
+    sources["c"] = sources["c"].replace("Pair(1).right", "Pair(1).left")
+    assert _unread_fields(sources)[-2:] == [("c", 2, "Pair.right"), ("c", 5, "Cell.spare")]
+
+
+def test_field_checker_sees_the_record_classes():
+    # the records' fields are namedtuple field strings and __slots__ entries, not annotations
+    fields = {f"{cls.name}.{name}" for source in _src_sources().values()
+              for cls in ast.walk(ast.parse(source)) if isinstance(cls, ast.ClassDef)
+              for _, name in _class_fields(cls)}
+    assert {"Decision.answer", "Decision.witness", "Decision.reason", "Decision.variant",
+            "PeelTrace.steps", "PeelTrace.terminal", "TheoremCheck.anchor", "TheoremCheck.applies",
+            "TheoremCheck.check", "TheoremCheck.report_only", "VerifyReport.corpus",
+            "VerifyReport.theorems", "Graph.n", "Graph.nbr_masks"} <= fields
 
 
 def test_every_field_and_property_in_src_is_read():
@@ -325,3 +364,34 @@ def test_only_graphs_require_refuses_a_graph_by_its_shape():
     found = [f"{module}:{line}" for module, source in sources.items()
              if module != "src/coalitions/graphs.py" for line in _shape_refusals(source)]
     assert found == []
+
+
+def _modules_loaded_by(code, stdin=""):
+    """(stdout lines, modules) of a `python -S` child, src on its path, that runs code.
+
+    modules are those the child loads while it runs code.  -S keeps out the
+    .pth files of site-packages, which may import anything at start-up.
+    """
+    probe = f"import sys\nbefore = set(sys.modules)\n{code}\nprint(*sorted(set(sys.modules) - before))\n"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", probe], input=stdin, env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    *lines, modules = proc.stdout.splitlines()
+    return lines, set(modules.split())
+
+
+def test_importing_the_package_loads_no_heavy_stdlib_module():
+    # dataclasses loads about 26 modules (inspect, ast, dis, tokenize, ...) and json 13 with re
+    # and enum, so a record is a namedtuple or a slotted class, and json is imported where a
+    # result is serialized
+    _, loaded = _modules_loaded_by("import coalitions")
+    assert "coalitions.verify" in loaded
+    assert loaded & {"dataclasses", "inspect", "typing", "json", "re"} == set()
+
+
+def test_a_one_graph_cli_run_loads_neither_dataclasses_nor_inspect():
+    # argparse and the CLI's printing load re and json; nothing needs the record machinery
+    lines, loaded = _modules_loaded_by("from coalitions import cli\nprint(cli.main(['cc', '-']))", "Bw\n")
+    assert lines == ["cc=3 witness=[[0], [1], [2]]", "0"]
+    assert "coalitions.cli" in loaded
+    assert loaded & {"dataclasses", "inspect"} == set()

@@ -201,12 +201,15 @@ class TestSearchWork:
         (lambda: corona(generate("path", [6])), 2, 145, 2000),
         (lambda: parse_graph6("K_??????@~g@"), 2, 184, 2000),
         (lambda: parse_graph6("KpUgs?_Ae_Yj"), 5, 66_786, 200_000),
-    ], ids=["P12", "C12", "P6-corona-K1", "spider-tree", "G12-p0.4"])
+        (lambda: parse_graph6("K~hfxv^Ynvz~"), 12, 39, 200),
+    ], ids=["P12", "C12", "P6-corona-K1", "spider-tree", "G12-p0.4", "G12-p0.8-CC12"])
     def test_table_lookups_under_ceiling(self, count, maker, cc, reads, ceiling):
         # Without the new-part prune the first three read 25,497, 30,185 and
         # 29,582 entries.  Placed in label order rather than degree order,
         # the spider tree (a hub of degree 9, labels reversed) reads
-        # 12,393,677 and the G(12, 0.4) draw 6,798,134.
+        # 12,393,677 and the G(12, 0.4) draw 6,798,134.  The CC = n try
+        # answers the dense G(12, 0.8) draw (random.Random(1201)) from the
+        # singletons; without it, the search capped at n parts reads 1,502.
         table_reads = count(oracle, "cds_table", reads=True)
         assert cc_partition_search(maker())[0] == cc
         assert len(table_reads) == reads <= ceiling
